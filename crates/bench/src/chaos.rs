@@ -610,6 +610,35 @@ mod tests {
     }
 
     #[test]
+    fn c2pl_client_crash_keeps_the_cached_reads_of_its_transaction() {
+        // The client crashes while its transaction pins a cached copy
+        // with a callback deferred behind it. Dropping the pin with the
+        // cache let the retried callback be acknowledged at restart, so a
+        // writer overwrote what the still-running transaction had read.
+        let args: Vec<String> = [
+            "--engine",
+            "c2pl",
+            "--seed",
+            "2759577457",
+            "--drop",
+            "0.0028362797117148643",
+            "--delay",
+            "0.01839689197120586",
+            "--delay-extra",
+            "378",
+            "--server-crash",
+            "0:4014:1764:153",
+            "--client-crash",
+            "0:10787:1213",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        let case = parse_case(&args).expect("valid repro");
+        assert_eq!(run_case(&case), Ok(()));
+    }
+
+    #[test]
     fn sampler_emits_sharded_cases() {
         let mut seen_multi = false;
         let mut seen_single = false;

@@ -1,14 +1,12 @@
 //! # g2pl-bench
 //!
-//! Benchmark support for the g-2PL reproduction: shared configuration
-//! constructors used by the Criterion benches and the `repro` binary.
+//! Benchmark support for the g-2PL reproduction: the `repro` harness,
+//! the chaos search, and representative-cell configuration constructors.
 //!
 //! * `cargo run --release --bin repro -- all` regenerates every table and
 //!   figure of the paper (see `g2pl_core::experiments` for the mapping).
-//! * `cargo bench` runs Criterion micro- and cell-benchmarks: one
-//!   representative cell per figure (`benches/figures.rs`), substrate
-//!   microbenches (`benches/substrates.rs`), and the g-2PL optimization
-//!   ablations (`benches/ablations.rs`).
+//! * `cargo run --release --bin repro -- bench` times the engine cells and
+//!   figure sweeps; `perfbench/` is the repository benchmark.
 
 pub mod chaos;
 pub mod harness;
@@ -32,11 +30,9 @@ fn cell(protocol: ProtocolKind, clients: u32, latency: u64, pr: f64) -> EngineCo
     c
 }
 
-/// The representative cell of each figure: `(figure id, config)`.
-///
-/// Running each cell once per Criterion sample keeps `cargo bench`
-/// tractable while still exercising exactly the code paths the full
-/// figure sweeps use; the full sweeps live in the `repro` binary.
+/// The representative cell of each figure: `(figure id, config)`. One
+/// cell exercises exactly the code paths the full figure sweep uses; the
+/// full sweeps live in the `repro` binary.
 pub fn figure_cells() -> Vec<(&'static str, EngineConfig)> {
     let g = ProtocolKind::g2pl_paper;
     let capped = || {

@@ -122,39 +122,12 @@ impl LinkPartition {
 }
 
 /// A serializable stand-in for [`SiteId`] in fault plans.
-///
-/// The pre-sharding unit variant `Server` is deprecated: it no longer
-/// exists in the enum, but old plans that spell it still deserialize —
-/// as `Shard(0)`, which is what "the server" meant before the item space
-/// was partitioned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(from = "EndpointDe")]
 pub enum Endpoint {
     /// Client with the given raw index.
     Client(u32),
     /// Server shard with the given raw index.
     Shard(u32),
-}
-
-/// Deserialization shadow of [`Endpoint`] that still admits the retired
-/// unit `Server` variant, mapping it to `Shard(0)`.
-#[derive(Deserialize)]
-// Only (currently stubbed) deserialization constructs these variants.
-#[allow(dead_code)]
-enum EndpointDe {
-    Server,
-    Client(u32),
-    Shard(u32),
-}
-
-impl From<EndpointDe> for Endpoint {
-    fn from(e: EndpointDe) -> Self {
-        match e {
-            EndpointDe::Server => Endpoint::Shard(0),
-            EndpointDe::Client(c) => Endpoint::Client(c),
-            EndpointDe::Shard(k) => Endpoint::Shard(k),
-        }
-    }
 }
 
 impl Endpoint {
@@ -647,14 +620,8 @@ mod tests {
 
     #[test]
     fn legacy_server_endpoint_maps_to_shard_zero() {
-        // The workspace's serde is a no-op stub (no format crate is
-        // present), so the `#[serde(from = "EndpointDe")]` decoration is
-        // exercised here via the conversion it names: the retired unit
-        // `Server` variant lands on shard 0, the rest pass through.
-        assert_eq!(Endpoint::from(EndpointDe::Server), Endpoint::Shard(0));
-        assert_eq!(Endpoint::from(EndpointDe::Client(3)), Endpoint::Client(3));
-        assert_eq!(Endpoint::from(EndpointDe::Shard(7)), Endpoint::Shard(7));
-        // SiteId conversion now always names the concrete shard.
+        // What "the server" meant before the item space was partitioned
+        // is shard 0; SiteId conversion always names the concrete shard.
         assert_eq!(Endpoint::from(SiteId::SERVER0), Endpoint::Shard(0));
         assert_eq!(
             Endpoint::from(SiteId::server(4)),

@@ -7,22 +7,22 @@
 //! data server: clients request items, the server acquires a read (shared)
 //! or write (exclusive) lock on their behalf, ships the item, and releases
 //! every lock at transaction end. Requests that cannot be granted are
-//! enqueued; a wait-for-graph deadlock check is run whenever a lock cannot
-//! be granted immediately (§4: "deadlock detection is initiated when a
-//! lock cannot be granted"), and victims are aborted.
+//! enqueued; a deadlock check is run whenever a lock cannot be granted
+//! immediately (§4: "deadlock detection is initiated when a lock cannot
+//! be granted"), and victims are aborted. The check itself lives with
+//! the engines: they search the waits-for relation the table exposes
+//! ([`table::LockTable::waits_for_into`]) lazily, without building a
+//! graph.
 //!
 //! Components:
 //! * [`mode::LockMode`] — S/X modes with the standard compatibility matrix;
 //! * [`table::LockTable`] — per-item holders + FIFO wait queues;
-//! * [`wfg::WaitForGraph`] — cycle detection over the waits-for relation;
 //! * [`victim::VictimPolicy`] — which deadlocked transaction to abort.
 
 pub mod mode;
 pub mod table;
 pub mod victim;
-pub mod wfg;
 
 pub use mode::LockMode;
 pub use table::{AcquireOutcome, LockTable};
 pub use victim::VictimPolicy;
-pub use wfg::WaitForGraph;

@@ -26,17 +26,17 @@
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
 use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, FaultSummary, RunMetrics, WalReport};
+use crate::metrics::{Collector, RunMetrics, WalReport};
+use crate::recovery::{Labels, Recovery};
 use crate::runtime::{
-    lease_period, retry_period, ClientCore, ClientPhase, Ev, Message, Net, ServerCpu,
-    ShardFaultState, TimerKind, TxnStatus, TxnTable,
+    ClientCore, ClientPhase, Ev, Message, Net, Resend, TimerKind, TxnStatus, TxnTable,
 };
 use crate::s2pl::{lock_mode, CTRL_BYTES, EVENT_BUDGET};
 use crate::tracelog::{TraceKind, TraceLog};
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
 use g2pl_obs::SpanRecorder;
 use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerLog, ServerRecord, SiteLog};
+use g2pl_wal::{LogRecord, ServerRecord, SiteLog};
 
 /// Per-shard slice of a committing transaction: written `(item,
 /// version)` pairs plus read-only items, bound for one home server.
@@ -44,6 +44,14 @@ type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
 use g2pl_workload::AccessMode;
 use g2pl_workload::TxnGenerator;
 use std::collections::BTreeMap;
+
+/// Accounting labels of the recovery messages.
+const LABELS: Labels = Labels {
+    commit_query: "c2pl.commit_query",
+    commit_verdict: "c2pl.commit_verdict",
+    reregister_req: "c2pl.reregister_req",
+    prepare_ack: "c2pl.prepare_ack",
+};
 
 /// A granted-but-callback-blocked exclusive request.
 struct XBarrier {
@@ -57,8 +65,6 @@ pub struct C2plEngine {
     cfg: EngineConfig,
     cal: Calendar<Ev>,
     net: Net,
-    /// One serial CPU per server shard.
-    server_cpu: Vec<ServerCpu>,
     clients: Vec<ClientCore>,
     /// Per-client cache contents, indexed by `ItemId::index()`: `Some(v)`
     /// when the client caches version `v` of the item.
@@ -95,35 +101,10 @@ pub struct C2plEngine {
     /// Cache hits (local read grants) — the c-2PL win metric.
     cache_hits: u64,
     finder: CycleFinder,
-    /// Whether a fault plan is active (the exact fault-free code path is
-    /// taken when this is false).
-    faults_on: bool,
-    /// Server-side lease period for idle transactions (faults only).
-    lease: SimTime,
-    /// Client-side base retransmission delay; also paces server-side
-    /// callback re-sends (faults only).
-    retry_base: SimTime,
-    /// Last server-observed activity per transaction (faults only).
-    last_activity: Vec<SimTime>,
-    /// Whether a transaction currently holds server resources under a
-    /// pending lease (faults only).
-    leased: Vec<bool>,
-    /// Whether the plan schedules server crashes (see the s-2PL engine).
-    srv_faults_on: bool,
-    /// One durable log per shard (present iff `srv_faults_on`): each
-    /// shard is its own fault domain and replays only its own log.
-    slog: Option<Vec<ServerLog>>,
-    /// Per-shard crash/recovery state (see the s-2PL engine).
-    fault_state: Vec<ShardFaultState>,
-    /// Which shards have applied each transaction's commit slice (bit
-    /// `s` of `applied[txn]`; see the s-2PL engine). Each shard's bit
-    /// mirrors its durable applied set.
-    applied: Vec<u64>,
-    /// Which shards hold a durable prepared (yes) vote for each
-    /// transaction (see the s-2PL engine).
-    prepared: Vec<u64>,
-    /// Fault-injection and recovery counters.
-    fsum: FaultSummary,
+    /// The shards' fault domains: gating, crash recovery, presumed-abort
+    /// votes, leases and fault counters. Its retry period also paces the
+    /// server-side callback re-sends.
+    rec: Recovery,
 }
 
 impl C2plEngine {
@@ -144,44 +125,17 @@ impl C2plEngine {
                 None => ClientCore::new(ClientId::new(i), cfg.seed),
             })
             .collect();
-        let nominal = cfg.latency.nominal();
-        let (net, lease, retry_base) = match cfg.active_faults() {
-            Some(plan) => (
-                Net::with_faults(cfg.build_latency(), plan.clone(), cfg.seed),
-                lease_period(plan, nominal),
-                retry_period(plan, nominal),
-            ),
-            None => (
-                Net::new(cfg.build_latency(), cfg.seed),
-                SimTime::MAX,
-                SimTime::MAX,
-            ),
-        };
-        let srv_faults = cfg
-            .active_faults()
-            .is_some_and(g2pl_faults::FaultPlan::has_server_crashes);
-        let nshards = cfg.num_shards() as usize;
+        let net = Net::for_config(&cfg);
         C2plEngine {
-            faults_on: net.faults_active(),
+            rec: Recovery::new(&cfg, &net, LABELS),
             net,
-            lease,
-            retry_base,
-            last_activity: Vec::new(),
-            leased: Vec::new(),
-            srv_faults_on: srv_faults,
-            slog: srv_faults.then(|| (0..nshards).map(|_| ServerLog::new()).collect()),
-            fault_state: vec![ShardFaultState::default(); nshards],
-            applied: Vec::new(),
-            prepared: Vec::new(),
-            fsum: FaultSummary::default(),
-            server_cpu: vec![ServerCpu::new(cfg.server_cpu_per_op); nshards],
             cal: Calendar::new(),
             clients,
             caches: vec![vec![None; cfg.num_items() as usize]; n],
             reading_cached: vec![Vec::new(); n],
             deferred_callbacks: vec![Vec::new(); n],
             table: TxnTable::new(),
-            locks: (0..nshards).map(|_| LockTable::new()).collect(),
+            locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
             directory: vec![Vec::new(); cfg.num_items() as usize],
             barriers: (0..cfg.num_items()).map(|_| None).collect(),
             versions: vec![0; cfg.num_items() as usize],
@@ -241,34 +195,24 @@ impl C2plEngine {
                     unreachable!("event is not part of the c-2PL protocol")
                 }
                 Ev::ServerProc { shard, msg } => {
-                    // Re-checked after the CPU delay: a crash may have hit
-                    // while the message sat in the service queue.
-                    if self.server_accepts(shard as usize, &msg) {
+                    if self.rec.admit_queued(shard as usize, &msg) {
                         self.on_server_msg(now, shard as usize, msg);
-                    } else {
-                        self.fsum.server_msgs_lost += 1;
                     }
                 }
                 Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => {
-                        let s = shard.index();
-                        if !self.server_accepts(s, &msg) {
-                            self.fsum.server_msgs_lost += 1;
-                        } else {
-                            let d = self.server_cpu[s].service(now);
-                            if d == g2pl_simcore::SimTime::ZERO {
-                                self.on_server_msg(now, s, msg);
-                            } else {
-                                self.cal.schedule_in(
-                                    d,
-                                    Ev::ServerProc {
-                                        shard: shard.0,
-                                        msg,
-                                    },
-                                );
-                            }
+                    SiteId::Server(shard) => match self.rec.admit(now, shard.index(), &msg) {
+                        Some(SimTime::ZERO) => self.on_server_msg(now, shard.index(), msg),
+                        Some(d) => {
+                            self.cal.schedule_in(
+                                d,
+                                Ev::ServerProc {
+                                    shard: shard.0,
+                                    msg,
+                                },
+                            );
                         }
-                    }
+                        None => {}
+                    },
                     SiteId::Client(c) => {
                         if !self.clients[c.index()].crashed {
                             self.on_client_msg(now, c, msg);
@@ -278,19 +222,26 @@ impl C2plEngine {
                 Ev::Fault { client, up } => self.on_fault(now, client, up),
                 Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
                 Ev::RecoveryCheck { shard, epoch } => {
-                    self.on_recovery_check(now, shard as usize, epoch);
+                    let s = shard as usize;
+                    if self
+                        .rec
+                        .on_recovery_check(now, s, epoch, &mut self.net, &mut self.cal)
+                    {
+                        self.finish_recovery(now, s);
+                    }
                 }
                 Ev::TxnLease { txn } => {
-                    // Leases are coordinated at shard 0; a dead or
-                    // still-recovering coordinator holds none — recovery
-                    // re-arms them for every restored grant.
-                    if self.fault_state[0].is_up() {
-                        self.on_txn_lease(now, txn);
+                    if self
+                        .rec
+                        .on_txn_lease(now, txn, &self.table, &mut self.cal, &mut self.trace)
+                    {
+                        self.abort_victim(now, txn);
+                        self.rec.lease_reclaimed(now, txn, &mut self.trace);
                     }
                 }
                 Ev::CallbackRetry { txn } => self.on_callback_retry(now, txn),
             }
-            if self.faults_on {
+            if self.rec.faults_on {
                 for (at, site) in self.net.take_fault_marks() {
                     self.trace
                         .record(at, TraceKind::FaultInjected, None, None, site);
@@ -306,7 +257,7 @@ impl C2plEngine {
 
         // Under an active fault plan the end-of-run snapshot may hold
         // residue (see the s-2PL engine); liveness is property P8's job.
-        if self.cfg.drain && !self.faults_on {
+        if self.cfg.drain && !self.rec.faults_on {
             assert!(
                 self.locks.iter().all(LockTable::is_quiescent),
                 "locks leaked after drain"
@@ -325,9 +276,9 @@ impl C2plEngine {
 
         let obs = self.spans.finish();
         let trace_dropped = self.trace.dropped();
-        self.fsum.injected = self.net.fault_counts();
+        self.rec.fsum.injected = self.net.fault_counts();
         RunMetrics {
-            faults: self.fsum,
+            faults: self.rec.fsum,
             protocol: "c-2PL",
             events,
             peak_calendar: self.cal.peak_len(),
@@ -402,44 +353,15 @@ impl C2plEngine {
                     self.commit(now, client, txn);
                 }
             }
-            TimerKind::Retry { epoch } => self.on_retry(now, client, epoch),
+            TimerKind::Retry { epoch } => match self.clients[client.index()].due_resend(epoch) {
+                Some(Resend::CommitPhase) => self.resend_pending_commits(now, client),
+                Some(Resend::Request) => self.resend_request(now, client),
+                None => {}
+            },
             // c-2PL's phase 2 piggybacks on the regular commit-release
             // retry epoch; the dedicated decide timer is g-2PL-only.
             TimerKind::DecideRetry(_) => unreachable!("c-2PL never arms a decide timer"),
         }
-    }
-
-    /// A retransmission timer fired: re-send whichever operation is
-    /// still outstanding (see the s-2PL engine for the protocol).
-    fn on_retry(&mut self, now: SimTime, client: ClientId, epoch: u64) {
-        let c = &self.clients[client.index()];
-        if c.retry_epoch != epoch {
-            return;
-        }
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-        } else if matches!(&c.txn, Some(a) if matches!(a.phase, ClientPhase::WaitingGrant(_))) {
-            self.resend_request(now, client);
-        }
-    }
-
-    /// Arm a retransmission timer for the client's current epoch and
-    /// backoff level. No-op on a reliable network.
-    fn arm_retry(&mut self, client: ClientId) {
-        if !self.faults_on {
-            return;
-        }
-        let c = &self.clients[client.index()];
-        let delay = c.retry_backoff(self.retry_base);
-        self.cal.schedule_in(
-            delay,
-            Ev::Timer {
-                client,
-                kind: TimerKind::Retry {
-                    epoch: c.retry_epoch,
-                },
-            },
-        );
     }
 
     /// Re-send the outstanding lock request (no trace/span: retransmits
@@ -450,7 +372,7 @@ impl C2plEngine {
         let txn = active.id;
         let (item, mode) = active.spec.access(active.granted);
         c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.fsum.retries += 1;
+        self.rec.fsum.retries += 1;
         let _ = now;
         self.net.send(
             &mut self.cal,
@@ -465,7 +387,7 @@ impl C2plEngine {
                 mode: lock_mode(mode),
             },
         );
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// Re-send every unacknowledged commit slice (the client's WAL tail).
@@ -488,7 +410,7 @@ impl C2plEngine {
                 }
                 _ => continue,
             };
-            self.fsum.retries += 1;
+            self.rec.fsum.retries += 1;
             self.net.send(
                 &mut self.cal,
                 client.into(),
@@ -498,14 +420,18 @@ impl C2plEngine {
                 msg,
             );
         }
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// A scheduled crash or restart from the fault plan. A crash loses
-    /// the client's cache (and with it every pinned read and deferred
-    /// callback): the server's directory becomes stale, which is safe —
-    /// retried callbacks to a copy the client no longer holds are simply
-    /// acknowledged, shrinking the directory back to truth.
+    /// the client's cache, except the copies its active transaction has
+    /// read: those reads belong to the transaction, which survives the
+    /// crash like its server-held locks, so their pins — and the
+    /// callbacks deferred behind them — survive too, and a writer cannot
+    /// overwrite what the transaction read before it ends. The server's
+    /// directory becomes stale, which is safe — retried callbacks to a
+    /// copy the client no longer holds are simply acknowledged, shrinking
+    /// the directory back to truth.
     fn on_fault(&mut self, now: SimTime, client: ClientId, up: bool) {
         if up {
             self.on_restart(now, client);
@@ -516,12 +442,13 @@ impl C2plEngine {
             return;
         }
         c.crashed = true;
-        self.fsum.crashes += 1;
-        self.caches[client.index()]
-            .iter_mut()
-            .for_each(|v| *v = None);
-        self.reading_cached[client.index()].clear();
-        self.deferred_callbacks[client.index()].clear();
+        self.rec.fsum.crashes += 1;
+        let pins = &self.reading_cached[client.index()];
+        for (i, copy) in self.caches[client.index()].iter_mut().enumerate() {
+            if !pins.contains(&ItemId::new(i as u32)) {
+                *copy = None;
+            }
+        }
         self.trace
             .record(now, TraceKind::FaultInjected, None, None, client.into());
     }
@@ -611,7 +538,7 @@ impl C2plEngine {
             t.phase = ClientPhase::WaitingGrant(idx);
             t.request_sent_at = now;
         }
-        if self.faults_on {
+        if self.rec.faults_on {
             self.clients[client.index()].retry_progress();
         }
         self.trace.record(
@@ -635,14 +562,16 @@ impl C2plEngine {
                 mode: lock_mode(mode),
             },
         );
-        self.arm_retry(client);
+        if self.rec.faults_on {
+            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
+        }
     }
 
     // lint:allow(L5): the outcome is recorded downstream — commit_decided traces Committed on every path, and the voting detour traces Prepared/CommitApplied at the shards
     fn commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
         // A lease expiry may have picked this transaction as victim while
         // its notice is still in flight (see the s-2PL engine).
-        if self.faults_on && self.table.status(txn) != TxnStatus::Active {
+        if self.rec.faults_on && self.table.status(txn) != TxnStatus::Active {
             self.finalize_abort(now, client, txn);
             return;
         }
@@ -650,14 +579,8 @@ impl C2plEngine {
         // two-phase commitment across the shard fault domains (see the
         // s-2PL engine); cache hits count toward the involved mask too —
         // their shard still releases the transactional footprint.
-        if self.srv_faults_on {
-            let c = &self.clients[client.index()];
-            // lint:allow(L3): commit is only reachable with an active txn
-            let active = c.txn.as_ref().expect("committing client has a transaction");
-            let mut involved = 0u64;
-            for &(item, _) in &active.spec.accesses {
-                involved |= 1u64 << self.cfg.shard_of(item);
-            }
+        if self.rec.srv_faults_on {
+            let involved = self.clients[client.index()].txn().involved(&self.cfg);
             if involved.count_ones() > 1 {
                 self.begin_prepare(now, client, txn, involved);
                 return;
@@ -713,7 +636,7 @@ impl C2plEngine {
                 },
             );
         }
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// The commit decision point (see the s-2PL engine): every involved
@@ -789,7 +712,7 @@ impl C2plEngine {
             log.append(LogRecord::Commit { txn });
         }
 
-        if self.faults_on {
+        if self.rec.faults_on {
             // Commit durability under loss: retransmit every slice until
             // its shard acknowledges; the idle period starts on the last
             // ack.
@@ -824,8 +747,8 @@ impl C2plEngine {
         // regardless; only the next transaction's start is gated on the
         // ack under faults.
         self.answer_deferred_callbacks(client);
-        if self.faults_on {
-            self.arm_retry(client);
+        if self.rec.faults_on {
+            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
         } else {
             self.schedule_next_txn(client);
         }
@@ -876,7 +799,7 @@ impl C2plEngine {
     fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
         match msg {
             Message::SGrant { txn, item, version } => {
-                let faults_on = self.faults_on;
+                let faults_on = self.rec.faults_on;
                 let c = &mut self.clients[client.index()];
                 let Some(active) = &mut c.txn else { return };
                 if active.id != txn {
@@ -917,40 +840,30 @@ impl C2plEngine {
             Message::SAbortNotice { txn } => self.finalize_abort(now, client, txn),
             Message::PrepareAck { txn, shard } => {
                 let c = &mut self.clients[client.index()];
-                let pos = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::Prepare { txn: t, .. } if *t == txn)
-                });
-                let Some(pos) = pos else {
-                    return; // duplicate ack of an already-counted vote
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if !c.pending_commits.is_empty() {
-                    self.arm_retry(client);
-                    return;
+                match c.take_ack(
+                    shard,
+                    |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
+                ) {
+                    None => {} // duplicate ack of an already-counted vote
+                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
+                    // Unanimous yes; an abort may still have raced the
+                    // voting round (see the s-2PL engine).
+                    Some(true) if self.table.status(txn) != TxnStatus::Active => {
+                        self.finalize_abort(now, client, txn);
+                    }
+                    Some(true) => self.commit_decided(now, client, txn),
                 }
-                // Unanimous yes; an abort may still have raced the
-                // voting round (see the s-2PL engine).
-                if self.table.status(txn) != TxnStatus::Active {
-                    self.finalize_abort(now, client, txn);
-                    return;
-                }
-                self.commit_decided(now, client, txn);
             }
             Message::SCommitAck { txn, shard } => {
                 let c = &mut self.clients[client.index()];
-                let Some(pos) = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::SCommit { txn: t, .. } if *t == txn)
-                }) else {
-                    return; // duplicate ack of an older commit or slice
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if c.pending_commits.is_empty() {
-                    self.schedule_next_txn(client);
-                } else {
+                match c.take_ack(
+                    shard,
+                    |m| matches!(m, Message::SCommit { txn: t, .. } if *t == txn),
+                ) {
+                    None => {} // duplicate ack of an older commit or slice
                     // Remaining slices restart from a fresh backoff.
-                    self.arm_retry(client);
+                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
+                    Some(true) => self.schedule_next_txn(client),
                 }
             }
             Message::Callback { item } => {
@@ -1040,7 +953,7 @@ impl C2plEngine {
         // prepares (see the s-2PL engine).
         c.pending_commits
             .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if self.faults_on {
+        if self.rec.faults_on {
             c.retry_progress();
         }
         self.table.set_status(txn, TxnStatus::Aborted);
@@ -1056,281 +969,55 @@ impl C2plEngine {
 
     // ---- server crash recovery ----
 
-    /// Whether shard `shard` can process `msg` right now (see the s-2PL
-    /// engine for the protocol).
-    fn server_accepts(&self, shard: usize, msg: &Message) -> bool {
-        let st = &self.fault_state[shard];
-        if st.down {
-            return false;
-        }
-        st.is_up()
-            || matches!(
-                msg,
-                Message::SReregister { .. }
-                    | Message::CommitQuery { .. }
-                    | Message::CommitVerdict { .. }
-            )
-    }
-
-    /// A scheduled server-shard crash or restart from the fault plan.
+    /// A scheduled crash or restart of shard `shard` from the fault plan.
+    /// On top of the s-2PL volatile state, a crash loses the shard's slice
+    /// of the cache directory and every callback barrier there: the
+    /// directory is rebuilt from re-registration reports, and barrier
+    /// owners re-form their recalls through the ordinary request-retry
+    /// path (their exclusive grant was never shipped, so it is
+    /// deliberately absent from the durable grant history). A restart
+    /// restores the versions from the replayed log and opens the
+    /// handshake.
     fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
         if up {
-            self.begin_recovery(now, shard);
+            let versions = &mut self.versions;
+            self.rec
+                .restart(now, shard, &mut self.net, &mut self.cal, |img| {
+                    for (&item, &v) in &img.versions {
+                        versions[item.index()] = v;
+                    }
+                });
         } else {
-            self.crash_server(now, shard);
-        }
-    }
-
-    /// Shard `shard` dies. On top of the s-2PL volatile state, c-2PL
-    /// additionally loses its slice of the cache directory and every
-    /// callback barrier there: the directory is rebuilt from
-    /// re-registration reports, and barrier owners re-form their recalls
-    /// through the ordinary request-retry path (their exclusive grant
-    /// was never shipped, so it is deliberately absent from the durable
-    /// grant history).
-    fn crash_server(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(
-            !self.fault_state[shard].down,
-            "shard crashed while already down"
-        );
-        self.fault_state[shard].crash();
-        self.fsum.server_crashes += 1;
-        self.trace.record(
-            now,
-            TraceKind::ServerCrashed,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        let per = self.cfg.items.items_per_shard as usize;
-        let range = shard * per..(shard + 1) * per;
-        self.locks[shard] = LockTable::new();
-        self.server_cpu[shard] = ServerCpu::new(self.cfg.server_cpu_per_op);
-        self.directory[range.clone()]
-            .iter_mut()
-            .for_each(Vec::clear);
-        self.barriers[range.clone()]
-            .iter_mut()
-            .for_each(|b| *b = None);
-        self.versions[range].iter_mut().for_each(|v| *v = 0);
-        if shard == 0 {
-            // Leases are coordinated at shard 0, so they die with it.
-            self.leased.iter_mut().for_each(|l| *l = false);
-            self.last_activity
+            self.rec.crash_server(now, shard, &mut self.trace);
+            self.locks[shard] = LockTable::new();
+            let per = self.cfg.items.items_per_shard as usize;
+            let range = shard * per..(shard + 1) * per;
+            self.directory[range.clone()]
                 .iter_mut()
-                .for_each(|t| *t = SimTime::ZERO);
-        }
-        let bit = !(1u64 << shard);
-        self.applied.iter_mut().for_each(|a| *a &= bit);
-        self.prepared.iter_mut().for_each(|p| *p &= bit);
-    }
-
-    /// Shard `shard` restarts: replay its durable log, restore versions,
-    /// applied bits and in-doubt prepared votes, query surviving peers
-    /// about each in-doubt transaction, and open the handshake (see the
-    /// s-2PL engine).
-    fn begin_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].down, "shard restarted while up");
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let img = self.slog.as_ref().expect("server log enabled")[shard].replay();
-        for (&item, &v) in &img.versions {
-            self.versions[item.index()] = v;
-        }
-        for &txn in &img.committed {
-            self.mark_applied(txn, shard);
-        }
-        let epoch = self.fault_state[shard].begin_recovery(now, self.cfg.num_clients as usize, img);
-        let in_doubt: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for &txn in &in_doubt {
-            self.mark_prepared(txn, shard);
-        }
-        self.send_commit_queries(shard, false);
-        self.broadcast_reregister(shard, false);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// Ask the surviving peers of every still-in-doubt transaction for
-    /// its commit outcome (see the s-2PL engine).
-    fn send_commit_queries(&mut self, shard: usize, retry: bool) {
-        let st = &self.fault_state[shard];
-        let epoch = st.epoch;
-        let queries: Vec<(TxnId, u64)> = st
-            .in_doubt
-            .iter()
-            .map(|(&txn, p)| (txn, p.involved))
-            .collect();
-        for (txn, involved) in queries {
-            for peer in 0..self.cfg.num_shards() {
-                if peer as usize == shard || involved & (1u64 << peer) == 0 {
-                    continue;
-                }
-                if retry {
-                    self.fsum.retries += 1;
-                }
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(peer),
-                    "c2pl.commit_query",
-                    CTRL_BYTES,
-                    Message::CommitQuery {
-                        txn,
-                        from_shard: shard as u32,
-                        epoch,
-                    },
-                );
-            }
+                .for_each(Vec::clear);
+            self.barriers[range.clone()].fill_with(|| None);
+            self.versions[range].fill(0);
         }
     }
 
-    /// Poll clients for re-registration; `retry` restricts the poll to
-    /// clients that have not yet answered and counts as retransmission.
-    fn broadcast_reregister(&mut self, shard: usize, retry: bool) {
-        for i in 0..self.cfg.num_clients {
-            let c = ClientId::new(i);
-            if retry {
-                if self.fault_state[shard].reregistered[c.index()] {
-                    continue;
-                }
-                self.fsum.retries += 1;
-            }
-            self.net.send(
-                &mut self.cal,
-                SiteId::server(shard as u32),
-                c.into(),
-                "c2pl.reregister_req",
-                CTRL_BYTES,
-                Message::ReregisterReq {
-                    shard: shard as u32,
-                    epoch: self.fault_state[shard].epoch,
-                },
-            );
-        }
-    }
-
-    /// The recovery-handshake timer fired (see the s-2PL engine).
-    fn on_recovery_check(&mut self, now: SimTime, shard: usize, epoch: u64) {
-        let st = &self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // stale timer of an older recovery
-        }
-        if now.since(st.started) >= self.lease {
-            self.finish_recovery(now, shard);
-            return;
-        }
-        self.send_commit_queries(shard, true);
-        self.broadcast_reregister(shard, true);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// One client's re-registration report arrived: record liveness,
-    /// rebuild its slice of the cache directory from the `cached` list,
-    /// and cross-validate held claims against the durable grant history.
-    /// A client that stays silent is presumed crashed, and a crashed
-    /// c-2PL client lost its cache, so omitting its directory entries is
-    /// exact, not merely safe.
-    #[allow(clippy::too_many_arguments)]
-    fn on_reregister(
-        &mut self,
-        now: SimTime,
-        shard: usize,
-        client: ClientId,
-        epoch: u64,
-        txn: Option<TxnId>,
-        held: &[(ItemId, LockMode)],
-        cached: &[ItemId],
-    ) {
-        let st = &mut self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // late report of an older recovery
-        }
-        if st.reregistered[client.index()] {
-            return; // duplicated report: absorbed
-        }
-        st.reregistered[client.index()] = true;
-        self.fsum.reregistrations += 1;
-        self.trace
-            .record(now, TraceKind::Reregister, txn, None, client.into());
-        for &item in cached {
-            Self::directory_insert(&mut self.directory[item.index()], client);
-        }
-        if cfg!(debug_assertions) {
-            let img = self.fault_state[shard]
-                .image
-                .as_ref()
-                // lint:allow(L3): the image exists for the whole handshake
-                .expect("recovery image");
-            if let Some(t) = txn {
-                if self.table.status(t) == TxnStatus::Active {
-                    for &(item, _) in held {
-                        debug_assert!(
-                            img.was_granted(t, item),
-                            "{client} re-reported a grant the log never saw: {t} {item}"
-                        );
-                    }
-                }
-            }
-        }
-        if self.fault_state[shard].reregistered.iter().all(|&r| r) {
-            self.finish_recovery(now, shard);
-        }
-    }
-
-    /// Close the handshake: resolve any still-in-doubt prepared votes
-    /// directly against the commit oracle (peers that could have
-    /// answered the query were partitioned away or the verdicts were
-    /// lost), then restore outstanding durable grants (see the s-2PL
-    /// engine for the status-by-status reasoning).
+    /// Close the handshake (see the s-2PL engine). A client that stayed
+    /// silent is presumed crashed, and its directory entries are not
+    /// rebuilt. That is exact for the copies a crash drops, but not for
+    /// the copies a live-but-silent client, or a crashed client's active
+    /// transaction, still holds: a later writer is granted without
+    /// recalling them (a known gap).
     fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].recovering);
-        let unresolved: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for txn in unresolved {
-            match self.table.status(txn) {
-                TxnStatus::Committed => self.resolve_indoubt_commit(now, shard, txn),
-                TxnStatus::Aborting | TxnStatus::Aborted => self.resolve_indoubt_abort(shard, txn),
-                // Presumed abort lets an undecided vote wait: the
-                // coordinator is still retrying its prepares and will
-                // drive the outcome through the normal message path.
-                TxnStatus::Active => {}
-            }
+        for txn in self.rec.settle_in_doubt(shard, &self.table) {
+            self.resolve_indoubt_commit(now, shard, txn);
         }
-        let st = &mut self.fault_state[shard];
-        // lint:allow(L3): the image exists for the whole handshake
-        let img = st.image.take().expect("recovery image");
-        let mut silent_victims = Vec::new();
-        for (&txn, items) in &img.grants {
-            let client = self.table.info(txn).client;
-            match self.table.status(txn) {
-                TxnStatus::Active => {
-                    if self.fault_state[shard].reregistered[client.index()] {
-                        self.restore_grants(txn, items);
-                        self.touch(now, txn);
-                    } else {
-                        silent_victims.push(txn);
-                    }
-                }
-                TxnStatus::Committed => {
-                    if !self.applied_at(txn, shard) {
-                        self.restore_grants(txn, items);
-                        self.touch(now, txn);
-                    }
-                }
-                TxnStatus::Aborting | TxnStatus::Aborted => {}
-            }
-        }
-        self.fault_state[shard].recovering = false;
+        let silent = self.rec.restore_grants(
+            now,
+            shard,
+            &self.table,
+            &mut self.locks[shard],
+            &mut self.cal,
+        );
+        self.rec.reopen(shard);
         self.trace.record(
             now,
             TraceKind::ServerRecovered,
@@ -1338,134 +1025,57 @@ impl C2plEngine {
             None,
             SiteId::server(shard as u32),
         );
-        for txn in silent_victims {
+        for txn in silent {
             self.abort_victim(now, txn);
         }
     }
 
-    /// Re-insert `txn`'s durably recorded grants into the fresh lock
-    /// table. A shipped exclusive grant had already recalled every
-    /// remote copy, so restoration never needs a callback round — the
-    /// rebuilt directory cannot hold conflicting entries.
-    fn restore_grants(&mut self, txn: TxnId, items: &BTreeMap<ItemId, bool>) {
-        for (&item, &exclusive) in items {
-            let mode = if exclusive {
-                LockMode::Exclusive
-            } else {
-                LockMode::Shared
-            };
-            let shard = self.cfg.shard_of(item) as usize;
-            let outcome = self.locks[shard].acquire(txn, item, mode);
-            debug_assert!(
-                matches!(outcome, AcquireOutcome::Granted),
-                "restored grants conflict: {txn} {item}"
-            );
-            let _ = outcome;
-        }
-    }
-
-    /// Record that `shard` has applied `txn`'s commit slice.
-    fn mark_applied(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.applied.len() <= i {
-            self.applied.resize(i + 1, 0);
-        }
-        self.applied[i] |= 1u64 << shard;
-    }
-
-    /// Whether `shard` has applied `txn`'s commit slice.
-    fn applied_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.applied
-            .get(txn.index())
-            .is_some_and(|a| a & (1u64 << shard) != 0)
-    }
-
-    /// Record that `shard` holds an unretired durable prepared vote for
-    /// `txn` (volatile mirror of the log's Prepared records).
-    fn mark_prepared(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.prepared.len() <= i {
-            self.prepared.resize(i + 1, 0);
-        }
-        self.prepared[i] |= 1u64 << shard;
-    }
-
-    /// Whether `shard` holds an unretired prepared vote for `txn`.
-    fn prepared_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.prepared
-            .get(txn.index())
-            .is_some_and(|p| p & (1u64 << shard) != 0)
-    }
-
-    /// Retire `shard`'s prepared vote for `txn`.
-    fn clear_prepared(&mut self, txn: TxnId, shard: usize) {
-        if let Some(p) = self.prepared.get_mut(txn.index()) {
-            *p &= !(1u64 << shard);
-        }
-    }
-
-    /// A recovered shard learned (from a peer's verdict or the commit
-    /// oracle) that an in-doubt transaction committed: durably retire
-    /// the vote, install its write slice, and hand the released locks
-    /// on. The cache directory is deliberately left alone — directory
-    /// truth after a crash comes exclusively from re-registration
-    /// reports, and a client that never re-registered has lost its
-    /// cache, so inventing entries here would resurrect dead copies.
+    /// A recovered shard learned that an in-doubt transaction committed:
+    /// install its write slice and hand the released locks on. The cache
+    /// directory is deliberately left alone — directory truth after a
+    /// crash comes exclusively from re-registration reports, and a client
+    /// that never re-registered has lost its cache, so inventing entries
+    /// here would resurrect dead copies.
     fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        let Some(pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return;
-        };
-        let committer = self.table.info(txn).client;
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-        slog.append(ServerRecord::Committed { txn });
-        for &(item, version) in &pimg.writes {
-            slog.append(ServerRecord::Permanent { item, version });
+        if let Some(writes) = self.rec.commit_in_doubt(now, shard, txn, &mut self.trace) {
+            self.install(txn, &writes);
+            self.release_at(now, shard, txn);
         }
-        slog.append(ServerRecord::Released { txn });
-        for (item, version) in pimg.writes {
-            debug_assert_eq!(
-                version,
-                self.versions[item.index()] + 1,
-                "write version chain broken for {item}"
-            );
+    }
+
+    /// Install `txn`'s written versions at their home shard and mark them
+    /// permanent in the committer's WAL.
+    fn install(&mut self, txn: TxnId, writes: &[(ItemId, Version)]) {
+        let committer = self.table.info(txn).client;
+        for &(item, version) in writes {
+            debug_assert_eq!(version, self.versions[item.index()] + 1);
             self.versions[item.index()] = version;
             if let Some(wal) = &mut self.wal {
                 wal[committer.index()].mark_permanent(txn, item);
             }
         }
-        self.mark_applied(txn, shard);
-        self.clear_prepared(txn, shard);
-        self.trace.record(
-            now,
-            TraceKind::CommitApplied,
-            Some(txn),
-            None,
-            SiteId::server(shard as u32),
-        );
-        let woken = self.locks[shard].release_all(txn);
-        for (item, t, mode) in woken {
+    }
+
+    /// Release every lock `txn` holds at shard `shard`, granting the
+    /// woken waiters (exclusive ones recall cached copies first).
+    fn release_at(&mut self, now: SimTime, shard: usize, txn: TxnId) {
+        for (item, t, mode) in self.locks[shard].release_all(txn) {
             let c = self.table.info(t).client;
             self.on_lock_granted(now, c, t, item, mode);
         }
     }
 
-    /// A recovered shard learned that an in-doubt transaction aborted:
-    /// durably retire the vote (presumed abort needs no abort record
-    /// beyond the release).
-    fn resolve_indoubt_abort(&mut self, shard: usize, txn: TxnId) {
-        let Some(_pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return;
-        };
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        self.slog.as_mut().expect("server log enabled")[shard]
-            .append(ServerRecord::Released { txn });
-        self.clear_prepared(txn, shard);
-        // No grants can be waiting behind the victim here: the shard's
-        // lock table was rebuilt at restart and the victim's locks are
-        // only restored after the in-doubt pass.
-        let woken = self.locks[shard].release_all(txn);
-        debug_assert!(woken.is_empty());
+    /// Tell `txn`'s client, from shard `from`, that it was aborted.
+    fn send_abort_notice(&mut self, from: usize, txn: TxnId) {
+        let client = self.table.info(txn).client;
+        self.net.send(
+            &mut self.cal,
+            SiteId::server(from as u32),
+            client.into(),
+            "c2pl.abort_notice",
+            CTRL_BYTES,
+            Message::SAbortNotice { txn },
+        );
     }
 
     // ---- server side ----
@@ -1485,23 +1095,16 @@ impl C2plEngine {
                 );
                 match self.table.status(txn) {
                     TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on => {
+                    TxnStatus::Aborting | TxnStatus::Aborted if self.rec.faults_on => {
                         // A retried request from a victim whose abort
                         // notice may have been lost: answer it again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "c2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::SAbortNotice { txn },
-                        );
+                        self.send_abort_notice(shard, txn);
                         return;
                     }
                     _ => return,
                 }
-                if self.faults_on {
-                    self.touch(now, txn);
+                if self.rec.faults_on {
+                    self.rec.touch(now, txn, &mut self.cal);
                     if self.locks[shard].mode_of(txn, item).is_some() {
                         // Already granted. Unless the exclusive grant is
                         // still gated on a callback barrier (in which case
@@ -1532,91 +1135,42 @@ impl C2plEngine {
                 writes,
                 involved,
             } => {
-                let client = self.table.info(txn).client;
-                match self.table.status(txn) {
-                    TxnStatus::Aborting | TxnStatus::Aborted => {
-                        // The abort won the race with the voting round:
-                        // answer the (possibly lost) notice again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "c2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::SAbortNotice { txn },
-                        );
-                    }
-                    // Decision already made: this is a stale duplicate of
-                    // a consumed vote — re-ack without logging anything.
-                    TxnStatus::Committed => {
-                        self.send_prepare_ack(shard, client, txn);
-                    }
-                    TxnStatus::Active => {
-                        self.touch(now, txn);
-                        if self.prepared_at(txn, shard) {
-                            // Duplicate prepare (the ack was lost): the
-                            // vote is already durable, just re-ack it.
-                            self.send_prepare_ack(shard, client, txn);
-                            return;
-                        }
-                        // Write-ahead: the yes vote — write slice and
-                        // involved mask — is durable before the ack
-                        // leaves the shard.
-                        // lint:allow(L3): prepares are only sent when srv_faults_on
-                        self.slog.as_mut().expect("server log enabled")[shard].append(
-                            ServerRecord::Prepared {
-                                txn,
-                                writes,
-                                involved,
-                            },
-                        );
-                        self.mark_prepared(txn, shard);
-                        self.trace.record(
-                            now,
-                            TraceKind::Prepared,
-                            Some(txn),
-                            None,
-                            SiteId::server(shard as u32),
-                        );
-                        self.send_prepare_ack(shard, client, txn);
-                    }
+                if self.table.status(txn) == TxnStatus::Active {
+                    self.rec.touch(now, txn, &mut self.cal);
+                }
+                let voted = self.rec.on_prepare(
+                    now,
+                    shard,
+                    txn,
+                    writes,
+                    involved,
+                    &self.table,
+                    &mut self.net,
+                    &mut self.cal,
+                    &mut self.trace,
+                );
+                if !voted {
+                    // The abort won the race with the voting round:
+                    // answer the (possibly lost) notice again.
+                    self.send_abort_notice(shard, txn);
                 }
             }
             Message::SCommit { txn, writes, reads } => {
                 let committer = self.table.info(txn).client;
-                if self.faults_on {
+                if self.rec.faults_on {
                     // Duplicate commit-release slice (already applied at
                     // this shard): the ack was lost, so just acknowledge
-                    // again. The per-shard applied bitmask subsumes the old
-                    // volatile lease check, and its shard-0 bit mirrors the
-                    // durable applied set restored at recovery.
-                    if self.applied_at(txn, shard) {
+                    // again.
+                    if self.rec.applied_at(txn, shard) {
                         self.send_commit_ack(shard, committer, txn);
                         return;
                     }
-                    if let Some(l) = self.leased.get_mut(txn.index()) {
-                        *l = false;
-                    }
+                    self.rec.end_lease(txn);
                 }
-                self.mark_applied(txn, shard);
-                if self.srv_faults_on {
-                    // Write-ahead: the applied commit slice, its installed
-                    // versions, and the release are durable before the
-                    // ack leaves the shard.
-                    // lint:allow(L3): the log exists whenever srv_faults_on
-                    let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                    slog.append(ServerRecord::Committed { txn });
-                    for &(item, version) in &writes {
-                        slog.append(ServerRecord::Permanent { item, version });
-                    }
-                    slog.append(ServerRecord::Released { txn });
-                }
-                for &(item, version) in &writes {
-                    debug_assert_eq!(version, self.versions[item.index()] + 1);
-                    self.versions[item.index()] = version;
-                    if let Some(wal) = &mut self.wal {
-                        wal[committer.index()].mark_permanent(txn, item);
-                    }
+                self.rec
+                    .apply_commit(now, shard, txn, &writes, &mut self.trace);
+                self.install(txn, &writes);
+                for &(item, _) in &writes {
                     // Remote copies were recalled before the X grant; the
                     // writer keeps the new version cached.
                     debug_assert!(
@@ -1632,23 +1186,11 @@ impl C2plEngine {
                     // exclusive barrier). Re-inserting it would resurrect a
                     // directory entry the recall protocol already retired,
                     // so consult the cache before registering the copy.
-                    if self.faults_on && self.caches[committer.index()][item.index()].is_none() {
+                    if self.rec.faults_on && self.caches[committer.index()][item.index()].is_none()
+                    {
                         continue;
                     }
                     Self::directory_insert(&mut self.directory[item.index()], committer);
-                }
-                if self.prepared_at(txn, shard) {
-                    // Phase 2 of a prepared multi-home commit landed:
-                    // the vote is consumed and the slice applied.
-                    self.clear_prepared(txn, shard);
-                    self.fault_state[shard].in_doubt.remove(&txn);
-                    self.trace.record(
-                        now,
-                        TraceKind::CommitApplied,
-                        Some(txn),
-                        None,
-                        SiteId::server(shard as u32),
-                    );
                 }
                 self.trace.record(
                     now,
@@ -1658,12 +1200,8 @@ impl C2plEngine {
                     SiteId::server(shard as u32),
                 );
                 self.spans.release_arrived(now, txn, true);
-                let woken = self.locks[shard].release_all(txn);
-                for (item, t, mode) in woken {
-                    let c = self.table.info(t).client;
-                    self.on_lock_granted(now, c, t, item, mode);
-                }
-                if self.faults_on {
+                self.release_at(now, shard, txn);
+                if self.rec.faults_on {
                     self.send_commit_ack(shard, committer, txn);
                 }
             }
@@ -1697,42 +1235,39 @@ impl C2plEngine {
                 epoch,
                 txn,
                 held,
-                pending: _,
+                pending,
                 cached,
-            } => self.on_reregister(now, shard, client, epoch, txn, &held, &cached),
+            } => {
+                if self
+                    .rec
+                    .reregistered(now, shard, client, epoch, txn, &mut self.trace)
+                {
+                    // The report rebuilds the client's slice of the cache
+                    // directory.
+                    for &item in &cached {
+                        Self::directory_insert(&mut self.directory[item.index()], client);
+                    }
+                    let pending = pending.as_ref();
+                    self.rec
+                        .check_lock_report(shard, &self.table, client, txn, &held, pending);
+                    if self.rec.all_answered(shard) {
+                        self.finish_recovery(now, shard);
+                    }
+                }
+            }
             Message::CommitQuery {
+                txn, from_shard, ..
+            } => self.rec.answer_commit_query(
+                shard,
                 txn,
                 from_shard,
-                epoch: _,
-            } => {
-                // Answer from the commit oracle — the shared transaction
-                // table stands in for the coordinator's durable decision
-                // record, which this surviving shard can consult. An
-                // Active transaction has no outcome yet: answer "unknown"
-                // and let the asker keep its vote in doubt (presumed
-                // abort never guesses).
-                let committed = match self.table.status(txn) {
-                    TxnStatus::Committed => Some(true),
-                    TxnStatus::Aborting | TxnStatus::Aborted => Some(false),
-                    TxnStatus::Active => None,
-                };
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(from_shard),
-                    "c2pl.commit_verdict",
-                    CTRL_BYTES,
-                    Message::CommitVerdict { txn, committed },
-                );
-            }
+                &self.table,
+                &mut self.net,
+                &mut self.cal,
+            ),
             Message::CommitVerdict { txn, committed } => {
-                if !self.fault_state[shard].in_doubt.contains_key(&txn) {
-                    return; // already resolved (or never in doubt here)
-                }
-                match committed {
-                    Some(true) => self.resolve_indoubt_commit(now, shard, txn),
-                    Some(false) => self.resolve_indoubt_abort(shard, txn),
-                    None => {} // keep the vote in doubt and ask again
+                if self.rec.on_commit_verdict(shard, txn, committed) {
+                    self.resolve_indoubt_commit(now, shard, txn);
                 }
             }
             other => unreachable!("c-2PL server cannot receive {other:?}"),
@@ -1776,12 +1311,12 @@ impl C2plEngine {
                     client,
                     acks_left: remote.len(),
                 });
-                if self.faults_on {
+                if self.rec.faults_on {
                     // Callbacks (or their acks) can be lost: keep
                     // re-sending to the still-registered copies until the
                     // barrier opens or its owner dies.
                     self.cal
-                        .schedule_in(self.retry_base, Ev::CallbackRetry { txn });
+                        .schedule_in(self.rec.retry_base, Ev::CallbackRetry { txn });
                 }
                 // The new barrier can close a waits-for cycle (its owner
                 // now waits on every transaction pinning a cached copy),
@@ -1795,19 +1330,17 @@ impl C2plEngine {
 
     fn send_grant(&mut self, now: SimTime, client: ClientId, txn: TxnId, item: ItemId) {
         let shard = self.cfg.shard_of(item) as usize;
-        if self.srv_faults_on {
+        if let Some(slog) = self.rec.slog.get_mut(shard) {
             // Write-ahead: the grant is durable before it leaves.
             let exclusive = matches!(
                 self.locks[shard].mode_of(txn, item),
                 Some(LockMode::Exclusive)
             );
-            if let Some(slog) = &mut self.slog {
-                slog[shard].append(ServerRecord::Grant {
-                    txn,
-                    item,
-                    exclusive,
-                });
-            }
+            slog.append(ServerRecord::Grant {
+                txn,
+                item,
+                exclusive,
+            });
         }
         self.trace.record(
             now,
@@ -1885,21 +1418,6 @@ impl C2plEngine {
         self.finder = finder;
     }
 
-    /// Record server-observed activity for `txn` and arm its lease on
-    /// first contact. Called only under an active fault plan.
-    fn touch(&mut self, now: SimTime, txn: TxnId) {
-        let i = txn.index();
-        if self.last_activity.len() <= i {
-            self.last_activity.resize(i + 1, SimTime::ZERO);
-            self.leased.resize(i + 1, false);
-        }
-        self.last_activity[i] = now;
-        if !self.leased[i] {
-            self.leased[i] = true;
-            self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
-        }
-    }
-
     /// Acknowledge a processed commit-release slice (faults only).
     fn send_commit_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
         self.net.send(
@@ -1913,59 +1431,6 @@ impl C2plEngine {
                 shard: shard as u32,
             },
         );
-    }
-
-    /// Acknowledge a durable prepared vote (two-phase commitment only).
-    fn send_prepare_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "c2pl.prepare_ack",
-            CTRL_BYTES,
-            Message::PrepareAck {
-                txn,
-                shard: shard as u32,
-            },
-        );
-    }
-
-    /// The server-side transaction lease fired (see the s-2PL engine for
-    /// the protocol; the reclaim additionally dismantles any callback
-    /// barrier the presumed-dead transaction owned).
-    fn on_txn_lease(&mut self, now: SimTime, txn: TxnId) {
-        if !self.leased.get(txn.index()).copied().unwrap_or(false) {
-            return;
-        }
-        let idle_for = now.since(self.last_activity[txn.index()]);
-        if idle_for < self.lease {
-            self.cal
-                .schedule_in(self.lease.since(idle_for), Ev::TxnLease { txn });
-            return;
-        }
-        match self.table.status(txn) {
-            TxnStatus::Committed => {
-                self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
-            }
-            TxnStatus::Active => {
-                self.fsum.lease_expiries += 1;
-                self.fsum.recovery_stall += idle_for.as_f64();
-                self.trace.record(
-                    now,
-                    TraceKind::LeaseExpired,
-                    Some(txn),
-                    None,
-                    SiteId::SERVER0,
-                );
-                self.abort_victim(now, txn);
-                self.fsum.redispatches += 1;
-                self.trace
-                    .record(now, TraceKind::Redispatch, Some(txn), None, SiteId::SERVER0);
-            }
-            TxnStatus::Aborting | TxnStatus::Aborted => {
-                self.leased[txn.index()] = false;
-            }
-        }
     }
 
     /// Re-send the callbacks still outstanding for the transaction's
@@ -1990,7 +1455,7 @@ impl C2plEngine {
                 .filter(|&c| c != owner)
                 .collect();
             for target in remote {
-                self.fsum.retries += 1;
+                self.rec.fsum.retries += 1;
                 self.net.send(
                     &mut self.cal,
                     self.cfg.shard_site(item),
@@ -2003,7 +1468,7 @@ impl C2plEngine {
         }
         if any {
             self.cal
-                .schedule_in(self.retry_base, Ev::CallbackRetry { txn });
+                .schedule_in(self.rec.retry_base, Ev::CallbackRetry { txn });
         }
     }
 
@@ -2029,28 +1494,7 @@ impl C2plEngine {
     fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
         debug_assert_eq!(self.table.status(victim), TxnStatus::Active);
         self.table.set_status(victim, TxnStatus::Aborting);
-        if self.srv_faults_on {
-            // The victim's grants and any prepared votes die with it;
-            // compaction may fold them. A crashed shard cannot log the
-            // release — it learns the outcome at restart through its
-            // commit queries instead.
-            if let Some(slogs) = &mut self.slog {
-                for (s, slog) in slogs.iter_mut().enumerate() {
-                    if !self.fault_state[s].down {
-                        slog.append(ServerRecord::Released { txn: victim });
-                    }
-                }
-            }
-            if let Some(m) = self.prepared.get_mut(victim.index()) {
-                *m = 0;
-            }
-            for st in &mut self.fault_state {
-                st.in_doubt.remove(&victim);
-            }
-        }
-        if let Some(l) = self.leased.get_mut(victim.index()) {
-            *l = false;
-        }
+        self.rec.retire_victim(victim);
         // Dismantle any callback barrier the victim owns: keeping its
         // exclusive lock until the acknowledgements drained could leave a
         // permanent deadlock (a pinning transaction may be waiting on
@@ -2070,15 +1514,7 @@ impl C2plEngine {
             let c = self.table.info(t).client;
             self.on_lock_granted(now, c, t, item, mode);
         }
-        let client = self.table.info(victim).client;
-        self.net.send(
-            &mut self.cal,
-            SiteId::SERVER0,
-            client.into(),
-            "c2pl.abort_notice",
-            CTRL_BYTES,
-            Message::SAbortNotice { txn: victim },
-        );
+        self.send_abort_notice(0, victim);
     }
 }
 

@@ -181,6 +181,57 @@ mod tests {
     }
 
     #[test]
+    fn no_cycle_in_dag() {
+        // A transitive edge 1 -> 3 next to 1 -> 2 -> 3: no start finds a cycle.
+        let edges = [(1, 2), (2, 3), (1, 3)];
+        let mut f = CycleFinder::default();
+        for i in 1..=3 {
+            assert_eq!(f.find_cycle(t(i), graph(&edges)), None, "from {i}");
+        }
+    }
+
+    #[test]
+    fn two_cycle_detected() {
+        // The first-listed successor 3 is a dead end; the search must back
+        // out of it and still find 1 <-> 2.
+        let edges = [(1, 3), (1, 2), (2, 1)];
+        let mut f = CycleFinder::default();
+        let cycle = f.find_cycle(t(1), graph(&edges)).expect("cycle");
+        assert_eq!(cycle.len(), 2);
+        assert!(cycle.contains(&t(1)) && cycle.contains(&t(2)));
+    }
+
+    #[test]
+    fn cycle_not_reachable_from_outside_branch() {
+        // 1 -> 2 <-> 3 is a tail into a cycle; 4 -> 5 is a branch that
+        // never reaches it.
+        let edges = [(1, 2), (2, 3), (3, 2), (4, 5)];
+        let mut f = CycleFinder::default();
+        let cycle = f.find_cycle(t(1), graph(&edges)).expect("reachable cycle");
+        assert_eq!(cycle.len(), 2);
+        assert!(!cycle.contains(&t(1)), "tail node is not part of the cycle");
+        assert_eq!(f.find_cycle(t(4), graph(&edges)), None);
+    }
+
+    #[test]
+    fn diamond_is_not_a_cycle() {
+        let edges = [(1, 2), (1, 3), (2, 4), (3, 4)];
+        let mut f = CycleFinder::default();
+        assert_eq!(f.find_cycle(t(1), graph(&edges)), None);
+    }
+
+    #[test]
+    fn long_cycle_detected_from_any_member() {
+        let edges: Vec<(u32, u32)> = (0..5).map(|i| (i, (i + 1) % 5)).collect();
+        let mut f = CycleFinder::default();
+        for i in 0..5 {
+            let cycle = f.find_cycle(t(i), graph(&edges)).expect("cycle");
+            assert_eq!(cycle.len(), 5);
+            assert_eq!(cycle[0], t(i), "reported from the searching member");
+        }
+    }
+
+    #[test]
     fn finder_state_resets_between_searches() {
         let mut f = CycleFinder::default();
         let acyclic = [(1, 2), (2, 3)];
@@ -192,6 +243,32 @@ mod tests {
             Some(&[t(1), t(2), t(3)][..])
         );
         assert_eq!(f.find_cycle(t(9), graph(&cyclic)), None);
+    }
+
+    #[test]
+    fn finds_planted_ring_despite_chords() {
+        // A ring 0 -> 1 -> ... -> n-1 -> 0 plus forward chords, over the
+        // whole domain: the search from node 0 always reports a cycle,
+        // and every reported edge exists.
+        for n in 2u32..20 {
+            for extra in 0u32..30 {
+                let mut edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+                edges.extend(
+                    (0..extra)
+                        .map(|e| ((e * 7) % n, (e * 13 + 1) % n))
+                        .filter(|(a, b)| a != b),
+                );
+                let mut f = CycleFinder::default();
+                let cycle = f
+                    .find_cycle(t(0), graph(&edges))
+                    .unwrap_or_else(|| panic!("ring of {n} with {extra} chords"))
+                    .to_vec();
+                for (i, &a) in cycle.iter().enumerate() {
+                    let b = cycle[(i + 1) % cycle.len()];
+                    assert!(edges.contains(&(a.0, b.0)), "{a} -> {b} is no edge");
+                }
+            }
+        }
     }
 
     #[test]

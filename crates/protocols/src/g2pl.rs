@@ -42,10 +42,10 @@
 use crate::config::{AbortEffect, EngineConfig, G2plOpts, ProtocolKind};
 use crate::cycle::CycleFinder;
 use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, FaultSummary, RunMetrics, WalReport};
+use crate::metrics::{Collector, RunMetrics, WalReport};
+use crate::recovery::{Labels, Recovery};
 use crate::runtime::{
-    lease_period, retry_period, ClientCore, ClientPhase, Ev, HoldReport, Message, Net, ServerCpu,
-    ShardFaultState, TimerKind, TxnStatus, TxnTable,
+    ClientCore, ClientPhase, Ev, HoldReport, Message, Net, Resend, TimerKind, TxnStatus, TxnTable,
 };
 use crate::s2pl::{lock_mode, CTRL_BYTES, EVENT_BUDGET};
 use crate::tracelog::{TraceKind, TraceLog};
@@ -54,10 +54,18 @@ use g2pl_fwdlist::{CollectionWindow, FlEntry, ForwardList, PrecedenceDag, Segmen
 use g2pl_lockmgr::LockMode;
 use g2pl_obs::SpanRecorder;
 use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerLog, ServerRecord, SiteLog};
+use g2pl_wal::{LogRecord, ServerRecord, SiteLog};
 use g2pl_workload::{AccessMode, TxnGenerator};
 use std::collections::BTreeMap;
 use std::rc::Rc;
+
+/// Accounting labels of the recovery messages.
+const LABELS: Labels = Labels {
+    commit_query: "g2pl.commit_query",
+    commit_verdict: "g2pl.commit_verdict",
+    reregister_req: "g2pl.reregister_req",
+    prepare_ack: "g2pl.prepare_ack",
+};
 
 /// Per-entry size of a forward list inside a message, in bytes.
 const FL_ENTRY_BYTES: u64 = 16;
@@ -171,8 +179,6 @@ pub struct G2plEngine {
     opts: G2plOpts,
     cal: Calendar<Ev>,
     net: Net,
-    /// One serial CPU per server shard.
-    server_cpu: Vec<ServerCpu>,
     clients: Vec<ClientCore>,
     table: TxnTable,
     items: Vec<ItemState>,
@@ -207,28 +213,10 @@ pub struct G2plEngine {
     admitting: bool,
     max_fl_len: usize,
     window_closes: u64,
-    /// Whether a fault plan is active (the exact fault-free code path is
-    /// taken when this is false).
-    faults_on: bool,
-    /// Server-side lease period per dispatched checkout (faults only).
-    lease: SimTime,
-    /// Client-side base retransmission delay (faults only).
-    retry_base: SimTime,
-    /// Fault-injection and recovery counters.
-    fsum: FaultSummary,
-    /// Whether the plan schedules server crashes: gates the durable
-    /// server log and the recovery protocol, so loss-only plans keep
-    /// the exact crash-free fault paths.
-    srv_faults_on: bool,
-    /// One durable recovery log per shard (server crashes only): each
-    /// shard is an independent fault domain and replays only its own log.
-    slog: Option<Vec<ServerLog>>,
-    /// Per-shard crash/recovery state (server crashes only).
-    fault_state: Vec<ShardFaultState>,
-    /// Per-transaction bitmask of shards holding an unretired durable
-    /// prepared vote (volatile mirror of the logs' `Prepared` records;
-    /// rebuilt per shard from replay on restart).
-    prepared: Vec<u64>,
+    /// The shards' fault domains: gating, crash recovery, presumed-abort
+    /// votes and fault counters. Its lease period bounds each dispatched
+    /// checkout.
+    rec: Recovery,
     /// Coordinator-side phase-2 state: committed multi-home transactions
     /// whose [`Message::Decide`] is still unacknowledged, mapped to the
     /// bitmask of shards that still owe a [`Message::DecideAck`]. The
@@ -268,35 +256,11 @@ impl G2plEngine {
                 unpermanent_writers: Vec::new(),
             })
             .collect();
-        let nominal = cfg.latency.nominal();
-        let (net, lease, retry_base) = match cfg.active_faults() {
-            Some(plan) => (
-                Net::with_faults(cfg.build_latency(), plan.clone(), cfg.seed),
-                lease_period(plan, nominal),
-                retry_period(plan, nominal),
-            ),
-            None => (
-                Net::new(cfg.build_latency(), cfg.seed),
-                SimTime::MAX,
-                SimTime::MAX,
-            ),
-        };
-        let srv_faults = cfg
-            .active_faults()
-            .is_some_and(g2pl_faults::FaultPlan::has_server_crashes);
-        let nshards = cfg.num_shards() as usize;
+        let net = Net::for_config(&cfg);
         G2plEngine {
-            faults_on: net.faults_active(),
+            rec: Recovery::new(&cfg, &net, LABELS),
             net,
-            lease,
-            retry_base,
-            fsum: FaultSummary::default(),
-            srv_faults_on: srv_faults,
-            slog: srv_faults.then(|| (0..nshards).map(|_| ServerLog::new()).collect()),
-            fault_state: vec![ShardFaultState::default(); nshards],
-            prepared: Vec::new(),
             pending_decides: BTreeMap::new(),
-            server_cpu: vec![ServerCpu::new(cfg.server_cpu_per_op); nshards],
             cal: Calendar::new(),
             clients,
             table: TxnTable::new(),
@@ -364,34 +328,24 @@ impl G2plEngine {
                 }
                 Ev::WindowTimer { item } => self.on_window_timer(now, item),
                 Ev::ServerProc { shard, msg } => {
-                    // The crash may have struck while the message sat in
-                    // the CPU queue: it dies with the queue.
-                    if self.server_accepts(shard as usize, &msg) {
+                    if self.rec.admit_queued(shard as usize, &msg) {
                         self.on_server_msg(now, shard as usize, msg);
-                    } else {
-                        self.fsum.server_msgs_lost += 1;
                     }
                 }
                 Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => {
-                        let s = shard.index();
-                        if !self.server_accepts(s, &msg) {
-                            self.fsum.server_msgs_lost += 1;
-                        } else {
-                            let d = self.server_cpu[s].service(now);
-                            if d == g2pl_simcore::SimTime::ZERO {
-                                self.on_server_msg(now, s, msg);
-                            } else {
-                                self.cal.schedule_in(
-                                    d,
-                                    Ev::ServerProc {
-                                        shard: shard.0,
-                                        msg,
-                                    },
-                                );
-                            }
+                    SiteId::Server(shard) => match self.rec.admit(now, shard.index(), &msg) {
+                        Some(SimTime::ZERO) => self.on_server_msg(now, shard.index(), msg),
+                        Some(d) => {
+                            self.cal.schedule_in(
+                                d,
+                                Ev::ServerProc {
+                                    shard: shard.0,
+                                    msg,
+                                },
+                            );
                         }
-                    }
+                        None => {}
+                    },
                     SiteId::Client(c) => {
                         if !self.clients[c.index()].crashed {
                             self.on_client_msg(now, c, msg);
@@ -402,13 +356,19 @@ impl G2plEngine {
                 Ev::LeaseCheck { item, epoch } => self.on_lease_check(now, item, epoch),
                 Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
                 Ev::RecoveryCheck { shard, epoch } => {
-                    self.on_recovery_check(now, shard as usize, epoch);
+                    let s = shard as usize;
+                    if self
+                        .rec
+                        .on_recovery_check(now, s, epoch, &mut self.net, &mut self.cal)
+                    {
+                        self.finish_recovery(now, s);
+                    }
                 }
                 Ev::TxnLease { .. } | Ev::CallbackRetry { .. } => {
                     unreachable!("event is not part of the g-2PL protocol")
                 }
             }
-            if self.faults_on {
+            if self.rec.faults_on {
                 for (at, site) in self.net.take_fault_marks() {
                     self.trace
                         .record(at, TraceKind::FaultInjected, None, None, site);
@@ -427,7 +387,7 @@ impl G2plEngine {
         // fired, a client down at calendar exhaustion); liveness is
         // checked by trace property P8 instead of these structural
         // asserts.
-        if self.cfg.drain && !self.faults_on {
+        if self.cfg.drain && !self.rec.faults_on {
             for (i, item) in self.items.iter().enumerate() {
                 assert!(item.out.is_none(), "item x{i} not home after drain");
                 assert!(
@@ -451,9 +411,9 @@ impl G2plEngine {
 
         let obs = self.spans.finish();
         let trace_dropped = self.trace.dropped();
-        self.fsum.injected = self.net.fault_counts();
+        self.rec.fsum.injected = self.net.fault_counts();
         RunMetrics {
-            faults: self.fsum,
+            faults: self.rec.fsum,
             protocol: "g-2PL",
             response: self.collector.response,
             aborts: self.collector.aborts,
@@ -529,7 +489,7 @@ impl G2plEngine {
         let at = match v.iter().position(|(i, _)| *i == item) {
             Some(at) => {
                 if v[at].1.epoch < epoch {
-                    debug_assert!(self.faults_on, "epoch moved on a reliable network");
+                    debug_assert!(self.rec.faults_on, "epoch moved on a reliable network");
                     let mut nh = Hold::new(Rc::clone(fl), pos, epoch);
                     nh.granted = v[at].1.granted;
                     nh.forwarded = v[at].1.forwarded;
@@ -580,7 +540,11 @@ impl G2plEngine {
                     self.try_commit(now, client, txn);
                 }
             }
-            TimerKind::Retry { epoch } => self.on_retry(now, client, epoch),
+            TimerKind::Retry { epoch } => match self.clients[client.index()].due_resend(epoch) {
+                Some(Resend::CommitPhase) => self.resend_pending_commits(now, client),
+                Some(Resend::Request) => self.resend_request(now, client),
+                None => {}
+            },
             TimerKind::DecideRetry(txn) => self.on_decide_retry(now, client, txn),
         }
     }
@@ -592,14 +556,14 @@ impl G2plEngine {
     /// before those readers finish, producing non-serializable
     /// executions.
     fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        if self.faults_on && self.table.status(txn) != TxnStatus::Active {
+        if self.rec.faults_on && self.table.status(txn) != TxnStatus::Active {
             // A server-side lease recovery chose this transaction as its
             // victim while the commit was pending; the server has already
             // redispatched the surviving suffix, so the abort wins.
             self.on_abort_notice(now, client, txn);
             return;
         }
-        if self.faults_on && !self.clients[client.index()].pending_commits.is_empty() {
+        if self.rec.faults_on && !self.clients[client.index()].pending_commits.is_empty() {
             return; // voting round already under way; acks drive progress
         }
         let (ready, involved) = {
@@ -609,14 +573,10 @@ impl G2plEngine {
                 .accesses
                 .iter()
                 .all(|&(item, _)| self.hold(item, txn).is_some_and(Hold::gates_passed));
-            let mut involved = 0u64;
-            for &(item, _) in &active.spec.accesses {
-                involved |= 1u64 << self.cfg.shard_of(item);
-            }
-            (ready, involved)
+            (ready, active.involved(&self.cfg))
         };
         if ready {
-            if self.srv_faults_on && involved.count_ones() > 1 {
+            if self.rec.srv_faults_on && involved.count_ones() > 1 {
                 // Multi-home commitment under shard crashes is two-phase:
                 // collect a durable yes vote from every involved shard
                 // before the client-local commit point.
@@ -661,7 +621,7 @@ impl G2plEngine {
                 msg,
             );
         }
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// Re-send every outstanding prepare of the client's voting round.
@@ -669,7 +629,7 @@ impl G2plEngine {
         let _ = now;
         let pending = self.clients[client.index()].pending_commits.clone();
         for (shard, msg) in pending {
-            self.fsum.retries += 1;
+            self.rec.fsum.retries += 1;
             self.net.send(
                 &mut self.cal,
                 client.into(),
@@ -679,7 +639,7 @@ impl G2plEngine {
                 msg,
             );
         }
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// Ship the commit decision to every involved shard and keep
@@ -704,7 +664,7 @@ impl G2plEngine {
             );
         }
         self.cal.schedule_in(
-            self.retry_base,
+            self.rec.retry_base,
             Ev::Timer {
                 client,
                 kind: TimerKind::DecideRetry(txn),
@@ -723,7 +683,7 @@ impl G2plEngine {
             if mask & (1u64 << shard) == 0 {
                 continue;
             }
-            self.fsum.retries += 1;
+            self.rec.fsum.retries += 1;
             self.net.send(
                 &mut self.cal,
                 client.into(),
@@ -734,7 +694,7 @@ impl G2plEngine {
             );
         }
         self.cal.schedule_in(
-            self.retry_base,
+            self.rec.retry_base,
             Ev::Timer {
                 client,
                 kind: TimerKind::DecideRetry(txn),
@@ -750,7 +710,7 @@ impl G2plEngine {
         item: ItemId,
         mode: AccessMode,
     ) {
-        if self.faults_on {
+        if self.rec.faults_on {
             self.clients[client.index()].retry_progress();
         }
         self.trace.record(
@@ -774,43 +734,9 @@ impl G2plEngine {
                 mode: lock_mode(mode),
             },
         );
-        self.arm_retry(client);
-    }
-
-    /// A retransmission timer fired: if the epoch still matches (no
-    /// progress since arming), re-send whatever is outstanding — a lock
-    /// request, or the prepares of an open voting round. g-2PL commits
-    /// are client-local, so these are the only retransmittable client
-    /// operations (phase-2 decides run on their own timer).
-    fn on_retry(&mut self, now: SimTime, client: ClientId, epoch: u64) {
-        let c = &self.clients[client.index()];
-        if c.retry_epoch != epoch {
-            return; // progress since arming: stale timer
+        if self.rec.faults_on {
+            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
         }
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-        } else if matches!(&c.txn, Some(a) if matches!(a.phase, ClientPhase::WaitingGrant(_))) {
-            self.resend_request(now, client);
-        }
-    }
-
-    /// Arm a retransmission timer for the client's current epoch and
-    /// backoff level. No-op on a reliable network.
-    fn arm_retry(&mut self, client: ClientId) {
-        if !self.faults_on {
-            return;
-        }
-        let c = &self.clients[client.index()];
-        let delay = c.retry_backoff(self.retry_base);
-        self.cal.schedule_in(
-            delay,
-            Ev::Timer {
-                client,
-                kind: TimerKind::Retry {
-                    epoch: c.retry_epoch,
-                },
-            },
-        );
     }
 
     /// Re-send the outstanding lock request. No `RequestSent` trace or
@@ -822,7 +748,7 @@ impl G2plEngine {
         let txn = active.id;
         let (item, mode) = active.spec.access(active.granted);
         c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.fsum.retries += 1;
+        self.rec.fsum.retries += 1;
         let _ = now;
         self.net.send(
             &mut self.cal,
@@ -837,7 +763,7 @@ impl G2plEngine {
                 mode: lock_mode(mode),
             },
         );
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// A scheduled crash or restart from the fault plan.
@@ -851,7 +777,7 @@ impl G2plEngine {
             return;
         }
         c.crashed = true;
-        self.fsum.crashes += 1;
+        self.rec.fsum.crashes += 1;
         self.trace
             .record(now, TraceKind::FaultInjected, None, None, client.into());
     }
@@ -935,7 +861,7 @@ impl G2plEngine {
             // lint:allow(L3): commit is only reachable from a client with an active txn
             .expect("committing client has a transaction");
         debug_assert_eq!(active.id, txn);
-        if self.faults_on {
+        if self.rec.faults_on {
             self.clients[client.index()].retry_progress();
         }
         self.table.set_status(txn, TxnStatus::Committed);
@@ -1261,7 +1187,7 @@ impl G2plEngine {
             } => {
                 let txn = fl.entry(pos).txn;
                 debug_assert_eq!(fl.entry(pos).client, client);
-                if self.faults_on {
+                if self.rec.faults_on {
                     if let Some(h) = self.hold(item, txn) {
                         if epoch < h.epoch {
                             return; // copy from a superseded dispatch
@@ -1301,7 +1227,7 @@ impl G2plEngine {
                 let w = to_pos.expect("client-bound release has a writer position");
                 let txn = fl.entry(w).txn;
                 debug_assert_eq!(fl.entry(w).client, client);
-                if self.faults_on {
+                if self.rec.faults_on {
                     if let Some(h) = self.hold(item, txn) {
                         if epoch < h.epoch {
                             return; // release from a superseded dispatch
@@ -1331,37 +1257,27 @@ impl G2plEngine {
             Message::GAbortNotice { txn } => self.on_abort_notice(now, client, txn),
             Message::PrepareAck { txn, shard } => {
                 let c = &mut self.clients[client.index()];
-                let Some(pos) = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::Prepare { txn: t, .. } if *t == txn)
-                }) else {
-                    return; // stale or duplicated ack
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if !c.pending_commits.is_empty() {
-                    self.arm_retry(client);
-                    return;
-                }
-                if self.table.status(txn) != TxnStatus::Active {
+                match c.take_ack(
+                    shard,
+                    |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
+                ) {
+                    None => {} // stale or duplicated ack
+                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
                     // The abort won the voting race; the notice (or its
                     // lease-driven re-send) drives the client-side
                     // cleanup, and abort_victim retired the votes.
-                    return;
-                }
-                // Every involved shard voted yes: decide commit locally
-                // (the decision record is the client's WAL commit) and
-                // ship the decision as phase 2.
-                let involved = {
-                    let active = self.clients[client.index()].txn();
-                    debug_assert_eq!(active.id, txn, "foreign prepare ack");
-                    let mut m = 0u64;
-                    for &(item, _) in &active.spec.accesses {
-                        m |= 1u64 << self.cfg.shard_of(item);
+                    Some(true) if self.table.status(txn) != TxnStatus::Active => {}
+                    Some(true) => {
+                        // Every involved shard voted yes: decide commit
+                        // locally (the decision record is the client's WAL
+                        // commit) and ship the decision as phase 2.
+                        let active = c.txn();
+                        debug_assert_eq!(active.id, txn, "foreign prepare ack");
+                        let involved = active.involved(&self.cfg);
+                        self.commit(now, client, txn);
+                        self.send_decides(now, client, txn, involved);
                     }
-                    m
-                };
-                self.commit(now, client, txn);
-                self.send_decides(now, client, txn, involved);
+                }
             }
             Message::DecideAck { txn, shard } => {
                 if let Some(mask) = self.pending_decides.get_mut(&txn) {
@@ -1499,7 +1415,7 @@ impl G2plEngine {
         let c = &mut self.clients[client.index()];
         if c.txn.as_ref().is_some_and(|a| a.id == txn) {
             let active = c.txn.take().expect("just checked"); // lint:allow(L3): is_some_and above
-            if self.faults_on {
+            if self.rec.faults_on {
                 c.retry_progress();
             }
             // An abort during the voting round withdraws the outstanding
@@ -1532,57 +1448,41 @@ impl G2plEngine {
 
     // ---- server crash recovery ----
 
-    /// Whether shard `shard` can process `msg` right now: everything
-    /// while up, nothing while down, only re-registration reports and
-    /// commit-status traffic while the recovery handshake is open.
-    fn server_accepts(&self, shard: usize, msg: &Message) -> bool {
-        let st = &self.fault_state[shard];
-        if st.down {
-            return false;
-        }
-        st.is_up()
-            || matches!(
-                msg,
-                Message::GReregister { .. }
-                    | Message::CommitQuery { .. }
-                    | Message::CommitVerdict { .. }
-            )
-    }
-
-    /// A scheduled server-shard crash or restart from the fault plan.
+    /// A scheduled crash or restart of shard `shard` from the fault plan.
+    ///
+    /// A crash loses the shard's checkout and window bookkeeping,
+    /// dispatch epochs and installed versions. Client-side holds are
+    /// other sites and live on; `unpermanent_writers` is kept because it
+    /// mirrors the *clients'* log obligations, which a server crash does
+    /// not discharge. Other shards keep their state untouched, so the
+    /// (global) precedence DAG is reset only in the single-shard case; at
+    /// multi-shard, surviving shards' edges must live on, and the crashed
+    /// shard's survivors are re-dispatched in durable-record order, which
+    /// cannot contradict their existing edges.
+    ///
+    /// A restart restores versions and dispatch epochs from the replayed
+    /// log and opens the handshake; outstanding checkouts are resolved in
+    /// [`Self::finish_recovery`] once the reports are in.
     fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
         if up {
-            self.begin_recovery(now, shard);
-        } else {
-            self.crash_server(now, shard);
+            let items = &mut self.items;
+            self.rec
+                .restart(now, shard, &mut self.net, &mut self.cal, |img| {
+                    for (&item, &v) in &img.versions {
+                        items[item.index()].version = v;
+                    }
+                    // Epochs restart at the last durably dispatched value, so
+                    // every pre-crash in-flight segment is at most equal — and
+                    // any post-recovery redispatch strictly above — the
+                    // restored epoch: no grant can ever be issued from
+                    // pre-crash forward-list state.
+                    for (&item, d) in &img.dispatches {
+                        items[item.index()].epoch = d.epoch;
+                    }
+                });
+            return;
         }
-    }
-
-    /// Shard `shard` dies: every piece of its volatile state — checkout
-    /// and window bookkeeping, dispatch epochs, installed versions, the
-    /// CPU queue — is gone. Only the durable log survives. Client-side
-    /// holds are other sites and live on; `unpermanent_writers` is kept
-    /// because it mirrors the *clients'* log obligations, which a server
-    /// crash does not discharge. Other shards keep their state untouched,
-    /// so the (global) precedence DAG is reset only in the single-shard
-    /// case; at multi-shard, surviving shards' edges must live on, and
-    /// the crashed shard's survivors are re-dispatched in durable-record
-    /// order, which cannot contradict their existing edges.
-    fn crash_server(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(
-            !self.fault_state[shard].down,
-            "shard crashed while already down"
-        );
-        self.fault_state[shard].crash();
-        self.fsum.server_crashes += 1;
-        self.trace.record(
-            now,
-            TraceKind::ServerCrashed,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        self.server_cpu[shard] = ServerCpu::new(self.cfg.server_cpu_per_op);
+        self.rec.crash_server(now, shard, &mut self.trace);
         let per = self.cfg.items.items_per_shard as usize;
         let mut orphaned = std::mem::take(&mut self.start_scratch);
         orphaned.clear();
@@ -1607,224 +1507,41 @@ impl G2plEngine {
             }
         }
         self.start_scratch = orphaned;
-        let bit = !(1u64 << shard);
-        self.prepared.iter_mut().for_each(|p| *p &= bit);
         if self.cfg.num_shards() == 1 {
             self.dag = PrecedenceDag::new();
         }
     }
 
-    /// Shard `shard` restarts: replay its durable log, restore per-item
-    /// versions, dispatch epochs and in-doubt prepared votes from the
-    /// image, query surviving peers about each in-doubt transaction, and
-    /// open the re-registration handshake by polling every client.
-    /// Outstanding checkouts are resolved in [`Self::finish_recovery`]
-    /// once the reports are in.
-    fn begin_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].down, "shard restarted while up");
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let img = self.slog.as_ref().expect("server log enabled")[shard].replay();
-        for (&item, &v) in &img.versions {
-            self.items[item.index()].version = v;
-        }
-        // Epochs restart at the last durably dispatched value, so every
-        // pre-crash in-flight segment is at most equal — and any
-        // post-recovery redispatch strictly above — the restored epoch:
-        // no grant can ever be issued from pre-crash forward-list state.
-        for (&item, d) in &img.dispatches {
-            self.items[item.index()].epoch = d.epoch;
-        }
-        let epoch = self.fault_state[shard].begin_recovery(now, self.cfg.num_clients as usize, img);
-        let in_doubt: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for txn in in_doubt {
-            self.mark_prepared(txn, shard);
-        }
-        self.send_commit_queries(shard, false);
-        self.broadcast_reregister(shard, false);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// Ask the surviving peers of every still-in-doubt transaction for
-    /// its commit outcome. The queries travel the ordinary network (so
-    /// shard-to-shard partitions delay them); unanswered ones are
-    /// re-sent by the recovery-check timer and the handshake deadline
-    /// falls back to the commit oracle.
-    fn send_commit_queries(&mut self, shard: usize, retry: bool) {
-        let st = &self.fault_state[shard];
-        let epoch = st.epoch;
-        let queries: Vec<(TxnId, u64)> = st
-            .in_doubt
-            .iter()
-            .map(|(&txn, p)| (txn, p.involved))
-            .collect();
-        for (txn, involved) in queries {
-            for peer in 0..self.cfg.num_shards() {
-                if peer as usize == shard || involved & (1u64 << peer) == 0 {
-                    continue;
-                }
-                if retry {
-                    self.fsum.retries += 1;
-                }
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(peer),
-                    "g2pl.commit_query",
-                    CTRL_BYTES,
-                    Message::CommitQuery {
-                        txn,
-                        from_shard: shard as u32,
-                        epoch,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Poll clients for re-registration; `retry` restricts the poll to
-    /// clients that have not yet answered and counts as retransmission.
-    fn broadcast_reregister(&mut self, shard: usize, retry: bool) {
-        for i in 0..self.cfg.num_clients {
-            let c = ClientId::new(i);
-            if retry {
-                if self.fault_state[shard].reregistered[c.index()] {
-                    continue;
-                }
-                self.fsum.retries += 1;
-            }
-            self.net.send(
-                &mut self.cal,
-                SiteId::server(shard as u32),
-                c.into(),
-                "g2pl.reregister_req",
-                CTRL_BYTES,
-                Message::ReregisterReq {
-                    shard: shard as u32,
-                    epoch: self.fault_state[shard].epoch,
-                },
-            );
-        }
-    }
-
-    /// The recovery-handshake timer fired: finish if the handshake
-    /// deadline (one lease period) has passed; otherwise poll the
-    /// silent clients and peers again.
-    fn on_recovery_check(&mut self, now: SimTime, shard: usize, epoch: u64) {
-        let st = &self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // stale timer of an older recovery
-        }
-        if now.since(st.started) >= self.lease {
-            self.finish_recovery(now, shard);
-            return;
-        }
-        self.send_commit_queries(shard, true);
-        self.broadcast_reregister(shard, true);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// One client's re-registration report arrived: record liveness,
-    /// cross-validate the reported forward-list slots against the
-    /// durable dispatch history, and close the handshake once every
-    /// client has answered. Duplicated reports are absorbed by the
-    /// per-epoch `reregistered` flag (idempotent re-delivery).
-    fn on_reregister(
-        &mut self,
-        now: SimTime,
-        shard: usize,
-        client: ClientId,
-        epoch: u64,
-        holds: &[HoldReport],
-    ) {
-        let st = &mut self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // late report of an older recovery
-        }
-        if st.reregistered[client.index()] {
-            return; // duplicated report: absorbed
-        }
-        st.reregistered[client.index()] = true;
-        self.fsum.reregistrations += 1;
-        self.trace
-            .record(now, TraceKind::Reregister, None, None, client.into());
-        // Reports corroborate the durable dispatch history (restoration
-        // itself works off the log plus the commit oracle, so entries
-        // whose data was still in flight are recovered even when no
-        // client-side hold exists to report): a slot re-reported at the
-        // last durable epoch must be on the logged list.
-        if cfg!(debug_assertions) {
-            let st = &self.fault_state[shard];
-            // lint:allow(L3): the image exists for the whole handshake
-            let img = st.image.as_ref().expect("recovery image");
-            for r in holds {
-                if let Some(d) = img.dispatches.get(&r.item) {
-                    debug_assert!(
-                        r.epoch != d.epoch || d.entries.iter().any(|&(t, _)| t == r.txn),
-                        "{client} re-reported a slot the log never dispatched: {} {}",
-                        r.txn,
-                        r.item
-                    );
-                }
-            }
-        }
-        if self.fault_state[shard].reregistered.iter().all(|&r| r) {
-            self.finish_recovery(now, shard);
-        }
-    }
-
-    /// Close the re-registration handshake. Per checked-out item, the
-    /// durable dispatch record plus the commit oracle decide the
-    /// outcome: committed writers advance the version base (their
-    /// updates are recoverable from their sites' logs, exactly as in
-    /// lease recovery), live entries of responding clients are
-    /// re-dispatched under a fresh epoch, and live entries of silent
-    /// clients are presumed dead and aborted. With no survivors the
-    /// item comes home at the version a fault-free drain would have
-    /// installed.
+    /// Close the re-registration handshake. In-doubt votes no peer
+    /// verdict settled are resolved from the commit oracle first. Then,
+    /// per checked-out item, the durable dispatch record plus the commit
+    /// oracle decide the outcome: committed writers advance the version
+    /// base (their updates are recoverable from their sites' logs,
+    /// exactly as in lease recovery), live entries of responding clients
+    /// are re-dispatched under a fresh epoch, and live entries of silent
+    /// clients are presumed dead and aborted. With no survivors the item
+    /// comes home at the version a fault-free drain would have installed.
     fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].recovering);
-        // In-doubt prepared votes that no peer verdict resolved during
-        // the handshake fall back to the coordinator's durable decision
-        // record (the commit oracle). Still-undecided transactions stay
-        // in doubt: presumed abort lets the vote wait for the
-        // coordinator's retried decision message.
-        let in_doubt: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for txn in in_doubt {
-            match self.table.status(txn) {
-                TxnStatus::Committed => self.resolve_indoubt_commit(now, shard, txn),
-                TxnStatus::Aborting | TxnStatus::Aborted => {
-                    self.resolve_indoubt_abort(shard, txn);
-                }
-                TxnStatus::Active => {}
-            }
+        // An in-doubt commit has no write slice to install here: the
+        // committed versions migrated client-to-client and come home with
+        // the item returns.
+        for txn in self.rec.settle_in_doubt(shard, &self.table) {
+            self.rec.commit_in_doubt(now, shard, txn, &mut self.trace);
         }
-        let st = &mut self.fault_state[shard];
-        // lint:allow(L3): the image exists for the whole handshake
-        let img = st.image.take().expect("recovery image");
+        let img = self.rec.take_image(shard);
         let mut silent_victims: Vec<TxnId> = Vec::new();
         let mut redispatch = Vec::new();
         for &item in &img.out {
-            // lint:allow(L3): every `out` item has a dispatch record
-            let d = img.dispatches.get(&item).expect("out item was dispatched");
+            let Some(d) = img.dispatches.get(&item) else {
+                continue; // every `out` item has a dispatch record
+            };
             let mut survivors = Vec::new();
             let mut committed_writes: Version = 0;
             for &(txn, exclusive) in &d.entries {
                 match self.table.status(txn) {
                     TxnStatus::Active => {
                         let owner = self.table.info(txn).client;
-                        if self.fault_state[shard].reregistered[owner.index()] {
+                        if self.rec.answered(shard, owner) {
                             let arrival = self.arrival_seq;
                             self.arrival_seq += 1;
                             let mode = if exclusive {
@@ -1862,7 +1579,7 @@ impl G2plEngine {
             self.items[item.index()].version = d.base + committed_writes;
             redispatch.push((item, survivors));
         }
-        self.fault_state[shard].recovering = false;
+        self.rec.reopen(shard);
         self.trace.record(
             now,
             TraceKind::ServerRecovered,
@@ -1873,14 +1590,11 @@ impl G2plEngine {
         for (item, survivors) in redispatch {
             if survivors.is_empty() {
                 let version = self.items[item.index()].version;
-                let shard = self.cfg.shard_of(item) as usize;
-                // lint:allow(L3): the log exists whenever srv_faults_on
-                let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                slog.append(ServerRecord::Home { item, version });
+                self.rec.slog[shard].append(ServerRecord::Home { item, version });
                 self.mark_writers_permanent(item);
                 self.close_window(now, item);
             } else {
-                self.fsum.redispatches += 1;
+                self.rec.fsum.redispatches += 1;
                 self.dispatch(now, item, survivors);
             }
         }
@@ -1893,77 +1607,17 @@ impl G2plEngine {
         }
     }
 
-    /// Record in the volatile mirror that `txn` holds an unretired
-    /// prepared vote at `shard`.
-    fn mark_prepared(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.prepared.len() <= i {
-            self.prepared.resize(i + 1, 0);
-        }
-        self.prepared[i] |= 1u64 << shard;
-    }
-
-    /// Whether `txn` holds an unretired prepared vote at `shard`.
-    fn prepared_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.prepared
-            .get(txn.index())
-            .is_some_and(|p| p & (1u64 << shard) != 0)
-    }
-
-    /// Retire `txn`'s prepared vote at `shard` in the volatile mirror.
-    fn clear_prepared(&mut self, txn: TxnId, shard: usize) {
-        if let Some(p) = self.prepared.get_mut(txn.index()) {
-            *p &= !(1u64 << shard);
-        }
-    }
-
-    /// Acknowledge a (possibly retransmitted) prepare vote toward the
-    /// coordinating client.
-    fn send_prepare_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
+    /// Tell `txn`'s client, from shard `from`, that it was aborted.
+    fn send_abort_notice(&mut self, from: usize, txn: TxnId) {
+        let client = self.table.info(txn).client;
         self.net.send(
             &mut self.cal,
-            SiteId::server(shard as u32),
+            SiteId::server(from as u32),
             client.into(),
-            "g2pl.prepare_ack",
+            "g2pl.abort_notice",
             CTRL_BYTES,
-            Message::PrepareAck {
-                txn,
-                shard: shard as u32,
-            },
+            Message::GAbortNotice { txn },
         );
-    }
-
-    /// Recovery learned that in-doubt `txn` committed: retire the
-    /// prepared vote with a durable decision record. Unlike s-2PL there
-    /// is no write slice to install — the committed versions migrated
-    /// client-to-client and come home with the item returns.
-    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        let Some(_pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return; // a racing verdict already resolved it
-        };
-        // lint:allow(L3): the log exists whenever srv_faults_on
-        let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-        slog.append(ServerRecord::Committed { txn });
-        self.clear_prepared(txn, shard);
-        self.trace.record(
-            now,
-            TraceKind::CommitApplied,
-            Some(txn),
-            None,
-            SiteId::server(shard as u32),
-        );
-    }
-
-    /// Recovery learned that in-doubt `txn` aborted: retire the prepared
-    /// vote so replay stops resurrecting it.
-    fn resolve_indoubt_abort(&mut self, shard: usize, txn: TxnId) {
-        let Some(_pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return; // a racing verdict already resolved it
-        };
-        // lint:allow(L3): the log exists whenever srv_faults_on
-        let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-        slog.append(ServerRecord::Released { txn });
-        self.clear_prepared(txn, shard);
     }
 
     // ---- server side ----
@@ -1983,22 +1637,15 @@ impl G2plEngine {
                 );
                 match self.table.status(txn) {
                     TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on => {
+                    TxnStatus::Aborting | TxnStatus::Aborted if self.rec.faults_on => {
                         // A retried request from a victim whose abort
                         // notice may have been lost: answer it again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "g2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::GAbortNotice { txn },
-                        );
+                        self.send_abort_notice(shard, txn);
                         return;
                     }
                     _ => return, // stale request
                 }
-                if self.faults_on {
+                if self.rec.faults_on {
                     // Retransmission of a request the server already has:
                     // either still gathering in a window, or already on a
                     // dispatched list (its grant is in flight, or the item
@@ -2027,7 +1674,7 @@ impl G2plEngine {
                     if st.epoch != epoch || st.out.is_none() {
                         // A return from a superseded checkout, or a
                         // duplicated return for one already processed.
-                        debug_assert!(self.faults_on, "stale return on a reliable network");
+                        debug_assert!(self.rec.faults_on, "stale return on a reliable network");
                         return;
                     }
                 }
@@ -2046,8 +1693,8 @@ impl G2plEngine {
                 st.version = version;
                 let out = st.out.take().expect("just checked"); // lint:allow(L3): debug_assert above
                 self.clear_entry_index(&out, item);
-                if let Some(slog) = &mut self.slog {
-                    slog[shard].append(ServerRecord::Home { item, version });
+                if let Some(slog) = self.rec.slog.get_mut(shard) {
+                    slog.append(ServerRecord::Home { item, version });
                 }
                 self.mark_writers_permanent(item);
                 self.close_window(now, item);
@@ -2070,7 +1717,7 @@ impl G2plEngine {
                     if stale {
                         // A release from a superseded checkout, or a
                         // duplicated copy of one already counted.
-                        debug_assert!(self.faults_on, "stale release on a reliable network");
+                        debug_assert!(self.rec.faults_on, "stale release on a reliable network");
                         return;
                     }
                 }
@@ -2096,8 +1743,8 @@ impl G2plEngine {
                     st.version = version;
                     let out = st.out.take().expect("item is out"); // lint:allow(L3): as_mut above
                     self.clear_entry_index(&out, item);
-                    if let Some(slog) = &mut self.slog {
-                        slog[shard].append(ServerRecord::Home { item, version });
+                    if let Some(slog) = self.rec.slog.get_mut(shard) {
+                        slog.append(ServerRecord::Home { item, version });
                     }
                     self.mark_writers_permanent(item);
                     self.close_window(now, item);
@@ -2107,68 +1754,64 @@ impl G2plEngine {
                 client,
                 epoch,
                 holds,
-            } => self.on_reregister(now, shard, client, epoch, &holds),
+            } => {
+                if !self
+                    .rec
+                    .reregistered(now, shard, client, epoch, None, &mut self.trace)
+                {
+                    return;
+                }
+                // Reports corroborate the durable dispatch history
+                // (restoration itself works off the log plus the commit
+                // oracle, so entries whose data was still in flight are
+                // recovered even when no client-side hold exists to
+                // report): a slot re-reported at the last durable epoch
+                // must be on the logged list.
+                if let Some(img) = self.rec.image(shard).filter(|_| cfg!(debug_assertions)) {
+                    for r in &holds {
+                        if let Some(d) = img.dispatches.get(&r.item) {
+                            debug_assert!(
+                                r.epoch != d.epoch || d.entries.iter().any(|&(t, _)| t == r.txn),
+                                "{client} re-reported a slot the log never dispatched: {} {}",
+                                r.txn,
+                                r.item
+                            );
+                        }
+                    }
+                }
+                if self.rec.all_answered(shard) {
+                    self.finish_recovery(now, shard);
+                }
+            }
             Message::Prepare {
                 txn,
                 writes,
                 involved,
             } => {
                 debug_assert!(writes.is_empty(), "g-2PL versions migrate client-side");
-                match self.table.status(txn) {
-                    TxnStatus::Aborting | TxnStatus::Aborted => {
-                        // The vote request raced an abort: answer with the
-                        // (possibly lost) abort notice instead of a vote.
-                        let client = self.table.info(txn).client;
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "g2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::GAbortNotice { txn },
-                        );
-                    }
-                    TxnStatus::Committed => {
-                        // Decision already durable: the earlier ack was
-                        // lost, so re-ack without logging a second vote.
-                        self.send_prepare_ack(shard, self.table.info(txn).client, txn);
-                    }
-                    TxnStatus::Active => {
-                        if !self.prepared_at(txn, shard) {
-                            // lint:allow(L3): 2PC runs only with srv faults on
-                            let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                            slog.append(ServerRecord::Prepared {
-                                txn,
-                                writes,
-                                involved,
-                            });
-                            self.mark_prepared(txn, shard);
-                            self.trace.record(
-                                now,
-                                TraceKind::Prepared,
-                                Some(txn),
-                                None,
-                                SiteId::server(shard as u32),
-                            );
-                        }
-                        self.send_prepare_ack(shard, self.table.info(txn).client, txn);
-                    }
+                let voted = self.rec.on_prepare(
+                    now,
+                    shard,
+                    txn,
+                    writes,
+                    involved,
+                    &self.table,
+                    &mut self.net,
+                    &mut self.cal,
+                    &mut self.trace,
+                );
+                if !voted {
+                    // The vote request raced an abort: answer with the
+                    // (possibly lost) abort notice instead of a vote.
+                    self.send_abort_notice(shard, txn);
                 }
             }
             Message::Decide { txn } => {
-                if self.prepared_at(txn, shard) {
-                    // lint:allow(L3): 2PC runs only with srv faults on
-                    let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                    slog.append(ServerRecord::Committed { txn });
-                    self.clear_prepared(txn, shard);
-                    self.fault_state[shard].in_doubt.remove(&txn);
-                    self.trace.record(
-                        now,
-                        TraceKind::CommitApplied,
-                        Some(txn),
-                        None,
-                        SiteId::server(shard as u32),
-                    );
+                if self.rec.prepared_at(txn, shard) {
+                    // Phase 2: retire the vote with a durable decision
+                    // record. There is no slice to install — the
+                    // committed versions migrate client-to-client.
+                    self.rec.apply_commit(now, shard, txn, &[], &mut self.trace);
                 }
                 // Always ack — even when recovery already resolved the
                 // vote — so the coordinator's retry timer stops.
@@ -2186,31 +1829,17 @@ impl G2plEngine {
             }
             Message::CommitQuery {
                 txn, from_shard, ..
-            } => {
-                let committed = match self.table.status(txn) {
-                    TxnStatus::Committed => Some(true),
-                    TxnStatus::Aborting | TxnStatus::Aborted => Some(false),
-                    TxnStatus::Active => None,
-                };
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(from_shard),
-                    "g2pl.commit_verdict",
-                    CTRL_BYTES,
-                    Message::CommitVerdict { txn, committed },
-                );
-            }
+            } => self.rec.answer_commit_query(
+                shard,
+                txn,
+                from_shard,
+                &self.table,
+                &mut self.net,
+                &mut self.cal,
+            ),
             Message::CommitVerdict { txn, committed } => {
-                if !self.fault_state[shard].in_doubt.contains_key(&txn) {
-                    return; // already resolved by an earlier verdict
-                }
-                match committed {
-                    Some(true) => self.resolve_indoubt_commit(now, shard, txn),
-                    Some(false) => self.resolve_indoubt_abort(shard, txn),
-                    // The peer has not decided either: the vote stays in
-                    // doubt (presumed abort keeps waiting safe).
-                    None => {}
+                if self.rec.on_commit_verdict(shard, txn, committed) {
+                    self.rec.commit_in_doubt(now, shard, txn, &mut self.trace);
                 }
             }
             other => unreachable!("g-2PL server cannot receive {other:?}"),
@@ -2359,7 +1988,7 @@ impl G2plEngine {
         if !st.holding {
             // A timer from a dispatch-delay hold that died with a server
             // crash (the crash clears `holding`).
-            debug_assert!(self.srv_faults_on, "window timer without a held item");
+            debug_assert!(self.rec.srv_faults_on, "window timer without a held item");
             return;
         }
         st.holding = false;
@@ -2392,13 +2021,13 @@ impl G2plEngine {
             // lint:allow(L3): is_some checked above
             let out = st.out.as_ref().expect("checked above");
             let idle = now.since(out.last_progress);
-            if idle < self.lease {
+            if idle < self.rec.lease {
                 self.cal
-                    .schedule_in(self.lease.since(idle), Ev::LeaseCheck { item, epoch });
+                    .schedule_in(self.rec.lease.since(idle), Ev::LeaseCheck { item, epoch });
                 return;
             }
-            self.fsum.lease_expiries += 1;
-            self.fsum.recovery_stall += idle.as_f64();
+            self.rec.fsum.lease_expiries += 1;
+            self.rec.fsum.recovery_stall += idle.as_f64();
         }
         // lint:allow(L3): is_some checked above
         let out = self.items[item.index()].out.take().expect("checked above");
@@ -2479,7 +2108,7 @@ impl G2plEngine {
         }
         self.items[item.index()].version = out.base_version + committed_writes;
 
-        self.fsum.redispatches += 1;
+        self.rec.fsum.redispatches += 1;
         self.trace.record(
             now,
             TraceKind::Redispatch,
@@ -2489,10 +2118,10 @@ impl G2plEngine {
         );
         if survivors.is_empty() {
             // No live suffix: the item simply comes home.
-            if let Some(slog) = &mut self.slog {
+            let shard = self.cfg.shard_of(item) as usize;
+            if let Some(slog) = self.rec.slog.get_mut(shard) {
                 let version = self.items[item.index()].version;
-                let shard = self.cfg.shard_of(item) as usize;
-                slog[shard].append(ServerRecord::Home { item, version });
+                slog.append(ServerRecord::Home { item, version });
             }
             self.mark_writers_permanent(item);
             self.close_window(now, item);
@@ -2561,17 +2190,16 @@ impl G2plEngine {
             last_progress: now,
             final_released: Vec::new(),
         });
-        if self.faults_on {
+        if self.rec.faults_on {
             // One lease per checkout: it re-arms itself while the list
             // keeps making progress and recovers it when progress stops.
             self.cal
-                .schedule_in(self.lease, Ev::LeaseCheck { item, epoch });
+                .schedule_in(self.rec.lease, Ev::LeaseCheck { item, epoch });
         }
-        if let Some(slog) = &mut self.slog {
+        if let Some(slog) = self.rec.slog.get_mut(self.cfg.shard_of(item) as usize) {
             // Write-ahead: the list construction/reorder decision is
             // durable before the first data segment leaves the server.
-            let shard = self.cfg.shard_of(item) as usize;
-            slog[shard].append(ServerRecord::Dispatch {
+            slog.append(ServerRecord::Dispatch {
                 item,
                 epoch,
                 base: version,
@@ -2718,22 +2346,7 @@ impl G2plEngine {
             self.items[item.index()].window.remove_txn(victim);
         }
         self.dag.remove_txn(victim);
-        if self.srv_faults_on {
-            // Retire any prepared votes the victim's voting round left
-            // behind. Shards that are down will retire theirs during
-            // recovery (commit query or oracle fallback).
-            for s in 0..self.cfg.num_shards() as usize {
-                if self.prepared_at(victim, s) && !self.fault_state[s].down {
-                    // lint:allow(L3): the log exists whenever srv_faults_on
-                    let slog = &mut self.slog.as_mut().expect("server log enabled")[s];
-                    slog.append(ServerRecord::Released { txn: victim });
-                    self.clear_prepared(victim, s);
-                }
-            }
-            for st in &mut self.fault_state {
-                st.in_doubt.remove(&victim);
-            }
-        }
+        self.rec.retire_victim(victim);
         let client = self.table.info(victim).client;
         // Abort coordination stays at shard 0 (leases and deadlock
         // detection are centralized there).

@@ -31,6 +31,7 @@ pub(crate) mod cycle;
 pub mod g2pl;
 pub mod history;
 pub mod metrics;
+pub(crate) mod recovery;
 pub mod runtime;
 pub mod s2pl;
 pub mod scale;

@@ -1,6 +1,7 @@
 //! Shared simulation plumbing for all protocol engines: events, messages,
 //! the network sender, per-client state, and the global transaction table.
 
+use crate::config::EngineConfig;
 use g2pl_faults::{FaultCounts, FaultPlan};
 use g2pl_fwdlist::ForwardList;
 use g2pl_lockmgr::LockMode;
@@ -478,6 +479,15 @@ impl Net {
         }
     }
 
+    /// The network `cfg` describes: lossy under an active fault plan,
+    /// reliable otherwise.
+    pub fn for_config(cfg: &EngineConfig) -> Self {
+        match cfg.active_faults() {
+            Some(plan) => Self::with_faults(cfg.build_latency(), plan.clone(), cfg.seed),
+            None => Self::new(cfg.build_latency(), cfg.seed),
+        }
+    }
+
     /// True if this network can inject faults.
     pub fn faults_active(&self) -> bool {
         self.link.faults_active()
@@ -561,90 +571,6 @@ impl Net {
         self.acct.record(from, to, kind, size);
         cal.schedule_in(delay, Ev::Deliver { to, msg });
     }
-}
-
-/// One shard's crash/recovery state. Each shard is an independent fault
-/// domain: it crashes, replays its own durable log, runs its own
-/// epoch-bumped re-registration handshake, and resolves its own in-doubt
-/// prepared votes, all without involving its peers beyond the
-/// commit-status queries.
-#[derive(Clone, Debug, Default)]
-pub struct ShardFaultState {
-    /// True while the shard is crashed (between the fault-plan crash and
-    /// restart instants): every message addressed to it is dropped.
-    pub down: bool,
-    /// True from restart until the re-registration handshake finishes:
-    /// only re-registration reports and commit-status traffic are
-    /// accepted.
-    pub recovering: bool,
-    /// Recovery epoch, bumped once per restart of this shard. Stale
-    /// recovery-check events and superseded re-registration replies
-    /// identify themselves by a mismatched epoch.
-    pub epoch: u64,
-    /// When the current recovery began (restart instant).
-    pub started: SimTime,
-    /// Which clients have answered the current handshake.
-    pub reregistered: Vec<bool>,
-    /// The durable image replayed at restart, consumed by
-    /// `finish_recovery`.
-    pub image: Option<g2pl_wal::ServerImage>,
-    /// In-doubt prepared transactions awaiting a commit verdict: the
-    /// replayed `prepared` map, drained as verdicts arrive (or at
-    /// handshake end via the commit oracle). Per presumed abort, an
-    /// entry leaves this map only on positive evidence of the outcome.
-    pub in_doubt: std::collections::BTreeMap<TxnId, g2pl_wal::PreparedImage>,
-}
-
-impl ShardFaultState {
-    /// Is the shard fully up (neither crashed nor in its handshake)?
-    pub fn is_up(&self) -> bool {
-        !self.down && !self.recovering
-    }
-
-    /// Transition to crashed: volatile recovery bookkeeping of any
-    /// in-progress handshake is lost with the rest of the shard.
-    pub fn crash(&mut self) {
-        self.down = true;
-        self.recovering = false;
-        self.reregistered.clear();
-        self.image = None;
-        self.in_doubt.clear();
-    }
-
-    /// Transition to recovering at `now`, bumping the epoch; the caller
-    /// supplies the replayed image and the client count. Returns the new
-    /// epoch.
-    pub fn begin_recovery(
-        &mut self,
-        now: SimTime,
-        num_clients: usize,
-        image: g2pl_wal::ServerImage,
-    ) -> u64 {
-        self.down = false;
-        self.recovering = true;
-        self.epoch += 1;
-        self.started = now;
-        self.reregistered = vec![false; num_clients];
-        self.in_doubt = image.prepared.clone();
-        self.image = Some(image);
-        self.epoch
-    }
-}
-
-/// The server-side lease period for a fault plan: how long a checkout or
-/// an idle transaction may show no progress before its holder is presumed
-/// dead. Defaults to a generous multiple of the nominal one-way latency
-/// so that ordinary round trips, think times, and a few retransmissions
-/// never trip it.
-pub fn lease_period(plan: &FaultPlan, nominal: u64) -> SimTime {
-    SimTime::new(plan.lease_timeout.unwrap_or(64 * nominal.max(1) + 256))
-}
-
-/// The client-side base retransmission delay for a fault plan: a little
-/// over one round trip, so a retry only fires once the original reply is
-/// overdue. Doubles per attempt (see [`ClientCore::retry_backoff`]).
-pub fn retry_period(plan: &FaultPlan, nominal: u64) -> SimTime {
-    SimTime::new(plan.retry_base.unwrap_or(4 * nominal.max(1) + 16))
 }
 
 /// Lifecycle status of a transaction.
@@ -765,6 +691,27 @@ pub struct ActiveTxn {
     pub request_sent_at: SimTime,
 }
 
+/// What a due [`TimerKind::Retry`] re-sends (see
+/// [`ClientCore::due_resend`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Resend {
+    /// Every message of [`ClientCore::pending_commits`].
+    CommitPhase,
+    /// The lock request of the access the transaction waits on.
+    Request,
+}
+
+impl ActiveTxn {
+    /// Bitmask of the shards the transaction's accesses touch (bit `k` =
+    /// shard `k`).
+    pub fn involved(&self, cfg: &EngineConfig) -> u64 {
+        self.spec
+            .accesses
+            .iter()
+            .fold(0, |m, &(item, _)| m | 1u64 << cfg.shard_of(item))
+    }
+}
+
 /// Per-client state shared by all engines.
 pub struct ClientCore {
     /// This client's id.
@@ -828,6 +775,50 @@ impl ClientCore {
     /// capped at 6 doublings so retries never back off past 64× base.
     pub fn retry_backoff(&self, base: SimTime) -> SimTime {
         SimTime::new(base.units() << self.retry_attempts.min(6))
+    }
+
+    /// Arm a [`TimerKind::Retry`] for the current epoch, one backoff
+    /// delay over `base` from now. Only under an active fault plan.
+    pub fn arm_retry(&self, cal: &mut Calendar<Ev>, base: SimTime) {
+        cal.schedule_in(
+            self.retry_backoff(base),
+            Ev::Timer {
+                client: self.id,
+                kind: TimerKind::Retry {
+                    epoch: self.retry_epoch,
+                },
+            },
+        );
+    }
+
+    /// `shard` acknowledged the pending commit-phase message that `acked`
+    /// matches: drop it and count the progress. `None` for a duplicate
+    /// ack (nothing pending matched); otherwise whether every pending
+    /// message is now acknowledged.
+    pub fn take_ack(&mut self, shard: u32, acked: impl Fn(&Message) -> bool) -> Option<bool> {
+        let pos = self
+            .pending_commits
+            .iter()
+            .position(|(s, m)| *s == shard && acked(m))?;
+        self.pending_commits.remove(pos);
+        self.retry_progress();
+        Some(self.pending_commits.is_empty())
+    }
+
+    /// What a retry timer armed at `epoch` must re-send: nothing when the
+    /// client made progress since (a stale epoch) or has nothing
+    /// outstanding; otherwise the unacknowledged commit-phase messages,
+    /// or else the request of the access it waits on.
+    pub fn due_resend(&self, epoch: u64) -> Option<Resend> {
+        if self.retry_epoch != epoch {
+            None
+        } else if !self.pending_commits.is_empty() {
+            Some(Resend::CommitPhase)
+        } else if matches!(&self.txn, Some(a) if matches!(a.phase, ClientPhase::WaitingGrant(_))) {
+            Some(Resend::Request)
+        } else {
+            None
+        }
     }
 
     /// Like [`ClientCore::new`], replaying specs from `trace` (clients
@@ -957,6 +948,39 @@ mod tests {
         c.retry_progress();
         assert_eq!(c.retry_attempts, 0);
         assert_eq!(c.retry_epoch, 1);
+    }
+
+    #[test]
+    fn due_resend_follows_the_epoch_and_the_outstanding_work() {
+        let gen = TxnGenerator::new(TxnProfile::table1(0.5), 25);
+        let mut table = TxnTable::new();
+        let mut c = ClientCore::new(ClientId::new(0), 1);
+        assert_eq!(c.due_resend(0), None, "idle: nothing outstanding");
+        let txn = c.begin_txn(&gen, &mut table, SimTime::ZERO);
+        assert_eq!(c.due_resend(0), Some(Resend::Request));
+        c.retry_progress();
+        assert_eq!(c.due_resend(0), None, "progress made the timer stale");
+        let prepare = |shard| {
+            (
+                shard,
+                Message::Prepare {
+                    txn,
+                    writes: Vec::new(),
+                    involved: 0b11,
+                },
+            )
+        };
+        c.pending_commits = vec![prepare(0), prepare(1)];
+        assert_eq!(c.due_resend(1), Some(Resend::CommitPhase));
+        let is_vote = |m: &Message| matches!(m, Message::Prepare { txn: t, .. } if *t == txn);
+        assert_eq!(
+            c.take_ack(1, is_vote),
+            Some(false),
+            "shard 0 still owes its vote"
+        );
+        assert_eq!(c.take_ack(1, is_vote), None, "duplicate ack");
+        assert_eq!(c.take_ack(0, is_vote), Some(true));
+        assert_eq!(c.retry_epoch, 3, "each counted ack is progress");
     }
 
     #[test]

@@ -11,16 +11,16 @@
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
 use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, FaultSummary, RunMetrics, WalReport};
+use crate::metrics::{Collector, RunMetrics, WalReport};
+use crate::recovery::{Labels, Recovery};
 use crate::runtime::{
-    lease_period, retry_period, ClientCore, ClientPhase, Ev, Message, Net, PendingCommit,
-    ServerCpu, ShardFaultState, TimerKind, TxnStatus, TxnTable,
+    ClientCore, ClientPhase, Ev, Message, Net, Resend, TimerKind, TxnStatus, TxnTable,
 };
 use crate::tracelog::{TraceKind, TraceLog};
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
 use g2pl_obs::SpanRecorder;
 use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerLog, ServerRecord, SiteLog};
+use g2pl_wal::{LogRecord, ServerRecord, SiteLog};
 
 /// Per-shard slice of a committing transaction: written `(item,
 /// version)` pairs plus read-only items, bound for one home server.
@@ -30,6 +30,14 @@ use std::collections::BTreeMap;
 
 /// Control-message payload size in bytes (requests, notices).
 pub(crate) const CTRL_BYTES: u64 = 64;
+
+/// Accounting labels of the recovery messages.
+const LABELS: Labels = Labels {
+    commit_query: "s2pl.commit_query",
+    commit_verdict: "s2pl.commit_verdict",
+    reregister_req: "s2pl.reregister_req",
+    prepare_ack: "s2pl.prepare_ack",
+};
 
 /// Hard cap on processed events — a deterministic simulation exceeding
 /// this has livelocked, and panicking beats spinning forever.
@@ -47,8 +55,6 @@ pub struct S2plEngine {
     cfg: EngineConfig,
     cal: Calendar<Ev>,
     net: Net,
-    /// One serial CPU per server shard.
-    server_cpu: Vec<ServerCpu>,
     clients: Vec<ClientCore>,
     table: TxnTable,
     /// One lock table per server shard; an item's locks live at the
@@ -63,42 +69,9 @@ pub struct S2plEngine {
     wal: Option<Vec<SiteLog>>,
     admitting: bool,
     finder: CycleFinder,
-    /// Whether a fault plan is active (the exact fault-free code path is
-    /// taken when this is false).
-    faults_on: bool,
-    /// Server-side lease period for idle transactions (faults only).
-    lease: SimTime,
-    /// Client-side base retransmission delay (faults only).
-    retry_base: SimTime,
-    /// Last server-observed activity per transaction (faults only).
-    last_activity: Vec<SimTime>,
-    /// Whether a transaction currently holds server resources under a
-    /// pending lease (faults only).
-    leased: Vec<bool>,
-    /// Whether the plan schedules server crashes. Gates the server's
-    /// durable log and the durable commit-duplicate check, so plans
-    /// without server crashes take the exact pre-existing fault path.
-    srv_faults_on: bool,
-    /// One durable log per shard (present iff `srv_faults_on`): each
-    /// shard is its own fault domain and replays only its own log.
-    slog: Option<Vec<ServerLog>>,
-    /// Per-shard crash/recovery state: down flag, handshake progress,
-    /// epoch, replayed image and in-doubt prepared votes. Indexed by
-    /// shard; all-up defaults when no server crashes are planned.
-    fault_state: Vec<ShardFaultState>,
-    /// Which shards have applied each transaction's commit slice: bit
-    /// `s` of `applied[txn]` is set once shard `s` installed the slice
-    /// (the 64-shard cap in config validation keeps this a `u64`). Each
-    /// shard's bit mirrors its durable applied set and is rebuilt from
-    /// that shard's log image after a crash.
-    applied: Vec<u64>,
-    /// Which shards hold a durable prepared (yes) vote for each
-    /// transaction — the volatile mirror of the logs' unretired
-    /// [`ServerRecord::Prepared`] records, rebuilt per shard from its
-    /// image at restart.
-    prepared: Vec<u64>,
-    /// Fault-injection and recovery counters.
-    fsum: FaultSummary,
+    /// The shards' fault domains: gating, crash recovery, presumed-abort
+    /// votes, leases and fault counters.
+    rec: Recovery,
 }
 
 impl S2plEngine {
@@ -118,41 +91,14 @@ impl S2plEngine {
                 None => ClientCore::new(ClientId::new(i), cfg.seed),
             })
             .collect();
-        let nominal = cfg.latency.nominal();
-        let (net, lease, retry_base) = match cfg.active_faults() {
-            Some(plan) => (
-                Net::with_faults(cfg.build_latency(), plan.clone(), cfg.seed),
-                lease_period(plan, nominal),
-                retry_period(plan, nominal),
-            ),
-            None => (
-                Net::new(cfg.build_latency(), cfg.seed),
-                SimTime::MAX,
-                SimTime::MAX,
-            ),
-        };
-        let srv_faults = cfg
-            .active_faults()
-            .is_some_and(g2pl_faults::FaultPlan::has_server_crashes);
-        let nshards = cfg.num_shards() as usize;
+        let net = Net::for_config(&cfg);
         S2plEngine {
-            faults_on: net.faults_active(),
+            rec: Recovery::new(&cfg, &net, LABELS),
             net,
-            lease,
-            retry_base,
-            last_activity: Vec::new(),
-            leased: Vec::new(),
-            srv_faults_on: srv_faults,
-            slog: srv_faults.then(|| (0..nshards).map(|_| ServerLog::new()).collect()),
-            fault_state: vec![ShardFaultState::default(); nshards],
-            applied: Vec::new(),
-            prepared: Vec::new(),
-            fsum: FaultSummary::default(),
-            server_cpu: vec![ServerCpu::new(cfg.server_cpu_per_op); nshards],
             cal: Calendar::new(),
             clients,
             table: TxnTable::new(),
-            locks: (0..nshards).map(|_| LockTable::new()).collect(),
+            locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
             versions: vec![0; cfg.num_items() as usize],
             generator,
             collector: Collector::with_histogram(
@@ -212,34 +158,24 @@ impl S2plEngine {
                     unreachable!("event is not part of the s-2PL protocol")
                 }
                 Ev::ServerProc { shard, msg } => {
-                    // Re-checked after the CPU delay: a crash may have hit
-                    // while the message sat in the service queue.
-                    if self.server_accepts(shard as usize, &msg) {
+                    if self.rec.admit_queued(shard as usize, &msg) {
                         self.on_server_msg(now, shard as usize, msg);
-                    } else {
-                        self.fsum.server_msgs_lost += 1;
                     }
                 }
                 Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => {
-                        let s = shard.index();
-                        if !self.server_accepts(s, &msg) {
-                            self.fsum.server_msgs_lost += 1;
-                        } else {
-                            let d = self.server_cpu[s].service(now);
-                            if d == g2pl_simcore::SimTime::ZERO {
-                                self.on_server_msg(now, s, msg);
-                            } else {
-                                self.cal.schedule_in(
-                                    d,
-                                    Ev::ServerProc {
-                                        shard: shard.0,
-                                        msg,
-                                    },
-                                );
-                            }
+                    SiteId::Server(shard) => match self.rec.admit(now, shard.index(), &msg) {
+                        Some(SimTime::ZERO) => self.on_server_msg(now, shard.index(), msg),
+                        Some(d) => {
+                            self.cal.schedule_in(
+                                d,
+                                Ev::ServerProc {
+                                    shard: shard.0,
+                                    msg,
+                                },
+                            );
                         }
-                    }
+                        None => {}
+                    },
                     SiteId::Client(c) => {
                         if !self.clients[c.index()].crashed {
                             self.on_client_msg(now, c, msg);
@@ -249,18 +185,25 @@ impl S2plEngine {
                 Ev::Fault { client, up } => self.on_fault(now, client, up),
                 Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
                 Ev::RecoveryCheck { shard, epoch } => {
-                    self.on_recovery_check(now, shard as usize, epoch);
+                    let s = shard as usize;
+                    if self
+                        .rec
+                        .on_recovery_check(now, s, epoch, &mut self.net, &mut self.cal)
+                    {
+                        self.finish_recovery(now, s);
+                    }
                 }
                 Ev::TxnLease { txn } => {
-                    // Leases are coordinated at shard 0; a dead or
-                    // still-recovering coordinator holds none — recovery
-                    // re-arms them for every restored grant.
-                    if self.fault_state[0].is_up() {
-                        self.on_txn_lease(now, txn);
+                    if self
+                        .rec
+                        .on_txn_lease(now, txn, &self.table, &mut self.cal, &mut self.trace)
+                    {
+                        self.abort_victim(now, txn);
+                        self.rec.lease_reclaimed(now, txn, &mut self.trace);
                     }
                 }
             }
-            if self.faults_on {
+            if self.rec.faults_on {
                 for (at, site) in self.net.take_fault_marks() {
                     self.trace
                         .record(at, TraceKind::FaultInjected, None, None, site);
@@ -278,7 +221,7 @@ impl S2plEngine {
         // legitimately hold residue (e.g. a client that crashed and never
         // restarted before the calendar emptied); liveness is checked by
         // trace property P8 instead of these structural asserts.
-        if self.cfg.drain && !self.faults_on {
+        if self.cfg.drain && !self.rec.faults_on {
             assert!(
                 self.locks.iter().all(LockTable::is_quiescent),
                 "locks leaked after drain"
@@ -293,9 +236,9 @@ impl S2plEngine {
 
         let obs = self.spans.finish();
         let trace_dropped = self.trace.dropped();
-        self.fsum.injected = self.net.fault_counts();
+        self.rec.fsum.injected = self.net.fault_counts();
         RunMetrics {
-            faults: self.fsum,
+            faults: self.rec.fsum,
             protocol: "s-2PL",
             events,
             peak_calendar: self.cal.peak_len(),
@@ -370,46 +313,15 @@ impl S2plEngine {
                     self.commit(now, client, txn);
                 }
             }
-            TimerKind::Retry { epoch } => self.on_retry(now, client, epoch),
+            TimerKind::Retry { epoch } => match self.clients[client.index()].due_resend(epoch) {
+                Some(Resend::CommitPhase) => self.resend_pending_commits(now, client),
+                Some(Resend::Request) => self.resend_request(now, client),
+                None => {}
+            },
             // s-2PL's phase 2 piggybacks on the regular commit-release
             // retry epoch; the dedicated decide timer is g-2PL-only.
             TimerKind::DecideRetry(_) => unreachable!("s-2PL never arms a decide timer"),
         }
-    }
-
-    /// A retransmission timer fired: if the epoch still matches (no
-    /// progress since arming), re-send whichever operation is
-    /// outstanding — the unacknowledged commit-release, or the current
-    /// lock request.
-    fn on_retry(&mut self, now: SimTime, client: ClientId, epoch: u64) {
-        let c = &self.clients[client.index()];
-        if c.retry_epoch != epoch {
-            return; // progress since arming: stale timer
-        }
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-        } else if matches!(&c.txn, Some(a) if matches!(a.phase, ClientPhase::WaitingGrant(_))) {
-            self.resend_request(now, client);
-        }
-    }
-
-    /// Arm a retransmission timer for the client's current epoch and
-    /// backoff level. No-op on a reliable network.
-    fn arm_retry(&mut self, client: ClientId) {
-        if !self.faults_on {
-            return;
-        }
-        let c = &self.clients[client.index()];
-        let delay = c.retry_backoff(self.retry_base);
-        self.cal.schedule_in(
-            delay,
-            Ev::Timer {
-                client,
-                kind: TimerKind::Retry {
-                    epoch: c.retry_epoch,
-                },
-            },
-        );
     }
 
     /// Re-send the outstanding lock request. No `RequestSent` trace or
@@ -421,7 +333,7 @@ impl S2plEngine {
         let txn = active.id;
         let (item, mode) = active.spec.access(active.granted);
         c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.fsum.retries += 1;
+        self.rec.fsum.retries += 1;
         let _ = now;
         self.net.send(
             &mut self.cal,
@@ -436,7 +348,7 @@ impl S2plEngine {
                 mode: lock_mode(mode),
             },
         );
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// Re-send every unacknowledged commit-phase slice (the client's
@@ -462,7 +374,7 @@ impl S2plEngine {
                 }
                 _ => continue,
             };
-            self.fsum.retries += 1;
+            self.rec.fsum.retries += 1;
             self.net.send(
                 &mut self.cal,
                 client.into(),
@@ -472,7 +384,7 @@ impl S2plEngine {
                 msg,
             );
         }
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// A scheduled crash or restart from the fault plan.
@@ -486,7 +398,7 @@ impl S2plEngine {
             return;
         }
         c.crashed = true;
-        self.fsum.crashes += 1;
+        self.rec.fsum.crashes += 1;
         self.trace
             .record(now, TraceKind::FaultInjected, None, None, client.into());
     }
@@ -548,7 +460,7 @@ impl S2plEngine {
         item: ItemId,
         mode: AccessMode,
     ) {
-        if self.faults_on {
+        if self.rec.faults_on {
             self.clients[client.index()].retry_progress();
         }
         self.trace.record(
@@ -572,7 +484,9 @@ impl S2plEngine {
                 mode: lock_mode(mode),
             },
         );
-        self.arm_retry(client);
+        if self.rec.faults_on {
+            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
+        }
     }
 
     // lint:allow(L5): the outcome is recorded downstream — commit_decided traces Committed on every path, and the voting detour traces Prepared/CommitApplied at the shards
@@ -581,7 +495,7 @@ impl S2plEngine {
         // restarted) transaction as victim while its abort notice is
         // still in flight; the oracle status resolves the race in favour
         // of the abort, exactly as the server already decided it.
-        if self.faults_on && self.table.status(txn) != TxnStatus::Active {
+        if self.rec.faults_on && self.table.status(txn) != TxnStatus::Active {
             self.finalize_abort(now, client, txn);
             return;
         }
@@ -590,14 +504,8 @@ impl S2plEngine {
         // commitment. Single-home commits keep the one-phase path (the
         // single-participant optimization), as do all commits under
         // plans without server crashes.
-        if self.srv_faults_on {
-            let c = &self.clients[client.index()];
-            // lint:allow(L3): commit is only reachable with an active txn
-            let active = c.txn.as_ref().expect("committing client has a transaction");
-            let mut involved = 0u64;
-            for &(item, _) in &active.spec.accesses {
-                involved |= 1u64 << self.cfg.shard_of(item);
-            }
+        if self.rec.srv_faults_on {
+            let involved = self.clients[client.index()].txn().involved(&self.cfg);
             if involved.count_ones() > 1 {
                 self.begin_prepare(now, client, txn, involved);
                 return;
@@ -653,7 +561,7 @@ impl S2plEngine {
                 },
             );
         }
-        self.arm_retry(client);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
     }
 
     /// The commit decision point: every involved shard has voted yes (or
@@ -726,7 +634,7 @@ impl S2plEngine {
             log.append(LogRecord::Commit { txn });
         }
 
-        if self.faults_on {
+        if self.rec.faults_on {
             // Commit durability under loss: retransmit each shard's
             // release until that shard acknowledges; the next transaction
             // starts only when every slice is acked (see the SCommitAck
@@ -766,15 +674,15 @@ impl S2plEngine {
                 Message::SCommit { txn, writes, reads },
             );
         }
-        if self.faults_on {
-            self.arm_retry(client);
+        if self.rec.faults_on {
+            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
         }
     }
 
     fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
         match msg {
             Message::SGrant { txn, item, version } => {
-                let faults_on = self.faults_on;
+                let faults_on = self.rec.faults_on;
                 let c = &mut self.clients[client.index()];
                 let Some(active) = &mut c.txn else {
                     debug_assert!(faults_on, "grant for idle client");
@@ -819,53 +727,45 @@ impl S2plEngine {
             Message::SAbortNotice { txn } => self.finalize_abort(now, client, txn),
             Message::PrepareAck { txn, shard } => {
                 let c = &mut self.clients[client.index()];
-                let pos = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::Prepare { txn: t, .. } if *t == txn)
-                });
-                let Some(pos) = pos else {
-                    return; // duplicate ack of an already-counted vote
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if !c.pending_commits.is_empty() {
+                match c.take_ack(
+                    shard,
+                    |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
+                ) {
+                    None => {} // duplicate ack of an already-counted vote
                     // Other shards still owe votes: keep retransmitting
                     // their prepares from a fresh backoff.
-                    self.arm_retry(client);
-                    return;
+                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
+                    // Unanimous yes. An abort may still have raced the
+                    // voting round (a lease victim whose notice is in
+                    // flight); the oracle resolves it in the abort's
+                    // favour — the shards' prepared votes are retired by
+                    // the victim's releases.
+                    Some(true) if self.table.status(txn) != TxnStatus::Active => {
+                        self.finalize_abort(now, client, txn);
+                    }
+                    Some(true) => self.commit_decided(now, client, txn),
                 }
-                // Unanimous yes. An abort may still have raced the voting
-                // round (a lease victim whose notice is in flight); the
-                // oracle resolves it in the abort's favour — the shards'
-                // prepared votes are retired by the victim's releases.
-                if self.table.status(txn) != TxnStatus::Active {
-                    self.finalize_abort(now, client, txn);
-                    return;
-                }
-                self.commit_decided(now, client, txn);
             }
             Message::SCommitAck { txn, shard } => {
                 let c = &mut self.clients[client.index()];
-                let pos = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::SCommit { txn: t, .. } if *t == txn)
-                });
-                let Some(pos) = pos else {
-                    return; // duplicate ack of an older commit slice
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if c.pending_commits.is_empty() {
-                    let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-                    self.cal.schedule_in(
-                        idle,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::IdleDone,
-                        },
-                    );
-                } else {
+                match c.take_ack(
+                    shard,
+                    |m| matches!(m, Message::SCommit { txn: t, .. } if *t == txn),
+                ) {
+                    None => {} // duplicate ack of an older commit slice
                     // Other shards still owe acks: keep retransmitting
                     // their slices from a fresh backoff.
-                    self.arm_retry(client);
+                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
+                    Some(true) => {
+                        let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
+                        self.cal.schedule_in(
+                            idle,
+                            Ev::Timer {
+                                client,
+                                kind: TimerKind::IdleDone,
+                            },
+                        );
+                    }
                 }
             }
             Message::ReregisterReq { shard, epoch } => {
@@ -930,7 +830,7 @@ impl S2plEngine {
         // victim's releases.
         c.pending_commits
             .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if self.faults_on {
+        if self.rec.faults_on {
             c.retry_progress();
         }
         self.table.set_status(txn, TxnStatus::Aborted);
@@ -956,315 +856,44 @@ impl S2plEngine {
 
     // ---- server crash recovery ----
 
-    /// Whether shard `shard` can process `msg` right now: everything
-    /// while up, nothing while down. While its recovery handshake is
-    /// open a shard processes only re-registration reports and the
-    /// commit-status query traffic that resolves in-doubt votes.
-    fn server_accepts(&self, shard: usize, msg: &Message) -> bool {
-        let st = &self.fault_state[shard];
-        if st.down {
-            return false;
-        }
-        st.is_up()
-            || matches!(
-                msg,
-                Message::SReregister { .. }
-                    | Message::CommitQuery { .. }
-                    | Message::CommitVerdict { .. }
-            )
-    }
-
-    /// A scheduled server-shard crash or restart from the fault plan.
+    /// A scheduled crash or restart of shard `shard` from the fault plan.
+    /// A crash loses the shard's lock table and its items' installed
+    /// versions; a restart restores the versions from the replayed log
+    /// and opens the re-registration handshake.
     fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
         if up {
-            self.begin_recovery(now, shard);
+            let versions = &mut self.versions;
+            self.rec
+                .restart(now, shard, &mut self.net, &mut self.cal, |img| {
+                    for (&item, &v) in &img.versions {
+                        versions[item.index()] = v;
+                    }
+                });
         } else {
-            self.crash_server(now, shard);
+            self.rec.crash_server(now, shard, &mut self.trace);
+            self.locks[shard] = LockTable::new();
+            let per = self.cfg.items.items_per_shard as usize;
+            self.versions[shard * per..(shard + 1) * per].fill(0);
         }
     }
 
-    /// Shard `shard` dies: every piece of its volatile state — lock
-    /// table, its items' installed versions, its bits of the applied and
-    /// prepared sets, and (for shard 0) the lease bookkeeping it
-    /// coordinates — is gone. Only its durable log survives. Other
-    /// shards are untouched: each shard is its own fault domain.
-    fn crash_server(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(
-            !self.fault_state[shard].down,
-            "shard crashed while already down"
-        );
-        self.fault_state[shard].crash();
-        self.fsum.server_crashes += 1;
-        self.trace.record(
-            now,
-            TraceKind::ServerCrashed,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        self.locks[shard] = LockTable::new();
-        self.server_cpu[shard] = ServerCpu::new(self.cfg.server_cpu_per_op);
-        let per = self.cfg.items.items_per_shard as usize;
-        self.versions[shard * per..(shard + 1) * per]
-            .iter_mut()
-            .for_each(|v| *v = 0);
-        if shard == 0 {
-            // Transaction leases are coordinated at shard 0 and die
-            // with it; recovery re-arms them.
-            self.leased.iter_mut().for_each(|l| *l = false);
-            self.last_activity
-                .iter_mut()
-                .for_each(|t| *t = SimTime::ZERO);
-        }
-        let bit = !(1u64 << shard);
-        self.applied.iter_mut().for_each(|a| *a &= bit);
-        self.prepared.iter_mut().for_each(|p| *p &= bit);
-    }
-
-    /// Shard `shard` restarts: replay its durable log into an image,
-    /// restore its installed versions, applied-commit bits and in-doubt
-    /// prepared votes from it, query the surviving peers of every
-    /// in-doubt transaction for the commit outcome, then open the
-    /// re-registration handshake by polling every client.
-    fn begin_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].down, "shard restarted while up");
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let img = self.slog.as_ref().expect("server log enabled")[shard].replay();
-        for (&item, &v) in &img.versions {
-            self.versions[item.index()] = v;
-        }
-        for &txn in &img.committed {
-            self.mark_applied(txn, shard);
-        }
-        let epoch = self.fault_state[shard].begin_recovery(now, self.cfg.num_clients as usize, img);
-        let in_doubt: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for &txn in &in_doubt {
-            self.mark_prepared(txn, shard);
-        }
-        self.send_commit_queries(shard, false);
-        self.broadcast_reregister(shard, false);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// Ask the surviving peers of every still-in-doubt transaction for
-    /// its commit outcome (presumed abort: the vote is resolved only on
-    /// positive evidence, so the queries retransmit each recovery-check
-    /// tick until answered or the handshake deadline falls back to the
-    /// commit oracle). Subject to shard↔shard partitions like any other
-    /// message.
-    fn send_commit_queries(&mut self, shard: usize, retry: bool) {
-        let st = &self.fault_state[shard];
-        let epoch = st.epoch;
-        let queries: Vec<(TxnId, u64)> = st
-            .in_doubt
-            .iter()
-            .map(|(&txn, p)| (txn, p.involved))
-            .collect();
-        for (txn, involved) in queries {
-            for peer in 0..self.cfg.num_shards() {
-                if peer as usize == shard || involved & (1u64 << peer) == 0 {
-                    continue;
-                }
-                if retry {
-                    self.fsum.retries += 1;
-                }
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(peer),
-                    "s2pl.commit_query",
-                    CTRL_BYTES,
-                    Message::CommitQuery {
-                        txn,
-                        from_shard: shard as u32,
-                        epoch,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Poll clients for re-registration; `retry` restricts the poll to
-    /// clients that have not yet answered and counts as retransmission.
-    fn broadcast_reregister(&mut self, shard: usize, retry: bool) {
-        for i in 0..self.cfg.num_clients {
-            let c = ClientId::new(i);
-            if retry {
-                if self.fault_state[shard].reregistered[c.index()] {
-                    continue;
-                }
-                self.fsum.retries += 1;
-            }
-            self.net.send(
-                &mut self.cal,
-                SiteId::server(shard as u32),
-                c.into(),
-                "s2pl.reregister_req",
-                CTRL_BYTES,
-                Message::ReregisterReq {
-                    shard: shard as u32,
-                    epoch: self.fault_state[shard].epoch,
-                },
-            );
-        }
-    }
-
-    /// The recovery-handshake timer fired: finish if the handshake
-    /// deadline (one lease period) has passed; otherwise poll the
-    /// silent clients and unanswered peers again.
-    fn on_recovery_check(&mut self, now: SimTime, shard: usize, epoch: u64) {
-        let st = &self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // stale timer of an older recovery
-        }
-        if now.since(st.started) >= self.lease {
-            self.finish_recovery(now, shard);
-            return;
-        }
-        self.send_commit_queries(shard, true);
-        self.broadcast_reregister(shard, true);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// One client's re-registration report arrived during the handshake:
-    /// record liveness, cross-validate its claims against the durable
-    /// grant history, and close the handshake once every client has
-    /// answered. Duplicated reports (lossy link) are absorbed by the
-    /// per-epoch `reregistered` flag, making re-delivery idempotent.
-    #[allow(clippy::too_many_arguments)] // the report's fields, unpacked
-    fn on_reregister(
-        &mut self,
-        now: SimTime,
-        shard: usize,
-        client: ClientId,
-        epoch: u64,
-        txn: Option<TxnId>,
-        held: &[(ItemId, LockMode)],
-        pending: Option<&PendingCommit>,
-    ) {
-        let st = &mut self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // late report of an older recovery
-        }
-        if st.reregistered[client.index()] {
-            return; // duplicated report: absorbed
-        }
-        st.reregistered[client.index()] = true;
-        self.fsum.reregistrations += 1;
-        self.trace
-            .record(now, TraceKind::Reregister, txn, None, client.into());
-        // Reports corroborate the durable grant history (restoration
-        // itself works off the log, so a crashed client's
-        // committed-but-unreleased locks are restored even without a
-        // report): every claim a live client re-reports for a still-live
-        // transaction must have been durably granted before the crash.
-        if cfg!(debug_assertions) {
-            let img = self.fault_state[shard]
-                .image
-                .as_ref()
-                // lint:allow(L3): the image exists for the whole handshake
-                .expect("recovery image");
-            if let Some(t) = txn {
-                if self.table.status(t) == TxnStatus::Active {
-                    for &(item, _) in held {
-                        debug_assert!(
-                            img.was_granted(t, item)
-                                || self.locks[shard].mode_of(t, item).is_some(),
-                            "{client} re-reported a grant the log never saw: {t} {item}"
-                        );
-                    }
-                }
-            }
-            if let Some((t, writes, _)) = pending {
-                if !img.is_committed(*t) && !img.prepared.contains_key(t) {
-                    for &(item, _) in writes {
-                        debug_assert!(
-                            img.was_granted(*t, item),
-                            "{client} re-reported an unlogged pending write: {t} {item}"
-                        );
-                    }
-                }
-            }
-        }
-        if self.fault_state[shard].reregistered.iter().all(|&r| r) {
-            self.finish_recovery(now, shard);
-        }
-    }
-
-    /// Close shard `shard`'s re-registration handshake: resolve any
-    /// still-in-doubt prepared votes through the commit oracle (the
-    /// coordinator's decision record, which the surviving peers answer
-    /// queries from), restore every outstanding durable grant whose
-    /// owner still needs it, resume normal service, then abort the
-    /// active transactions of clients that never answered (presumed
-    /// dead).
+    /// Close shard `shard`'s re-registration handshake: settle the
+    /// in-doubt votes from the commit oracle, restore every outstanding
+    /// durable grant whose owner still needs it, resume normal service,
+    /// then abort the active transactions of clients that never answered
+    /// (presumed dead).
     fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].recovering);
-        // In-doubt votes first, so the grants loop below sees the final
-        // applied bits. Per presumed abort, a vote is resolved only on
-        // positive evidence: a still-Active owner keeps its vote in
-        // doubt — either it answered the handshake (its grants are
-        // restored below and it will decide normally) or it stayed
-        // silent and is aborted as a victim below, retiring the vote.
-        let unresolved: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for txn in unresolved {
-            match self.table.status(txn) {
-                TxnStatus::Committed => self.resolve_indoubt_commit(now, shard, txn),
-                TxnStatus::Aborting | TxnStatus::Aborted => {
-                    self.resolve_indoubt_abort(shard, txn);
-                }
-                TxnStatus::Active => {}
-            }
+        for txn in self.rec.settle_in_doubt(shard, &self.table) {
+            self.resolve_indoubt_commit(now, shard, txn);
         }
-        let img = self.fault_state[shard]
-            .image
-            .take()
-            // lint:allow(L3): the image exists for the whole handshake
-            .expect("recovery image");
-        let mut silent_victims = Vec::new();
-        for (&txn, items) in &img.grants {
-            let client = self.table.info(txn).client;
-            match self.table.status(txn) {
-                // An active owner that answered gets its locks back
-                // exactly as granted; a silent one is presumed dead and
-                // aborted below (its slots are simply never restored).
-                TxnStatus::Active => {
-                    if self.fault_state[shard].reregistered[client.index()] {
-                        self.restore_grants(txn, items);
-                        self.touch(now, txn);
-                    } else {
-                        silent_victims.push(txn);
-                    }
-                }
-                // Committed at the client but not applied here: the
-                // commit-release is being retransmitted and must still
-                // find the pre-crash locks in place, or a competing
-                // writer could slip in under it and break the version
-                // chain the acknowledged commit depends on.
-                TxnStatus::Committed => {
-                    if !self.applied_at(txn, shard) {
-                        self.restore_grants(txn, items);
-                        self.touch(now, txn);
-                    }
-                }
-                // Released (and logged) before the crash; replay folded
-                // those grants away already.
-                TxnStatus::Aborting | TxnStatus::Aborted => {}
-            }
-        }
-        self.fault_state[shard].recovering = false;
+        let silent = self.rec.restore_grants(
+            now,
+            shard,
+            &self.table,
+            &mut self.locks[shard],
+            &mut self.cal,
+        );
+        self.rec.reopen(shard);
         self.trace.record(
             now,
             TraceKind::ServerRecovered,
@@ -1272,28 +901,26 @@ impl S2plEngine {
             None,
             SiteId::server(shard as u32),
         );
-        for txn in silent_victims {
+        for txn in silent {
             self.abort_victim(now, txn);
         }
     }
 
     /// Positive commit evidence arrived for an in-doubt prepared vote at
-    /// shard `shard`: apply the prepared write slice exactly as the lost
-    /// commit-release would have (durably, write-ahead of everything),
-    /// release the transaction's locks here and retire the vote.
+    /// shard `shard`: install the prepared write slice exactly as the lost
+    /// commit-release would have, and release the transaction's locks.
     fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        let Some(pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return;
-        };
-        let committer = self.table.info(txn).client;
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-        slog.append(ServerRecord::Committed { txn });
-        for &(item, version) in &pimg.writes {
-            slog.append(ServerRecord::Permanent { item, version });
+        if let Some(writes) = self.rec.commit_in_doubt(now, shard, txn, &mut self.trace) {
+            self.install(txn, writes);
+            self.release_at(now, shard, txn);
         }
-        slog.append(ServerRecord::Released { txn });
-        for (item, version) in pimg.writes {
+    }
+
+    /// Install `txn`'s written versions at their home shard and mark them
+    /// permanent in the committer's WAL.
+    fn install(&mut self, txn: TxnId, writes: Vec<(ItemId, Version)>) {
+        let committer = self.table.info(txn).client;
+        for (item, version) in writes {
             debug_assert_eq!(
                 version,
                 self.versions[item.index()] + 1,
@@ -1304,102 +931,28 @@ impl S2plEngine {
                 wal[committer.index()].mark_permanent(txn, item);
             }
         }
-        self.mark_applied(txn, shard);
-        self.clear_prepared(txn, shard);
-        self.trace.record(
-            now,
-            TraceKind::CommitApplied,
-            Some(txn),
-            None,
-            SiteId::server(shard as u32),
-        );
-        let woken = self.locks[shard].release_all(txn);
-        for (item, t, _) in woken {
+    }
+
+    /// Release every lock `txn` holds at shard `shard`, shipping the
+    /// grants it wakes.
+    fn release_at(&mut self, now: SimTime, shard: usize, txn: TxnId) {
+        for (item, t, _) in self.locks[shard].release_all(txn) {
             let c = self.table.info(t).client;
             self.send_grant(now, c, t, item);
         }
     }
 
-    /// Positive abort evidence arrived for an in-doubt prepared vote at
-    /// shard `shard`: retire the vote durably and release whatever the
-    /// victim held here. The abort itself was already decided (and
-    /// traced) elsewhere.
-    fn resolve_indoubt_abort(&mut self, shard: usize, txn: TxnId) {
-        let Some(_pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return;
-        };
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        self.slog.as_mut().expect("server log enabled")[shard]
-            .append(ServerRecord::Released { txn });
-        self.clear_prepared(txn, shard);
-        // No grants can be waiting behind the victim here: the shard's
-        // lock table was rebuilt at restart and the victim's locks are
-        // only restored after the in-doubt pass.
-        let woken = self.locks[shard].release_all(txn);
-        debug_assert!(woken.is_empty());
-    }
-
-    /// Re-insert `txn`'s durably recorded grants into the fresh lock
-    /// table of the owning shard. Pre-crash holders coexisted, so every
-    /// re-acquisition must succeed immediately.
-    fn restore_grants(&mut self, txn: TxnId, items: &BTreeMap<ItemId, bool>) {
-        for (&item, &exclusive) in items {
-            let mode = if exclusive {
-                LockMode::Exclusive
-            } else {
-                LockMode::Shared
-            };
-            let shard = self.cfg.shard_of(item) as usize;
-            let outcome = self.locks[shard].acquire(txn, item, mode);
-            debug_assert!(
-                matches!(outcome, AcquireOutcome::Granted),
-                "restored grants conflict: {txn} {item}"
-            );
-            let _ = outcome;
-        }
-    }
-
-    /// Record that shard `shard` has applied `txn`'s commit slice.
-    fn mark_applied(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.applied.len() <= i {
-            self.applied.resize(i + 1, 0);
-        }
-        self.applied[i] |= 1u64 << shard;
-    }
-
-    /// Whether shard `shard` has applied `txn`'s commit slice. Each
-    /// shard's bit mirrors its durable applied set and survives crashes
-    /// via log replay.
-    fn applied_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.applied
-            .get(txn.index())
-            .is_some_and(|m| m & (1u64 << shard) != 0)
-    }
-
-    /// Record that shard `shard` holds a durable prepared vote for `txn`.
-    fn mark_prepared(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.prepared.len() <= i {
-            self.prepared.resize(i + 1, 0);
-        }
-        self.prepared[i] |= 1u64 << shard;
-    }
-
-    /// Whether shard `shard` holds a durable, unretired prepared vote
-    /// for `txn`.
-    fn prepared_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.prepared
-            .get(txn.index())
-            .is_some_and(|m| m & (1u64 << shard) != 0)
-    }
-
-    /// Retire shard `shard`'s prepared vote for `txn` (its log holds the
-    /// retiring record).
-    fn clear_prepared(&mut self, txn: TxnId, shard: usize) {
-        if let Some(m) = self.prepared.get_mut(txn.index()) {
-            *m &= !(1u64 << shard);
-        }
+    /// Tell `txn`'s client, from shard `from`, that it was aborted.
+    fn send_abort_notice(&mut self, from: usize, txn: TxnId) {
+        let client = self.table.info(txn).client;
+        self.net.send(
+            &mut self.cal,
+            SiteId::server(from as u32),
+            client.into(),
+            "s2pl.abort_notice",
+            CTRL_BYTES,
+            Message::SAbortNotice { txn },
+        );
     }
 
     // ---- server side ----
@@ -1419,23 +972,16 @@ impl S2plEngine {
                 );
                 match self.table.status(txn) {
                     TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on => {
+                    TxnStatus::Aborting | TxnStatus::Aborted if self.rec.faults_on => {
                         // A retried request from a victim whose abort
                         // notice may have been lost: answer it again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "s2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::SAbortNotice { txn },
-                        );
+                        self.send_abort_notice(shard, txn);
                         return;
                     }
                     _ => return, // stale request of a finished transaction
                 }
-                if self.faults_on {
-                    self.touch(now, txn);
+                if self.rec.faults_on {
+                    self.rec.touch(now, txn, &mut self.cal);
                     if self.locks[shard].mode_of(txn, item).is_some() {
                         // Duplicate of an already-granted request (the
                         // grant or the original request was lost or
@@ -1458,109 +1004,42 @@ impl S2plEngine {
                 writes,
                 involved,
             } => {
-                let client = self.table.info(txn).client;
-                match self.table.status(txn) {
-                    TxnStatus::Aborting | TxnStatus::Aborted => {
-                        // The abort won the race with the voting round:
-                        // answer the (possibly lost) notice again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "s2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::SAbortNotice { txn },
-                        );
-                    }
-                    // Decision already made: this is a stale duplicate of
-                    // a consumed vote — re-ack without logging anything.
-                    TxnStatus::Committed => {
-                        self.send_prepare_ack(shard, client, txn);
-                    }
-                    TxnStatus::Active => {
-                        self.touch(now, txn);
-                        if self.prepared_at(txn, shard) {
-                            // Duplicate prepare (the ack was lost): the
-                            // vote is already durable, just re-ack it.
-                            self.send_prepare_ack(shard, client, txn);
-                            return;
-                        }
-                        // Write-ahead: the yes vote — write slice and
-                        // involved mask — is durable before the ack
-                        // leaves the shard.
-                        // lint:allow(L3): prepares are only sent when srv_faults_on
-                        self.slog.as_mut().expect("server log enabled")[shard].append(
-                            ServerRecord::Prepared {
-                                txn,
-                                writes,
-                                involved,
-                            },
-                        );
-                        self.mark_prepared(txn, shard);
-                        self.trace.record(
-                            now,
-                            TraceKind::Prepared,
-                            Some(txn),
-                            None,
-                            SiteId::server(shard as u32),
-                        );
-                        self.send_prepare_ack(shard, client, txn);
-                    }
+                if self.table.status(txn) == TxnStatus::Active {
+                    self.rec.touch(now, txn, &mut self.cal);
+                }
+                let voted = self.rec.on_prepare(
+                    now,
+                    shard,
+                    txn,
+                    writes,
+                    involved,
+                    &self.table,
+                    &mut self.net,
+                    &mut self.cal,
+                    &mut self.trace,
+                );
+                if !voted {
+                    // The abort won the race with the voting round:
+                    // answer the (possibly lost) notice again.
+                    self.send_abort_notice(shard, txn);
                 }
             }
             Message::SCommit { txn, writes, .. } => {
                 let committer = self.table.info(txn).client;
-                if self.faults_on {
+                if self.rec.faults_on {
                     // Duplicate commit-release slice (already applied at
                     // this shard): the ack was lost, so just acknowledge
                     // again. Each shard's bit of the applied set is
                     // durable — it survives crashes via log replay.
-                    if self.applied_at(txn, shard) {
+                    if self.rec.applied_at(txn, shard) {
                         self.send_commit_ack(shard, committer, txn);
                         return;
                     }
-                    if let Some(l) = self.leased.get_mut(txn.index()) {
-                        *l = false;
-                    }
+                    self.rec.end_lease(txn);
                 }
-                self.mark_applied(txn, shard);
-                if self.srv_faults_on {
-                    // Write-ahead: the applied commit slice, its installed
-                    // versions, and the release are durable before the
-                    // ack leaves the shard. The `Released` record also
-                    // retires any prepared vote this shard held.
-                    // lint:allow(L3): the log exists whenever srv_faults_on
-                    let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                    slog.append(ServerRecord::Committed { txn });
-                    for &(item, version) in &writes {
-                        slog.append(ServerRecord::Permanent { item, version });
-                    }
-                    slog.append(ServerRecord::Released { txn });
-                }
-                for (item, version) in writes {
-                    debug_assert_eq!(
-                        version,
-                        self.versions[item.index()] + 1,
-                        "write version chain broken for {item}"
-                    );
-                    self.versions[item.index()] = version;
-                    if let Some(wal) = &mut self.wal {
-                        wal[committer.index()].mark_permanent(txn, item);
-                    }
-                }
-                if self.prepared_at(txn, shard) {
-                    // Phase 2 of a prepared multi-home commit landed:
-                    // the vote is consumed and the slice applied.
-                    self.clear_prepared(txn, shard);
-                    self.fault_state[shard].in_doubt.remove(&txn);
-                    self.trace.record(
-                        now,
-                        TraceKind::CommitApplied,
-                        Some(txn),
-                        None,
-                        SiteId::server(shard as u32),
-                    );
-                }
+                self.rec
+                    .apply_commit(now, shard, txn, &writes, &mut self.trace);
+                self.install(txn, writes);
                 self.trace.record(
                     now,
                     TraceKind::ReleasedAtServer,
@@ -1569,12 +1048,8 @@ impl S2plEngine {
                     SiteId::server(shard as u32),
                 );
                 self.spans.release_arrived(now, txn, true);
-                let woken = self.locks[shard].release_all(txn);
-                for (item, t, _) in woken {
-                    let c = self.table.info(t).client;
-                    self.send_grant(now, c, t, item);
-                }
-                if self.faults_on {
+                self.release_at(now, shard, txn);
+                if self.rec.faults_on {
                     self.send_commit_ack(shard, committer, txn);
                 }
             }
@@ -1585,74 +1060,36 @@ impl S2plEngine {
                 held,
                 pending,
                 cached: _,
-            } => self.on_reregister(now, shard, client, epoch, txn, &held, pending.as_ref()),
+            } => {
+                if self
+                    .rec
+                    .reregistered(now, shard, client, epoch, txn, &mut self.trace)
+                {
+                    let pending = pending.as_ref();
+                    self.rec
+                        .check_lock_report(shard, &self.table, client, txn, &held, pending);
+                    if self.rec.all_answered(shard) {
+                        self.finish_recovery(now, shard);
+                    }
+                }
+            }
             Message::CommitQuery {
+                txn, from_shard, ..
+            } => self.rec.answer_commit_query(
+                shard,
                 txn,
                 from_shard,
-                epoch: _,
-            } => {
-                // Answer from the commit oracle — the shared transaction
-                // table stands in for the coordinator's durable decision
-                // record, which this surviving shard can consult. An
-                // Active transaction has no outcome yet: answer "unknown"
-                // and let the asker keep its vote in doubt (presumed
-                // abort never guesses).
-                let committed = match self.table.status(txn) {
-                    TxnStatus::Committed => Some(true),
-                    TxnStatus::Aborting | TxnStatus::Aborted => Some(false),
-                    TxnStatus::Active => None,
-                };
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(from_shard),
-                    "s2pl.commit_verdict",
-                    CTRL_BYTES,
-                    Message::CommitVerdict { txn, committed },
-                );
-            }
+                &self.table,
+                &mut self.net,
+                &mut self.cal,
+            ),
             Message::CommitVerdict { txn, committed } => {
-                if !self.fault_state[shard].in_doubt.contains_key(&txn) {
-                    return; // already resolved (or never in doubt here)
-                }
-                match committed {
-                    Some(true) => self.resolve_indoubt_commit(now, shard, txn),
-                    Some(false) => self.resolve_indoubt_abort(shard, txn),
-                    None => {} // keep the vote in doubt and ask again
+                if self.rec.on_commit_verdict(shard, txn, committed) {
+                    self.resolve_indoubt_commit(now, shard, txn);
                 }
             }
             other => unreachable!("s-2PL server cannot receive {other:?}"),
         }
-    }
-
-    /// Record server-observed activity for `txn` and arm its lease on
-    /// first contact. Called only under an active fault plan.
-    fn touch(&mut self, now: SimTime, txn: TxnId) {
-        let i = txn.index();
-        if self.last_activity.len() <= i {
-            self.last_activity.resize(i + 1, SimTime::ZERO);
-            self.leased.resize(i + 1, false);
-        }
-        self.last_activity[i] = now;
-        if !self.leased[i] {
-            self.leased[i] = true;
-            self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
-        }
-    }
-
-    /// Acknowledge a durable prepared vote (two-phase commitment only).
-    fn send_prepare_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "s2pl.prepare_ack",
-            CTRL_BYTES,
-            Message::PrepareAck {
-                txn,
-                shard: shard as u32,
-            },
-        );
     }
 
     /// Acknowledge a processed commit-release slice (faults only).
@@ -1670,62 +1107,19 @@ impl S2plEngine {
         );
     }
 
-    /// The server-side transaction lease fired: a transaction that holds
-    /// server resources but showed no activity for a full lease period is
-    /// presumed dead and aborted, releasing its locks for the survivors.
-    /// A committed transaction is never aborted — its commit-release is
-    /// being retransmitted and will land — and recent activity simply
-    /// re-arms the lease for the remainder.
-    fn on_txn_lease(&mut self, now: SimTime, txn: TxnId) {
-        if !self.leased.get(txn.index()).copied().unwrap_or(false) {
-            return; // resolved since arming
-        }
-        let idle_for = now.since(self.last_activity[txn.index()]);
-        if idle_for < self.lease {
-            self.cal
-                .schedule_in(self.lease.since(idle_for), Ev::TxnLease { txn });
-            return;
-        }
-        match self.table.status(txn) {
-            TxnStatus::Committed => {
-                self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
-            }
-            TxnStatus::Active => {
-                self.fsum.lease_expiries += 1;
-                self.fsum.recovery_stall += idle_for.as_f64();
-                self.trace.record(
-                    now,
-                    TraceKind::LeaseExpired,
-                    Some(txn),
-                    None,
-                    SiteId::SERVER0,
-                );
-                self.abort_victim(now, txn);
-                self.fsum.redispatches += 1;
-                self.trace
-                    .record(now, TraceKind::Redispatch, Some(txn), None, SiteId::SERVER0);
-            }
-            TxnStatus::Aborting | TxnStatus::Aborted => {
-                self.leased[txn.index()] = false;
-            }
-        }
-    }
-
     fn send_grant(&mut self, now: SimTime, client: ClientId, txn: TxnId, item: ItemId) {
         let shard = self.cfg.shard_of(item) as usize;
-        if self.srv_faults_on {
+        if let Some(slog) = self.rec.slog.get_mut(shard) {
             // Write-ahead: the grant is durable before it leaves.
             let exclusive = matches!(
                 self.locks[shard].mode_of(txn, item),
                 Some(LockMode::Exclusive)
             );
-            if let Some(slogs) = &mut self.slog {
-                slogs[shard].append(ServerRecord::Grant {
-                    txn,
-                    item,
-                    exclusive,
-                });
-            }
+            slog.append(ServerRecord::Grant {
+                txn,
+                item,
+                exclusive,
+            });
         }
         self.trace.record(
             now,
@@ -1789,28 +1183,7 @@ impl S2plEngine {
     fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
         debug_assert_eq!(self.table.status(victim), TxnStatus::Active);
         self.table.set_status(victim, TxnStatus::Aborting);
-        if self.srv_faults_on {
-            // The victim's grants and any prepared votes die with it;
-            // compaction may fold them. A crashed shard cannot log the
-            // release — it learns the outcome at restart through its
-            // commit queries instead.
-            if let Some(slogs) = &mut self.slog {
-                for (s, slog) in slogs.iter_mut().enumerate() {
-                    if !self.fault_state[s].down {
-                        slog.append(ServerRecord::Released { txn: victim });
-                    }
-                }
-            }
-            if let Some(m) = self.prepared.get_mut(victim.index()) {
-                *m = 0;
-            }
-            for st in &mut self.fault_state {
-                st.in_doubt.remove(&victim);
-            }
-        }
-        if let Some(l) = self.leased.get_mut(victim.index()) {
-            *l = false;
-        }
+        self.rec.retire_victim(victim);
         // The shards own the authoritative copies, so the victim's locks
         // are released immediately on every shard (in ascending shard
         // order); the client only learns of the abort one latency later.
@@ -1822,15 +1195,7 @@ impl S2plEngine {
             let c = self.table.info(t).client;
             self.send_grant(now, c, t, item);
         }
-        let client = self.table.info(victim).client;
-        self.net.send(
-            &mut self.cal,
-            SiteId::SERVER0,
-            client.into(),
-            "s2pl.abort_notice",
-            CTRL_BYTES,
-            Message::SAbortNotice { txn: victim },
-        );
+        self.send_abort_notice(0, victim);
     }
 }
 

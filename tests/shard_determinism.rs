@@ -4,9 +4,10 @@
 //! guarantees: conflict-serializable committed histories, a clean trace
 //! (P1–P9), drain to quiescence, and bit-determinism under a fixed
 //! seed. A one-shard item space must stay *byte-identical* to the
-//! pre-sharding engine (verified against the committed PR 7 fig2
-//! fixture), so the directory-sharding refactor is provably
-//! behavior-preserving for every figure that predates it.
+//! pre-sharding engine (the committed fig2 fixture), and the fault
+//! figures must stay byte-identical to their committed fixtures, so
+//! refactors of the engines and their recovery code are provably
+//! behavior-preserving.
 
 use g2pl_core::prelude::*;
 
@@ -168,24 +169,53 @@ fn fig_scale_builds_bit_identical_figure_data() {
     assert!(a.series.iter().all(|s| s.points.len() == 3));
 }
 
+/// Committed smoke-scale outputs, generated before the refactors they
+/// guard: `(figure id, csv, tail csv)`.
+const FIXTURES: [(&str, &str, &str); 4] = [
+    (
+        "fig2",
+        include_str!("data/fig2_smoke.csv"),
+        include_str!("data/fig2_tail_smoke.csv"),
+    ),
+    (
+        "fig_faults",
+        include_str!("data/fig_faults_smoke.csv"),
+        include_str!("data/fig_faults_tail_smoke.csv"),
+    ),
+    (
+        "fig_server_faults",
+        include_str!("data/fig_server_faults_smoke.csv"),
+        include_str!("data/fig_server_faults_tail_smoke.csv"),
+    ),
+    (
+        "fig_shard_faults",
+        include_str!("data/fig_shard_faults_smoke.csv"),
+        include_str!("data/fig_shard_faults_tail_smoke.csv"),
+    ),
+];
+
 #[test]
-fn one_shard_fig2_matches_pr7_fixture_byte_for_byte() {
-    // The committed fixture was generated at PR 7 HEAD, before the
-    // sharding refactor; regenerating it through today's engines must
-    // reproduce it exactly.
-    let fig = experiments::figure("fig2")
-        .expect("fig2 exists")
-        .build(Scale::Smoke);
-    let csv = fig.to_csv();
-    let fixture = include_str!("data/fig2_smoke_pr7.csv");
-    assert_eq!(
-        csv, fixture,
-        "1-shard fig2 CSV diverged from the PR 7 baseline"
-    );
-    let tail = fig.to_tail_csv().expect("fig2 has tail data");
-    let tail_fixture = include_str!("data/fig2_tail_smoke_pr7.csv");
-    assert_eq!(
-        tail, tail_fixture,
-        "1-shard fig2 tail CSV diverged from the PR 7 baseline"
-    );
+fn smoke_figures_match_committed_fixtures_byte_for_byte() {
+    // fig2 pins the one-shard engines to their pre-sharding output; the
+    // fault figures pin message loss, client and server crash recovery,
+    // client retry and presumed-abort 2PC across shard fault domains.
+    // Regenerating any of them through today's engines must reproduce
+    // the fixture exactly.
+    for (id, csv_fixture, tail_fixture) in FIXTURES {
+        let fig = experiments::figure(id)
+            .unwrap_or_else(|| panic!("{id} is registered"))
+            .build(Scale::Smoke);
+        assert_eq!(
+            fig.to_csv(),
+            csv_fixture,
+            "{id} CSV diverged from its fixture"
+        );
+        let tail = fig
+            .to_tail_csv()
+            .unwrap_or_else(|| panic!("{id} has tail data"));
+        assert_eq!(
+            tail, tail_fixture,
+            "{id} tail CSV diverged from its fixture"
+        );
+    }
 }

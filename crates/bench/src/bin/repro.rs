@@ -7,7 +7,7 @@
 //! artifacts: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //!            fig10 fig11 fig12 fig13 fig14 fig15 headline all bench
 //!            fig_faults fig_faults_aborts fig_server_faults fig_tail
-//!            fig_scale scale-bench list
+//!            fig_scale scale-bench list scorecard ext
 //! ```
 //!
 //! Figures are dispatched from the declarative registry
@@ -44,8 +44,7 @@
 //! committed engine-cell throughput for comparison.
 
 use g2pl_bench::harness;
-use g2pl_core::experiments::{self, Scale};
-use g2pl_core::extensions;
+use g2pl_core::experiments::{self, FigureSpec, Scale, Sweep};
 use g2pl_core::figure::FigureData;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -55,22 +54,6 @@ const ALL: [&str; 18] = [
     "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "headline",
 ];
 
-/// Extension studies beyond the paper's figures (see
-/// `g2pl_core::extensions`). Included in `ext` but not in `all`, which
-/// regenerates exactly the paper.
-const EXTS: [&str; 10] = [
-    "ext-protocols",
-    "ext-skew",
-    "ext-bandwidth",
-    "ext-abort-effect",
-    "ext-window-hold",
-    "ext-ordering",
-    "ext-victims",
-    "ext-read-expansion",
-    "ext-log-retention",
-    "ext-server-cpu",
-];
-
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale smoke|default|full] [--out DIR] [--trace-out DIR] \
@@ -78,7 +61,8 @@ fn usage() -> ! {
          artifacts: {} all\n\
          fault studies: fig_faults fig_faults_aborts fig_server_faults\n\
          tail study: fig_tail (p99/p999 vs load, all three engines)\n\
-         extensions: {} ext scorecard bench; `list` prints the figure registry\n\
+         extensions: ext (every extension study) scorecard bench; `list` prints the figure \
+         registry\n\
          verification of every data point is on by default; --no-verify skips it\n\
          --trace-out DIR dumps replication 0 of each point as a JSONL span \
          trace for trace-explain\n\
@@ -88,8 +72,7 @@ fn usage() -> ! {
          scale-bench runs one big sharded PDES cell, writes --bench-out \
          (default results/scale_datapoint.json); --baseline FILE adds the \
          engine-cell throughput comparison",
-        ALL.join(" "),
-        EXTS.join(" ")
+        ALL.join(" ")
     );
     std::process::exit(2);
 }
@@ -117,20 +100,136 @@ fn emit_figure(fig: &FigureData, out_dir: &Option<PathBuf>) {
     }
 }
 
+/// What the non-figure artifacts run with.
+struct Opts {
+    scale: Scale,
+    bench_out: Option<PathBuf>,
+    baseline: Option<PathBuf>,
+}
+
+/// Runs one non-figure artifact; false when its gate failed.
+type Handler = fn(&Opts) -> bool;
+
+/// The artifacts that are not registry figures, with their handlers. The
+/// parser accepts exactly these names plus the registry ids, and the
+/// dispatch runs what the parser resolved, so every accepted name has a
+/// handler.
+const COMMANDS: [(&str, Handler); 8] = [
+    ("table1", |_| {
+        println!("{}", experiments::table1());
+        true
+    }),
+    ("table2", |_| {
+        println!("{}", experiments::table2());
+        true
+    }),
+    ("fig1", |_| {
+        println!("{}", experiments::fig1());
+        true
+    }),
+    ("headline", |o| {
+        println!("{}", experiments::headline(o.scale));
+        true
+    }),
+    ("list", |_| {
+        print!("{}", experiments::list_figures());
+        true
+    }),
+    ("scorecard", |o| {
+        println!("{}", g2pl_core::scorecard::run_scorecard(o.scale));
+        true
+    }),
+    ("bench", bench),
+    ("scale-bench", scale_bench),
+];
+
+/// A resolved artifact.
+enum Artifact {
+    Command(Handler),
+    Figure(&'static FigureSpec),
+}
+
+/// The handler of artifact `name`, if it names one.
+fn artifact(name: &str) -> Option<Artifact> {
+    COMMANDS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, run)| Artifact::Command(run))
+        .or_else(|| experiments::figure(name).map(Artifact::Figure))
+}
+
+/// `repro bench`: run the measurement harness, write its report, and gate
+/// it against `--baseline`.
+fn bench(o: &Opts) -> bool {
+    let report = harness::run_bench(o.scale);
+    println!("{}", report.render());
+    let path = o
+        .bench_out
+        .clone()
+        .unwrap_or_else(|| PathBuf::from("BENCH_pr7.json"));
+    // lint:allow(L3): CLI fails fast when the bench report cannot be written
+    std::fs::write(&path, report.to_json()).expect("write bench report");
+    eprintln!("wrote {}", path.display());
+    let Some(base) = &o.baseline else { return true };
+    // lint:allow(L3): CLI fails fast when the --baseline file is unreadable
+    let text = std::fs::read_to_string(base).expect("read bench baseline");
+    match harness::regression_vs(&text, &report, 0.30) {
+        Err(msg) => {
+            eprintln!("bench: {msg}");
+            false
+        }
+        Ok(()) => {
+            eprintln!("bench: within 30% of baseline {}", base.display());
+            true
+        }
+    }
+}
+
+/// `repro scale-bench`: run one big sharded PDES cell and write its
+/// datapoint.
+fn scale_bench(o: &Opts) -> bool {
+    let (clients, shards) = harness::scale_bench_size(o.scale);
+    let baseline_text = o
+        .baseline
+        .as_deref()
+        .or(Some(std::path::Path::new("BENCH_pr7.json")))
+        .and_then(|p| std::fs::read_to_string(p).ok());
+    let (md, json) = harness::run_scale_bench(o.scale, clients, shards, baseline_text.as_deref());
+    println!("{md}");
+    let path = o
+        .bench_out
+        .clone()
+        .unwrap_or_else(|| PathBuf::from("results/scale_datapoint.json"));
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        // lint:allow(L3): CLI fails fast when the output directory cannot be created
+        std::fs::create_dir_all(dir).expect("create output directory");
+    }
+    // lint:allow(L3): CLI fails fast when the datapoint cannot be written
+    std::fs::write(&path, json).expect("write scale datapoint");
+    eprintln!("wrote {}", path.display());
+    true
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Default;
+    let mut opts = Opts {
+        scale: Scale::Default,
+        bench_out: None,
+        baseline: None,
+    };
     let mut out_dir: Option<PathBuf> = None;
-    let mut bench_out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut artifacts: Vec<String> = Vec::new();
+    let mut artifacts: Vec<(String, Artifact)> = Vec::new();
+    let mut push = |name: &str| {
+        let a = artifact(name).unwrap_or_else(|| usage());
+        artifacts.push((name.to_string(), a));
+    };
 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                scale = match args.get(i).map(String::as_str) {
+                opts.scale = match args.get(i).map(String::as_str) {
                     Some("smoke") => Scale::Smoke,
                     Some("default") => Scale::Default,
                     Some("full") => Scale::Full,
@@ -152,22 +251,18 @@ fn main() {
             "--verify" | "--verify=on" => g2pl_core::set_verify(true),
             "--bench-out" => {
                 i += 1;
-                bench_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
+                opts.bench_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
             }
             "--baseline" => {
                 i += 1;
-                baseline = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
+                opts.baseline = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
             }
-            "all" => artifacts.extend(ALL.iter().map(std::string::ToString::to_string)),
-            "ext" => artifacts.extend(EXTS.iter().map(std::string::ToString::to_string)),
-            "scorecard" => artifacts.push("scorecard".to_string()),
-            "bench" => artifacts.push("bench".to_string()),
-            "scale-bench" => artifacts.push("scale-bench".to_string()),
-            "list" => artifacts.push("list".to_string()),
-            a if ALL.contains(&a) || EXTS.contains(&a) || experiments::figure(a).is_some() => {
-                artifacts.push(a.to_string());
-            }
-            _ => usage(),
+            "all" => ALL.iter().for_each(|a| push(a)),
+            "ext" => experiments::FIGURES
+                .iter()
+                .filter(|f| matches!(f.sweep, Sweep::Study(_)))
+                .for_each(|f| push(f.id)),
+            a => push(a),
         }
         i += 1;
     }
@@ -176,81 +271,12 @@ fn main() {
     }
 
     let mut failed = false;
-    for a in &artifacts {
+    for (a, artifact) in &artifacts {
         // lint:allow(L2): host-side wall-clock self-timing of the bench run, reported to stderr
         let started = std::time::Instant::now();
-        match a.as_str() {
-            "table1" => println!("{}", experiments::table1()),
-            "table2" => println!("{}", experiments::table2()),
-            "fig1" => println!("{}", experiments::fig1()),
-            "headline" => println!("{}", experiments::headline(scale)),
-            "list" => print!("{}", experiments::list_figures()),
-            "ext-protocols" => emit_figure(&extensions::ext_protocols(scale), &out_dir),
-            "ext-skew" => emit_figure(&extensions::ext_skew(scale), &out_dir),
-            "ext-bandwidth" => emit_figure(&extensions::ext_bandwidth(scale), &out_dir),
-            "ext-abort-effect" => emit_figure(&extensions::ext_abort_effect(scale), &out_dir),
-            "ext-window-hold" => emit_figure(&extensions::ext_window_hold(scale), &out_dir),
-            "ext-ordering" => emit_figure(&extensions::ext_ordering(scale), &out_dir),
-            "ext-victims" => emit_figure(&extensions::ext_victims(scale), &out_dir),
-            "ext-read-expansion" => {
-                emit_figure(&extensions::ext_read_expansion(scale), &out_dir);
-            }
-            "ext-log-retention" => {
-                emit_figure(&extensions::ext_log_retention(scale), &out_dir);
-            }
-            "ext-server-cpu" => {
-                emit_figure(&extensions::ext_server_cpu(scale), &out_dir);
-            }
-            "scorecard" => println!("{}", g2pl_core::scorecard::run_scorecard(scale)),
-            fig if experiments::figure(fig).is_some() => {
-                // lint:allow(L3): the arm guard just looked it up
-                let spec = experiments::figure(fig).expect("guarded above");
-                emit_figure(&spec.build(scale), &out_dir);
-            }
-            "bench" => {
-                let report = harness::run_bench(scale);
-                println!("{}", report.render());
-                let path = bench_out
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("BENCH_pr7.json"));
-                // lint:allow(L3): CLI fails fast when the bench report cannot be written
-                std::fs::write(&path, report.to_json()).expect("write bench report");
-                eprintln!("wrote {}", path.display());
-                if let Some(base) = &baseline {
-                    // lint:allow(L3): CLI fails fast when the --baseline file is unreadable
-                    let text = std::fs::read_to_string(base).expect("read bench baseline");
-                    match harness::regression_vs(&text, &report, 0.30) {
-                        Some(msg) => {
-                            eprintln!("bench: {msg}");
-                            failed = true;
-                        }
-                        None => {
-                            eprintln!("bench: within 30% of baseline {}", base.display());
-                        }
-                    }
-                }
-            }
-            "scale-bench" => {
-                let (clients, shards) = harness::scale_bench_size(scale);
-                let baseline_text = baseline
-                    .as_deref()
-                    .or(Some(std::path::Path::new("BENCH_pr7.json")))
-                    .and_then(|p| std::fs::read_to_string(p).ok());
-                let (md, json) =
-                    harness::run_scale_bench(scale, clients, shards, baseline_text.as_deref());
-                println!("{md}");
-                let path = bench_out
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("results/scale_datapoint.json"));
-                if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                    // lint:allow(L3): CLI fails fast when the output directory cannot be created
-                    std::fs::create_dir_all(dir).expect("create output directory");
-                }
-                // lint:allow(L3): CLI fails fast when the datapoint cannot be written
-                std::fs::write(&path, json).expect("write scale datapoint");
-                eprintln!("wrote {}", path.display());
-            }
-            _ => unreachable!("validated above"),
+        match artifact {
+            Artifact::Command(run) => failed |= !run(&opts),
+            Artifact::Figure(spec) => emit_figure(&spec.build(opts.scale), &out_dir),
         }
         // Throughput trailer: what the engines did during this artifact
         // (the counters are drained per artifact, so each line stands
@@ -271,5 +297,40 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_documented_artifact_has_a_handler() {
+        let named = [
+            "table1",
+            "table2",
+            "fig1",
+            "headline",
+            "list",
+            "scorecard",
+            "bench",
+            "scale-bench",
+            "fig_faults",
+            "fig_faults_aborts",
+            "fig_server_faults",
+            "fig_shard_faults",
+            "fig_tail",
+            "fig_scale",
+        ];
+        for name in ALL.iter().chain(&named) {
+            assert!(artifact(name).is_some(), "`repro {name}` has no handler");
+        }
+        // Commands resolve first, so one named like a figure would hide it.
+        for (name, _) in COMMANDS {
+            assert!(
+                experiments::figure(name).is_none(),
+                "{name} is also a figure"
+            );
+        }
     }
 }

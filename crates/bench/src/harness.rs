@@ -325,26 +325,32 @@ pub fn json_number_field(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Compare against a committed baseline: `Some(message)` when aggregate
+/// Compare against a committed baseline: `Err(message)` when aggregate
 /// cell throughput fell more than `tolerance` (e.g. 0.30) below the
-/// baseline's, `None` otherwise.
-pub fn regression_vs(baseline_json: &str, report: &BenchReport, tolerance: f64) -> Option<String> {
-    let base = json_number_field(baseline_json, "cells_events_per_sec")?;
-    if base <= 0.0 {
-        return None;
-    }
+/// baseline's, or when the baseline has no positive
+/// `cells_events_per_sec` to compare against (a gate with nothing to
+/// compare must fail, not pass).
+pub fn regression_vs(
+    baseline_json: &str,
+    report: &BenchReport,
+    tolerance: f64,
+) -> Result<(), String> {
+    let base = json_number_field(baseline_json, "cells_events_per_sec")
+        .filter(|&b| b > 0.0)
+        .ok_or("baseline has no positive cells_events_per_sec")?;
     let now = report.cells_events_per_sec();
     let floor = base * (1.0 - tolerance);
-    (now < floor).then(|| {
-        format!(
+    if now < floor {
+        return Err(format!(
             "engine throughput regressed: {:.2}M events/s vs baseline {:.2}M \
              (floor at -{:.0}%: {:.2}M)",
             now / 1e6,
             base / 1e6,
             tolerance * 100.0,
             floor / 1e6
-        )
-    })
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -386,13 +392,20 @@ mod tests {
             figures: vec![],
         };
         let baseline = "{\"cells_events_per_sec\": 1000000}";
-        assert!(regression_vs(baseline, &report, 0.30).is_some(), "35% off");
+        assert!(regression_vs(baseline, &report, 0.30).is_err(), "35% off");
         let baseline = "{\"cells_events_per_sec\": 900000}";
         assert!(
-            regression_vs(baseline, &report, 0.30).is_none(),
+            regression_vs(baseline, &report, 0.30).is_ok(),
             "within tolerance"
         );
-        assert!(regression_vs("not json", &report, 0.30).is_none());
+        assert!(
+            regression_vs("not json", &report, 0.30).is_err(),
+            "an unparsable baseline fails the gate"
+        );
+        assert!(
+            regression_vs("{\"cells_events_per_sec\": 0}", &report, 0.30).is_err(),
+            "a baseline without a positive rate fails the gate"
+        );
     }
 
     #[test]

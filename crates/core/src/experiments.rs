@@ -1,7 +1,8 @@
 //! The experiment registry: every figure of the paper as data.
 //!
-//! Each chart is declared as a [`FigureSpec`] — id, caption, metric and
-//! sweep — and collected in [`FIGURES`]; [`FigureSpec::build`]
+//! Each chart is declared as a [`FigureSpec`] — id, caption and sweep
+//! (which carries the y-axis metric where the sweep offers a choice) —
+//! and collected in [`FIGURES`]; [`FigureSpec::build`]
 //! regenerates the data behind it at a chosen [`Scale`]. The `repro`
 //! binary in `g2pl-bench` lists and dispatches straight from the
 //! registry; integration tests assert the qualitative *shapes* (who
@@ -27,6 +28,7 @@
 //! | `fig_scale` | response time vs clients × shard count, PDES scale-out |
 //! | `headline` | the 20–25% response-time improvement claim |
 
+use crate::extensions;
 use crate::figure::{FigureData, Series, TailPoint, TailSeries};
 use crate::runner::run_grid;
 use g2pl_faults::FaultPlan;
@@ -338,18 +340,21 @@ pub fn fig1() -> String {
 // ---- the declarative figure registry ----
 
 /// The x-axis sweep of a registered figure, with its fixed parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub enum Sweep {
     /// Network latency over [`LATENCY_SWEEP`] at a fixed read
     /// probability, 50 clients (figs 2–4, 8–9).
     Latency {
         /// Read probability held fixed across the sweep.
         pr: f64,
+        /// Quantity plotted on the y-axis.
+        metric: Metric,
     },
-    /// Network latency over the short read-only range 1–10, pr = 1.0
-    /// (fig 10: g-2PL's unique read-only deadlocks).
+    /// Abort percentage vs network latency over the short read-only
+    /// range 1–10, pr = 1.0 (fig 10: g-2PL's unique read-only deadlocks).
     LatencyReadOnly,
-    /// Read probability over [`PR_SWEEP`] at a fixed latency (figs 5–7).
+    /// Response time vs read probability over [`PR_SWEEP`] at a fixed
+    /// latency (figs 5–7).
     ReadProb {
         /// Network latency held fixed across the sweep.
         latency: u64,
@@ -358,16 +363,22 @@ pub enum Sweep {
     Clients {
         /// Read probability held fixed across the sweep.
         pr: f64,
+        /// Quantity plotted on the y-axis.
+        metric: Metric,
     },
-    /// Forward-list length cap, read-only ss-LAN, g-2PL only (fig 11).
+    /// Abort percentage vs forward-list length cap, read-only ss-LAN,
+    /// g-2PL only (fig 11).
     FlCap,
     /// Message-loss probability over [`LOSS_SWEEP`], all three engines
     /// with the fault-injection subsystem on (`fig_faults*`).
-    LossRate,
-    /// Server outage duration over [`OUTAGE_SWEEP`], all three engines
-    /// with crash-recovery on (`fig_server_faults`): two fixed outages
-    /// per run, WAL replay plus the re-registration handshake on each
-    /// restart.
+    LossRate {
+        /// Quantity plotted on the y-axis.
+        metric: Metric,
+    },
+    /// Response time vs server outage duration over [`OUTAGE_SWEEP`], all
+    /// three engines with crash-recovery on (`fig_server_faults`): two
+    /// fixed outages per run, WAL replay plus the re-registration
+    /// handshake on each restart.
     ServerOutage,
     /// Per-shard outage duration over [`OUTAGE_SWEEP`], one s-2PL series
     /// per shard count in [`SHARD_FAULT_SHARDS`] (`fig_shard_faults`).
@@ -390,18 +401,20 @@ pub enum Sweep {
     /// and verifies quiescence. One series per shard count; tail rows
     /// come from the merged per-LP sketches.
     ScaleOut,
+    /// An extension study beyond the paper's figures: the function in
+    /// [`crate::extensions`] that regenerates it, with its own sweep and
+    /// y-axis (`repro ext` runs every one).
+    Study(fn(Scale) -> FigureData),
 }
 
-/// One registered figure: id, caption material, metric and sweep. The
-/// whole chart is data — [`FigureSpec::build`] interprets it.
+/// One registered figure: id, caption material and sweep. The whole
+/// chart is data — [`FigureSpec::build`] interprets it.
 #[derive(Clone, Copy, Debug)]
 pub struct FigureSpec {
     /// Artifact id, e.g. `"fig2"` (what `repro <id>` dispatches on).
     pub id: &'static str,
     /// One-line summary shown by `repro list`.
     pub blurb: &'static str,
-    /// Quantity plotted on the y-axis.
-    pub metric: Metric,
     /// X-axis sweep and its fixed parameters.
     pub sweep: Sweep,
 }
@@ -412,122 +425,183 @@ pub static FIGURES: &[FigureSpec] = &[
     FigureSpec {
         id: "fig2",
         blurb: "response time vs latency, write-only (pr=0.0)",
-        metric: Metric::Response,
-        sweep: Sweep::Latency { pr: 0.0 },
+        sweep: Sweep::Latency {
+            pr: 0.0,
+            metric: Metric::Response,
+        },
     },
     FigureSpec {
         id: "fig3",
         blurb: "response time vs latency, mixed (pr=0.6)",
-        metric: Metric::Response,
-        sweep: Sweep::Latency { pr: 0.6 },
+        sweep: Sweep::Latency {
+            pr: 0.6,
+            metric: Metric::Response,
+        },
     },
     FigureSpec {
         id: "fig4",
         blurb: "response time vs latency, read-only (pr=1.0)",
-        metric: Metric::Response,
-        sweep: Sweep::Latency { pr: 1.0 },
+        sweep: Sweep::Latency {
+            pr: 1.0,
+            metric: Metric::Response,
+        },
     },
     FigureSpec {
         id: "fig5",
         blurb: "response time vs read probability, ss-LAN (latency 1)",
-        metric: Metric::Response,
         sweep: Sweep::ReadProb { latency: 1 },
     },
     FigureSpec {
         id: "fig6",
         blurb: "response time vs read probability, MAN (latency 250)",
-        metric: Metric::Response,
         sweep: Sweep::ReadProb { latency: 250 },
     },
     FigureSpec {
         id: "fig7",
         blurb: "response time vs read probability, l-WAN (latency 750)",
-        metric: Metric::Response,
         sweep: Sweep::ReadProb { latency: 750 },
     },
     FigureSpec {
         id: "fig8",
         blurb: "abort % vs latency, pr=0.6",
-        metric: Metric::AbortPct,
-        sweep: Sweep::Latency { pr: 0.6 },
+        sweep: Sweep::Latency {
+            pr: 0.6,
+            metric: Metric::AbortPct,
+        },
     },
     FigureSpec {
         id: "fig9",
         blurb: "abort % vs latency, pr=0.8",
-        metric: Metric::AbortPct,
-        sweep: Sweep::Latency { pr: 0.8 },
+        sweep: Sweep::Latency {
+            pr: 0.8,
+            metric: Metric::AbortPct,
+        },
     },
     FigureSpec {
         id: "fig10",
         blurb: "abort % vs latency, read-only system",
-        metric: Metric::AbortPct,
         sweep: Sweep::LatencyReadOnly,
     },
     FigureSpec {
         id: "fig11",
         blurb: "abort % vs forward-list length cap, read-only ss-LAN",
-        metric: Metric::AbortPct,
         sweep: Sweep::FlCap,
     },
     FigureSpec {
         id: "fig12",
         blurb: "response time vs number of clients, pr=0.25, s-WAN",
-        metric: Metric::Response,
-        sweep: Sweep::Clients { pr: 0.25 },
+        sweep: Sweep::Clients {
+            pr: 0.25,
+            metric: Metric::Response,
+        },
     },
     FigureSpec {
         id: "fig13",
         blurb: "abort % vs number of clients, pr=0.25, s-WAN",
-        metric: Metric::AbortPct,
-        sweep: Sweep::Clients { pr: 0.25 },
+        sweep: Sweep::Clients {
+            pr: 0.25,
+            metric: Metric::AbortPct,
+        },
     },
     FigureSpec {
         id: "fig14",
         blurb: "response time vs number of clients, pr=0.75, s-WAN",
-        metric: Metric::Response,
-        sweep: Sweep::Clients { pr: 0.75 },
+        sweep: Sweep::Clients {
+            pr: 0.75,
+            metric: Metric::Response,
+        },
     },
     FigureSpec {
         id: "fig15",
         blurb: "abort % vs number of clients, pr=0.75, s-WAN",
-        metric: Metric::AbortPct,
-        sweep: Sweep::Clients { pr: 0.75 },
+        sweep: Sweep::Clients {
+            pr: 0.75,
+            metric: Metric::AbortPct,
+        },
     },
     FigureSpec {
         id: "fig_faults",
         blurb: "response time vs message-loss probability, 3 engines",
-        metric: Metric::Response,
-        sweep: Sweep::LossRate,
+        sweep: Sweep::LossRate {
+            metric: Metric::Response,
+        },
     },
     FigureSpec {
         id: "fig_faults_aborts",
         blurb: "abort % vs message-loss probability, 3 engines",
-        metric: Metric::AbortPct,
-        sweep: Sweep::LossRate,
+        sweep: Sweep::LossRate {
+            metric: Metric::AbortPct,
+        },
     },
     FigureSpec {
         id: "fig_server_faults",
         blurb: "response time vs server outage duration, 3 engines",
-        metric: Metric::Response,
         sweep: Sweep::ServerOutage,
     },
     FigureSpec {
         id: "fig_shard_faults",
         blurb: "commit rate & p99 vs per-shard outage duration, 1/2/4/8 shards",
-        metric: Metric::Response,
         sweep: Sweep::ShardFaults,
     },
     FigureSpec {
         id: "fig_tail",
         blurb: "p99/p999 response time vs number of clients, 3 engines",
-        metric: Metric::Response,
         sweep: Sweep::TailLoad,
     },
     FigureSpec {
         id: "fig_scale",
         blurb: "response time vs clients x shard count, sharded PDES scale-out",
-        metric: Metric::Response,
         sweep: Sweep::ScaleOut,
+    },
+    FigureSpec {
+        id: "ext-protocols",
+        blurb: "s-2PL vs g-2PL vs c-2PL across the read-probability sweep",
+        sweep: Sweep::Study(extensions::ext_protocols),
+    },
+    FigureSpec {
+        id: "ext-skew",
+        blurb: "Zipf access skew: the hotter the hot set, the bigger the grouping win",
+        sweep: Sweep::Study(extensions::ext_skew),
+    },
+    FigureSpec {
+        id: "ext-bandwidth",
+        blurb: "finite bandwidth: g-2PL's bigger messages vs fewer rounds",
+        sweep: Sweep::Study(extensions::ext_bandwidth),
+    },
+    FigureSpec {
+        id: "ext-abort-effect",
+        blurb: "the reproduction finding: instant vs messaged abort recovery",
+        sweep: Sweep::Study(extensions::ext_abort_effect),
+    },
+    FigureSpec {
+        id: "ext-window-hold",
+        blurb: "footnote 1: holding windows open buys little",
+        sweep: Sweep::Study(extensions::ext_window_hold),
+    },
+    FigureSpec {
+        id: "ext-ordering",
+        blurb: "forward-list ordering disciplines",
+        sweep: Sweep::Study(extensions::ext_ordering),
+    },
+    FigureSpec {
+        id: "ext-victims",
+        blurb: "deadlock victim policies",
+        sweep: Sweep::Study(extensions::ext_victims),
+    },
+    FigureSpec {
+        id: "ext-read-expansion",
+        blurb: "the §3.3 read-expansion variant at high read probabilities",
+        sweep: Sweep::Study(extensions::ext_read_expansion),
+    },
+    FigureSpec {
+        id: "ext-log-retention",
+        blurb: "WAL log-space high-water marks (§1's recovery substrate)",
+        sweep: Sweep::Study(extensions::ext_log_retention),
+    },
+    FigureSpec {
+        id: "ext-server-cpu",
+        blurb: "§3.3's \"server computation overlaps communication\" claim",
+        sweep: Sweep::Study(extensions::ext_server_cpu),
     },
 ];
 
@@ -551,9 +625,9 @@ impl FigureSpec {
     /// Regenerate the figure's data at the given scale.
     pub fn build(&self, scale: Scale) -> FigureData {
         match self.sweep {
-            Sweep::Latency { pr } => sweep(
+            Sweep::Latency { pr, metric } => sweep(
                 self.id,
-                &match self.metric {
+                &match metric {
                     Metric::Response => {
                         format!("Mean transaction response time vs network latency, pr={pr}")
                     }
@@ -563,7 +637,7 @@ impl FigureSpec {
                     ),
                 },
                 "network latency",
-                self.metric,
+                metric,
                 &LATENCY_SWEEP.map(|l| l as f64),
                 scale,
                 BOTH,
@@ -573,7 +647,7 @@ impl FigureSpec {
                 self.id,
                 "Percentage of transactions aborted vs latency, read-only system",
                 "network latency",
-                self.metric,
+                Metric::AbortPct,
                 &[1.0, 2.0, 4.0, 6.0, 8.0, 10.0],
                 scale,
                 BOTH,
@@ -585,16 +659,16 @@ impl FigureSpec {
                     self.id,
                     &format!("Mean response time vs read probability in {env} (latency {latency})"),
                     "read probability",
-                    self.metric,
+                    Metric::Response,
                     &PR_SWEEP,
                     scale,
                     BOTH,
                     |p, pr| base_cfg(p, 50, latency, pr, scale),
                 )
             }
-            Sweep::Clients { pr } => sweep(
+            Sweep::Clients { pr, metric } => sweep(
                 self.id,
-                &match self.metric {
+                &match metric {
                     Metric::Response => {
                         format!("Mean response time vs number of clients: 25 items, pr={pr}, s-WAN")
                     }
@@ -603,16 +677,16 @@ impl FigureSpec {
                     }
                 },
                 "number of clients",
-                self.metric,
+                metric,
                 &CLIENT_SWEEP.map(|c| c as f64),
                 scale,
                 BOTH,
                 |p, clients| base_cfg(p, clients as u32, 500, pr, scale),
             ),
             Sweep::FlCap => self.build_fl_cap(scale),
-            Sweep::LossRate => sweep(
+            Sweep::LossRate { metric } => sweep(
                 self.id,
-                &match self.metric {
+                &match metric {
                     Metric::Response => {
                         "Mean response time vs message-loss probability, pr=0.6, MAN".to_string()
                     }
@@ -623,7 +697,7 @@ impl FigureSpec {
                     }
                 },
                 "message loss probability",
-                self.metric,
+                metric,
                 &LOSS_SWEEP,
                 scale,
                 TRIO,
@@ -638,19 +712,9 @@ impl FigureSpec {
             ),
             Sweep::ServerOutage => sweep(
                 self.id,
-                &match self.metric {
-                    Metric::Response => {
-                        "Mean response time vs server outage duration, pr=0.6, latency 50"
-                            .to_string()
-                    }
-                    Metric::AbortPct => {
-                        "Percentage of transactions aborted vs server outage duration, \
-                         pr=0.6, latency 50"
-                            .to_string()
-                    }
-                },
+                "Mean response time vs server outage duration, pr=0.6, latency 50",
                 "server outage duration",
-                self.metric,
+                Metric::Response,
                 &OUTAGE_SWEEP.map(|d| d as f64),
                 scale,
                 TRIO,
@@ -667,6 +731,7 @@ impl FigureSpec {
             Sweep::ShardFaults => self.build_shard_faults(scale),
             Sweep::TailLoad => self.build_tail(scale),
             Sweep::ScaleOut => self.build_scale(scale),
+            Sweep::Study(study) => study(scale),
         }
     }
 

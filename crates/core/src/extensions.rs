@@ -4,7 +4,9 @@
 //! caching protocols, exploring forward-list ordering disciplines, and
 //! the read-only optimization — and its §2 and footnote 1 make claims
 //! (message size stops mattering; window tuning gains little) that it
-//! never plots. Each function here regenerates one such study:
+//! never plots. Each function here regenerates one such study, and each
+//! is a [`crate::experiments::Sweep::Study`] row of the figure registry
+//! ([`crate::experiments::FIGURES`]), which `repro ext` runs:
 //!
 //! | id | study |
 //! |----|-------|

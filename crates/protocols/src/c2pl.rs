@@ -25,28 +25,28 @@
 
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
-use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, RunMetrics, WalReport};
-use crate::recovery::{Labels, Recovery};
+use crate::history::{AccessRecord, CommitRecord};
+use crate::metrics::RunMetrics;
 use crate::runtime::{
-    ClientCore, ClientPhase, Ev, Message, Net, Resend, TimerKind, TxnStatus, TxnTable,
+    lock_mode, on_commit_ack, on_prepare_ack, reopen_lock_shard, resend_commit_slices,
+    restart_client, run, send_commit_ack, send_grant, try_commit, ClientPhase, Ev, Labels,
+    LockLabels, LockServer, Message, Protocol, Shell, TimerKind, TxnStatus, CTRL_BYTES,
 };
-use crate::s2pl::{lock_mode, CTRL_BYTES, EVENT_BUDGET};
-use crate::tracelog::{TraceKind, TraceLog};
+use crate::tracelog::TraceKind;
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
-use g2pl_obs::SpanRecorder;
-use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerRecord, SiteLog};
+use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, TxnId, Version};
+use g2pl_wal::LogRecord;
+use g2pl_workload::AccessMode;
+use std::collections::BTreeMap;
 
 /// Per-shard slice of a committing transaction: written `(item,
 /// version)` pairs plus read-only items, bound for one home server.
 type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
-use g2pl_workload::AccessMode;
-use g2pl_workload::TxnGenerator;
-use std::collections::BTreeMap;
 
-/// Accounting labels of the recovery messages.
+/// Accounting labels of the messages the shared code sends.
 const LABELS: Labels = Labels {
+    lock_request: "c2pl.lock_request",
+    abort_notice: "c2pl.abort_notice",
     commit_query: "c2pl.commit_query",
     commit_verdict: "c2pl.commit_verdict",
     reregister_req: "c2pl.reregister_req",
@@ -62,10 +62,9 @@ struct XBarrier {
 
 /// The c-2PL simulation engine.
 pub struct C2plEngine {
-    cfg: EngineConfig,
-    cal: Calendar<Ev>,
-    net: Net,
-    clients: Vec<ClientCore>,
+    /// The shared state. Its fault domains' retry period also paces the
+    /// server-side callback re-sends.
+    sh: Shell,
     /// Per-client cache contents, indexed by `ItemId::index()`: `Some(v)`
     /// when the client caches version `v` of the item.
     caches: Vec<Vec<Option<Version>>>,
@@ -79,7 +78,6 @@ pub struct C2plEngine {
     /// gets exactly one acknowledgement, even if the same item is
     /// recalled twice across dismantled barriers.
     deferred_callbacks: Vec<Vec<ItemId>>,
-    table: TxnTable,
     /// One lock table per server shard; an item's locks live at the
     /// shard owning it ([`EngineConfig::shard_of`]).
     locks: Vec<LockTable>,
@@ -90,669 +88,31 @@ pub struct C2plEngine {
     /// Exclusive grants waiting for callback acknowledgements, indexed
     /// by `ItemId::index()` (at most one barrier per item).
     barriers: Vec<Option<XBarrier>>,
-    versions: Vec<Version>,
-    generator: TxnGenerator,
-    collector: Collector,
-    history: Option<History>,
-    trace: TraceLog,
-    spans: SpanRecorder,
-    wal: Option<Vec<SiteLog>>,
-    admitting: bool,
-    /// Cache hits (local read grants) — the c-2PL win metric.
-    cache_hits: u64,
     finder: CycleFinder,
-    /// The shards' fault domains: gating, crash recovery, presumed-abort
-    /// votes, leases and fault counters. Its retry period also paces the
-    /// server-side callback re-sends.
-    rec: Recovery,
 }
 
 impl C2plEngine {
     /// Build an engine for `cfg`.
     pub fn new(cfg: EngineConfig) -> Self {
-        let generator = TxnGenerator::new_sharded(
-            cfg.profile.clone(),
-            cfg.items.num_shards,
-            cfg.items.items_per_shard,
-        );
         let n = cfg.num_clients as usize;
-        let replay = cfg.replay.clone().map(std::rc::Rc::new);
-        let clients = (0..cfg.num_clients)
-            .map(|i| match &replay {
-                Some(t) => {
-                    ClientCore::with_replay(ClientId::new(i), cfg.seed, std::rc::Rc::clone(t))
-                }
-                None => ClientCore::new(ClientId::new(i), cfg.seed),
-            })
-            .collect();
-        let net = Net::for_config(&cfg);
         C2plEngine {
-            rec: Recovery::new(&cfg, &net, LABELS),
-            net,
-            cal: Calendar::new(),
-            clients,
             caches: vec![vec![None; cfg.num_items() as usize]; n],
             reading_cached: vec![Vec::new(); n],
             deferred_callbacks: vec![Vec::new(); n],
-            table: TxnTable::new(),
             locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
             directory: vec![Vec::new(); cfg.num_items() as usize],
             barriers: (0..cfg.num_items()).map(|_| None).collect(),
-            versions: vec![0; cfg.num_items() as usize],
-            generator,
-            collector: Collector::with_histogram(
-                cfg.warmup_txns,
-                cfg.measured_txns,
-                cfg.latency.nominal().max(2) / 2,
-            ),
-            history: cfg.record_history.then(History::new),
-            trace: TraceLog::new(cfg.trace_events),
-            spans: SpanRecorder::new(cfg.trace_events),
-            wal: cfg.enable_wal.then(|| {
-                (0..cfg.num_clients)
-                    .map(|_| SiteLog::new(cfg.item_size_bytes))
-                    .collect()
-            }),
-            admitting: true,
-            cache_hits: 0,
             finder: CycleFinder::default(),
-            cfg,
+            sh: Shell::new(cfg, LABELS),
         }
     }
 
     /// Run to completion and report metrics.
-    pub fn run(mut self) -> RunMetrics {
-        for i in 0..self.cfg.num_clients {
-            let c = &mut self.clients[i as usize];
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule(
-                idle,
-                Ev::Timer {
-                    client: ClientId::new(i),
-                    kind: TimerKind::IdleDone,
-                },
-            );
-        }
-
-        for (client, at, up) in self.net.crash_schedule() {
-            self.cal.schedule(at, Ev::Fault { client, up });
-        }
-        for (shard, at, up) in self.net.server_crash_schedule() {
-            self.cal.schedule(at, Ev::ServerFault { shard, up });
-        }
-
-        let mut events: u64 = 0;
-        while let Some((now, ev)) = self.cal.pop() {
-            events += 1;
-            assert!(events < EVENT_BUDGET, "event budget exhausted: livelock?");
-            match ev {
-                Ev::Timer { client, kind } => {
-                    if !self.clients[client.index()].crashed {
-                        self.on_timer(now, client, kind);
-                    }
-                }
-                Ev::WindowTimer { .. } | Ev::LeaseCheck { .. } => {
-                    unreachable!("event is not part of the c-2PL protocol")
-                }
-                Ev::ServerProc { shard, msg } => {
-                    if self.rec.admit_queued(shard as usize, &msg) {
-                        self.on_server_msg(now, shard as usize, msg);
-                    }
-                }
-                Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => match self.rec.admit(now, shard.index(), &msg) {
-                        Some(SimTime::ZERO) => self.on_server_msg(now, shard.index(), msg),
-                        Some(d) => {
-                            self.cal.schedule_in(
-                                d,
-                                Ev::ServerProc {
-                                    shard: shard.0,
-                                    msg,
-                                },
-                            );
-                        }
-                        None => {}
-                    },
-                    SiteId::Client(c) => {
-                        if !self.clients[c.index()].crashed {
-                            self.on_client_msg(now, c, msg);
-                        }
-                    }
-                },
-                Ev::Fault { client, up } => self.on_fault(now, client, up),
-                Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
-                Ev::RecoveryCheck { shard, epoch } => {
-                    let s = shard as usize;
-                    if self
-                        .rec
-                        .on_recovery_check(now, s, epoch, &mut self.net, &mut self.cal)
-                    {
-                        self.finish_recovery(now, s);
-                    }
-                }
-                Ev::TxnLease { txn } => {
-                    if self
-                        .rec
-                        .on_txn_lease(now, txn, &self.table, &mut self.cal, &mut self.trace)
-                    {
-                        self.abort_victim(now, txn);
-                        self.rec.lease_reclaimed(now, txn, &mut self.trace);
-                    }
-                }
-                Ev::CallbackRetry { txn } => self.on_callback_retry(now, txn),
-            }
-            if self.rec.faults_on {
-                for (at, site) in self.net.take_fault_marks() {
-                    self.trace
-                        .record(at, TraceKind::FaultInjected, None, None, site);
-                }
-            }
-            if self.collector.done() {
-                if !self.cfg.drain {
-                    break;
-                }
-                self.admitting = false;
-            }
-        }
-
-        // Under an active fault plan the end-of-run snapshot may hold
-        // residue (see the s-2PL engine); liveness is property P8's job.
-        if self.cfg.drain && !self.rec.faults_on {
-            assert!(
-                self.locks.iter().all(LockTable::is_quiescent),
-                "locks leaked after drain"
-            );
-            assert!(
-                self.barriers.iter().all(Option::is_none),
-                "callback barriers leaked"
-            );
-            if let Some(wal) = &self.wal {
-                assert!(
-                    wal.iter().all(SiteLog::is_empty),
-                    "WAL records survived a drain: every version is home"
-                );
-            }
-        }
-
-        let obs = self.spans.finish();
-        let trace_dropped = self.trace.dropped();
-        self.rec.fsum.injected = self.net.fault_counts();
-        RunMetrics {
-            faults: self.rec.fsum,
-            protocol: "c-2PL",
-            events,
-            peak_calendar: self.cal.peak_len(),
-            wall_secs: 0.0,
-            response: self.collector.response,
-            aborts: self.collector.aborts,
-            read_only_aborts: self.collector.read_only_aborts,
-            committed_total: self.collector.committed_total,
-            aborted_total: self.collector.aborted_total,
-            net: self.net.acct,
-            end_time: self.cal.now(),
-            history: self.history,
-            trace: if self.trace.enabled() {
-                Some(self.trace.into_events())
-            } else {
-                None
-            },
-            max_fl_len: 0,
-            window_closes: 0,
-            access_wait: self.collector.access_wait,
-            abort_waste: self.collector.abort_waste,
-            abort_depth: self.collector.abort_depth,
-            response_by_size: self.collector.response_by_size,
-            response_hist: self.collector.response_hist,
-            response_tail: self.collector.response_tail,
-            wal: self.wal.map(|sites| {
-                let mut r = WalReport::default();
-                for site in &sites {
-                    r.absorb(site.metrics(), site.live_records());
-                }
-                r
-            }),
-            phases: obs.breakdown,
-            flight: obs.flight,
-            spans: obs.raw,
-            trace_dropped,
-        }
-    }
-
-    /// Cache hits observed (exposed for tests and benches via a run
-    /// wrapper; the standard [`RunMetrics`] has no protocol-specific
-    /// fields).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+    pub fn run(self) -> RunMetrics {
+        run(self)
     }
 
     // ---- client side ----
-
-    fn on_timer(&mut self, now: SimTime, client: ClientId, kind: TimerKind) {
-        match kind {
-            TimerKind::IdleDone => {
-                if !self.admitting {
-                    return;
-                }
-                let c = &mut self.clients[client.index()];
-                let txn = c.begin_txn(&self.generator, &mut self.table, now);
-                if let Some(wal) = &mut self.wal {
-                    wal[client.index()].append(LogRecord::Begin { txn });
-                }
-                self.issue_access(now, client, txn, 0);
-            }
-            TimerKind::ThinkDone(txn) => {
-                let c = &self.clients[client.index()];
-                let Some(active) = &c.txn else { return };
-                if active.id != txn || active.phase != ClientPhase::Thinking {
-                    return;
-                }
-                let granted = active.granted;
-                if granted < active.spec.len() {
-                    self.issue_access(now, client, txn, granted);
-                } else {
-                    self.commit(now, client, txn);
-                }
-            }
-            TimerKind::Retry { epoch } => match self.clients[client.index()].due_resend(epoch) {
-                Some(Resend::CommitPhase) => self.resend_pending_commits(now, client),
-                Some(Resend::Request) => self.resend_request(now, client),
-                None => {}
-            },
-            // c-2PL's phase 2 piggybacks on the regular commit-release
-            // retry epoch; the dedicated decide timer is g-2PL-only.
-            TimerKind::DecideRetry(_) => unreachable!("c-2PL never arms a decide timer"),
-        }
-    }
-
-    /// Re-send the outstanding lock request (no trace/span: retransmits
-    /// are not logical requests).
-    fn resend_request(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        let txn = active.id;
-        let (item, mode) = active.spec.access(active.granted);
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.rec.fsum.retries += 1;
-        let _ = now;
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "c2pl.lock_request",
-            CTRL_BYTES,
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-    }
-
-    /// Re-send every unacknowledged commit slice (the client's WAL tail).
-    fn resend_pending_commits(&mut self, now: SimTime, client: ClientId) {
-        let pending = self.clients[client.index()].pending_commits.clone();
-        if pending.is_empty() {
-            return;
-        }
-        let c = &mut self.clients[client.index()];
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        let _ = now;
-        for (shard, msg) in pending {
-            let (kind, bytes) = match &msg {
-                Message::SCommit { writes, .. } => (
-                    "c2pl.commit_release",
-                    CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes,
-                ),
-                Message::Prepare { writes, .. } => {
-                    ("c2pl.prepare", CTRL_BYTES + 12 * writes.len() as u64)
-                }
-                _ => continue,
-            };
-            self.rec.fsum.retries += 1;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                kind,
-                bytes,
-                msg,
-            );
-        }
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-    }
-
-    /// A scheduled crash or restart from the fault plan. A crash loses
-    /// the client's cache, except the copies its active transaction has
-    /// read: those reads belong to the transaction, which survives the
-    /// crash like its server-held locks, so their pins — and the
-    /// callbacks deferred behind them — survive too, and a writer cannot
-    /// overwrite what the transaction read before it ends. The server's
-    /// directory becomes stale, which is safe — retried callbacks to a
-    /// copy the client no longer holds are simply acknowledged, shrinking
-    /// the directory back to truth.
-    fn on_fault(&mut self, now: SimTime, client: ClientId, up: bool) {
-        if up {
-            self.on_restart(now, client);
-            return;
-        }
-        let c = &mut self.clients[client.index()];
-        if c.crashed {
-            return;
-        }
-        c.crashed = true;
-        self.rec.fsum.crashes += 1;
-        let pins = &self.reading_cached[client.index()];
-        for (i, copy) in self.caches[client.index()].iter_mut().enumerate() {
-            if !pins.contains(&ItemId::new(i as u32)) {
-                *copy = None;
-            }
-        }
-        self.trace
-            .record(now, TraceKind::FaultInjected, None, None, client.into());
-    }
-
-    /// A crashed client comes back up (see the s-2PL engine).
-    fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        if !c.crashed {
-            return;
-        }
-        c.crashed = false;
-        c.retry_progress();
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-            return;
-        }
-        let Some(active) = &c.txn else {
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-            return;
-        };
-        let (txn, phase) = (active.id, active.phase);
-        match self.table.status(txn) {
-            TxnStatus::Aborting | TxnStatus::Aborted => self.finalize_abort(now, client, txn),
-            TxnStatus::Active => match phase {
-                ClientPhase::WaitingGrant(_) => self.resend_request(now, client),
-                ClientPhase::Thinking => {
-                    self.cal.schedule_in(
-                        SimTime::ZERO,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::ThinkDone(txn),
-                        },
-                    );
-                }
-                ClientPhase::CommitWait | ClientPhase::Idle => {}
-            },
-            TxnStatus::Committed => {}
-        }
-    }
-
-    /// Issue access `idx`: serve reads from the local cache when
-    /// possible, otherwise go to the server.
-    fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize) {
-        let (item, mode) = self.clients[client.index()].txn().spec.access(idx);
-        if mode == AccessMode::Read {
-            if let Some(version) = self.caches[client.index()][item.index()] {
-                // Cache hit: grant locally, instantly, with zero messages.
-                self.cache_hits += 1;
-                self.collector.on_access_wait(SimTime::ZERO);
-                let pins = &mut self.reading_cached[client.index()];
-                if !pins.contains(&item) {
-                    pins.push(item);
-                }
-                let c = &mut self.clients[client.index()];
-                let active = c.txn_mut();
-                active.versions.push(version);
-                active.granted += 1;
-                active.phase = ClientPhase::Thinking;
-                self.trace.record(
-                    now,
-                    TraceKind::CacheHit,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                self.spans.granted_local(now, txn, item);
-                let think = self.cfg.profile.draw_think(&mut c.time_rng);
-                self.cal.schedule_in(
-                    think,
-                    Ev::Timer {
-                        client,
-                        kind: TimerKind::ThinkDone(txn),
-                    },
-                );
-                return;
-            }
-        }
-        {
-            let t = self.clients[client.index()].txn_mut();
-            t.phase = ClientPhase::WaitingGrant(idx);
-            t.request_sent_at = now;
-        }
-        if self.rec.faults_on {
-            self.clients[client.index()].retry_progress();
-        }
-        self.trace.record(
-            now,
-            TraceKind::RequestSent,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.req_sent(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "c2pl.lock_request",
-            CTRL_BYTES,
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        if self.rec.faults_on {
-            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-        }
-    }
-
-    // lint:allow(L5): the outcome is recorded downstream — commit_decided traces Committed on every path, and the voting detour traces Prepared/CommitApplied at the shards
-    fn commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        // A lease expiry may have picked this transaction as victim while
-        // its notice is still in flight (see the s-2PL engine).
-        if self.rec.faults_on && self.table.status(txn) != TxnStatus::Active {
-            self.finalize_abort(now, client, txn);
-            return;
-        }
-        // Multi-home commits under a server-crash plan run presumed-abort
-        // two-phase commitment across the shard fault domains (see the
-        // s-2PL engine); cache hits count toward the involved mask too —
-        // their shard still releases the transactional footprint.
-        if self.rec.srv_faults_on {
-            let involved = self.clients[client.index()].txn().involved(&self.cfg);
-            if involved.count_ones() > 1 {
-                self.begin_prepare(now, client, txn, involved);
-                return;
-            }
-        }
-        self.commit_decided(now, client, txn);
-    }
-
-    /// Phase 1 of two-phase commitment (see the s-2PL engine): one
-    /// prepare per involved shard, retransmitted from `pending_commits`
-    /// until every yes vote is in. Cache state is untouched until the
-    /// decision — an abort may still win the race.
-    fn begin_prepare(&mut self, now: SimTime, client: ClientId, txn: TxnId, involved: u64) {
-        let _ = now;
-        let c = &mut self.clients[client.index()];
-        // lint:allow(L3): guarded by the caller
-        let active = c.txn.as_mut().expect("preparing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        active.phase = ClientPhase::CommitWait;
-        let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let slot = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            if mode == AccessMode::Write {
-                slot.push((item, active.versions[idx] + 1));
-            }
-        }
-        c.retry_progress();
-        c.pending_commits = by_shard
-            .iter()
-            .map(|(&shard, writes)| {
-                (
-                    shard,
-                    Message::Prepare {
-                        txn,
-                        writes: writes.clone(),
-                        involved,
-                    },
-                )
-            })
-            .collect();
-        for (shard, writes) in by_shard {
-            let bytes = CTRL_BYTES + 12 * writes.len() as u64;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "c2pl.prepare",
-                bytes,
-                Message::Prepare {
-                    txn,
-                    writes,
-                    involved,
-                },
-            );
-        }
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-    }
-
-    /// The commit decision point (see the s-2PL engine): every involved
-    /// shard voted yes, or no votes were needed. The client's WAL
-    /// `Commit` record is the coordinator's durable decision record.
-    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let active = self.clients[client.index()]
-            .txn
-            .take()
-            // lint:allow(L3): guarded by the caller
-            .expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        self.table.set_status(txn, TxnStatus::Committed);
-        let measured = self
-            .collector
-            .on_commit_sized(now.since(active.start), active.spec.len());
-
-        // One combined commit/release message per involved shard, in
-        // ascending shard order. A single-shard space degenerates to
-        // exactly the old single message.
-        let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
-        let mut records = Vec::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let observed = active.versions[idx];
-            let slice = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            match mode {
-                AccessMode::Write => {
-                    let installed = observed + 1;
-                    slice.0.push((item, installed));
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: installed,
-                    });
-                    // The writer's copy stays cached (demoted to shared).
-                    self.caches[client.index()][item.index()] = Some(installed);
-                }
-                AccessMode::Read => {
-                    slice.1.push(item);
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: observed,
-                    });
-                    self.caches[client.index()][item.index()] = Some(observed);
-                }
-            }
-        }
-        self.spans
-            .commit_local(now, txn, by_shard.len() as u32, measured);
-        self.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
-        if let Some(h) = &mut self.history {
-            h.push(CommitRecord {
-                txn,
-                at: now,
-                accesses: records,
-            });
-        }
-
-        if let Some(wal) = &mut self.wal {
-            let log = &mut wal[client.index()];
-            for (writes, _) in by_shard.values() {
-                for &(item, new) in writes {
-                    log.append(LogRecord::Update {
-                        txn,
-                        item,
-                        old: new - 1,
-                        new,
-                    });
-                }
-            }
-            log.append(LogRecord::Commit { txn });
-        }
-
-        if self.rec.faults_on {
-            // Commit durability under loss: retransmit every slice until
-            // its shard acknowledges; the idle period starts on the last
-            // ack.
-            let c = &mut self.clients[client.index()];
-            c.retry_progress();
-            c.pending_commits = by_shard
-                .iter()
-                .map(|(&shard, (writes, reads))| {
-                    (
-                        shard,
-                        Message::SCommit {
-                            txn,
-                            writes: writes.clone(),
-                            reads: reads.clone(),
-                        },
-                    )
-                })
-                .collect();
-        }
-        for (shard, (writes, reads)) in by_shard {
-            let bytes = CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "c2pl.commit_release",
-                bytes,
-                Message::SCommit { txn, writes, reads },
-            );
-        }
-        // Pins release and deferred callbacks answer at transaction end
-        // regardless; only the next transaction's start is gated on the
-        // ack under faults.
-        self.answer_deferred_callbacks(client);
-        if self.rec.faults_on {
-            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-        } else {
-            self.schedule_next_txn(client);
-        }
-    }
 
     /// Release this transaction's cache pins and answer its deferred
     /// callbacks.
@@ -763,294 +123,47 @@ impl C2plEngine {
         deferred.sort_unstable();
         for item in deferred {
             self.caches[client.index()][item.index()] = None;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                self.cfg.shard_site(item),
-                "c2pl.callback_ack",
-                CTRL_BYTES,
-                Message::CallbackAck { client, item },
-            );
+            self.send_callback_ack(client, item);
         }
     }
 
-    /// Draw the idle period and schedule the next transaction's start.
-    fn schedule_next_txn(&mut self, client: ClientId) {
-        let idle = self
-            .cfg
-            .profile
-            .draw_idle(&mut self.clients[client.index()].time_rng);
-        self.cal.schedule_in(
-            idle,
-            Ev::Timer {
-                client,
-                kind: TimerKind::IdleDone,
-            },
+    /// Acknowledge the recall of `client`'s cached copy of `item`.
+    fn send_callback_ack(&mut self, client: ClientId, item: ItemId) {
+        let sh = &mut self.sh;
+        sh.net.send(
+            &mut sh.cal,
+            client.into(),
+            sh.cfg.shard_site(item),
+            "c2pl.callback_ack",
+            CTRL_BYTES,
+            Message::CallbackAck { client, item },
         );
     }
 
-    /// Common end-of-transaction client work: answer deferred callbacks
-    /// and schedule the next transaction.
-    fn finish_txn_at_client(&mut self, client: ClientId) {
-        self.answer_deferred_callbacks(client);
-        self.schedule_next_txn(client);
-    }
-
-    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
-        match msg {
-            Message::SGrant { txn, item, version } => {
-                let faults_on = self.rec.faults_on;
-                let c = &mut self.clients[client.index()];
-                let Some(active) = &mut c.txn else { return };
-                if active.id != txn {
-                    return;
-                }
-                if !matches!(active.phase, ClientPhase::WaitingGrant(_))
-                    || active.spec.access(active.granted).0 != item
-                {
-                    // Duplicate of an already-consumed grant (lossy link).
-                    debug_assert!(faults_on, "unexpected duplicate grant");
-                    return;
-                }
-                active.versions.push(version);
-                active.granted += 1;
-                active.phase = ClientPhase::Thinking;
-                let wait = now.since(active.request_sent_at);
-                if faults_on {
-                    c.retry_progress();
-                }
-                self.collector.on_access_wait(wait);
-                let think = self.cfg.profile.draw_think(&mut c.time_rng);
-                self.trace.record(
-                    now,
-                    TraceKind::Granted,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                self.spans.granted(now, txn, item);
-                self.cal.schedule_in(
-                    think,
-                    Ev::Timer {
-                        client,
-                        kind: TimerKind::ThinkDone(txn),
-                    },
-                );
-            }
-            Message::SAbortNotice { txn } => self.finalize_abort(now, client, txn),
-            Message::PrepareAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                match c.take_ack(
-                    shard,
-                    |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
-                ) {
-                    None => {} // duplicate ack of an already-counted vote
-                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
-                    // Unanimous yes; an abort may still have raced the
-                    // voting round (see the s-2PL engine).
-                    Some(true) if self.table.status(txn) != TxnStatus::Active => {
-                        self.finalize_abort(now, client, txn);
-                    }
-                    Some(true) => self.commit_decided(now, client, txn),
-                }
-            }
-            Message::SCommitAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                match c.take_ack(
-                    shard,
-                    |m| matches!(m, Message::SCommit { txn: t, .. } if *t == txn),
-                ) {
-                    None => {} // duplicate ack of an older commit or slice
-                    // Remaining slices restart from a fresh backoff.
-                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
-                    Some(true) => self.schedule_next_txn(client),
-                }
-            }
-            Message::Callback { item } => {
-                if self.reading_cached[client.index()].contains(&item) {
-                    // The current transaction reads this cached copy:
-                    // defer the acknowledgement until it finishes.
-                    self.deferred_callbacks[client.index()].push(item);
-                } else {
-                    self.caches[client.index()][item.index()] = None;
-                    self.net.send(
-                        &mut self.cal,
-                        client.into(),
-                        self.cfg.shard_site(item),
-                        "c2pl.callback_ack",
-                        CTRL_BYTES,
-                        Message::CallbackAck { client, item },
-                    );
-                }
-            }
-            Message::ReregisterReq { shard, epoch } => {
-                // Re-report everything the client holds of the restarted
-                // shard: server-granted accesses of the live transaction
-                // homed there (cache pins never took a server lock, so
-                // they are excluded), that shard's unacknowledged commit
-                // slice, and the cached copies the rebuilt directory
-                // must know about.
-                let pins = &self.reading_cached[client.index()];
-                let c = &self.clients[client.index()];
-                let mut held = Vec::new();
-                let mut txn = None;
-                if let Some(active) = &c.txn {
-                    txn = Some(active.id);
-                    for idx in 0..active.granted {
-                        let (item, mode) = active.spec.access(idx);
-                        if !pins.contains(&item) && self.cfg.shard_of(item) == shard {
-                            held.push((item, lock_mode(mode)));
-                        }
-                    }
-                }
-                let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
-                    Message::SCommit { txn, writes, reads } if *s == shard => {
-                        Some((*txn, writes.clone(), reads.clone()))
-                    }
-                    _ => None,
-                });
-                let cached: Vec<ItemId> = self.caches[client.index()]
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.map(|_| ItemId::new(i as u32)))
-                    .filter(|&item| self.cfg.shard_of(item) == shard)
-                    .collect();
-                let bytes = CTRL_BYTES + 8 * (held.len() + cached.len()) as u64;
-                self.net.send(
-                    &mut self.cal,
-                    client.into(),
-                    SiteId::server(shard),
-                    "c2pl.reregister",
-                    bytes,
-                    Message::SReregister {
-                        client,
-                        epoch,
-                        txn,
-                        held,
-                        pending,
-                        cached,
-                    },
-                );
-            }
-            other => unreachable!("c-2PL client cannot receive {other:?}"),
-        }
-    }
-
-    /// Abort the client's transaction locally: on receipt of the server's
-    /// notice, or — under faults — when the client discovers the abort
-    /// on its own (restart after a crash, or a commit racing the notice).
-    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        if active.id != txn {
-            return;
-        }
-        let read_only = active.spec.is_read_only();
-        let waste = now.since(active.start);
-        let depth = active.granted;
-        c.txn = None;
-        // An abort during the voting round withdraws the outstanding
-        // prepares (see the s-2PL engine).
-        c.pending_commits
-            .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if self.rec.faults_on {
-            c.retry_progress();
-        }
-        self.table.set_status(txn, TxnStatus::Aborted);
-        self.collector.on_abort_diag(read_only, waste, depth);
-        if let Some(wal) = &mut self.wal {
-            wal[client.index()].append(LogRecord::Abort { txn });
-        }
-        self.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        self.spans.aborted(now, txn);
-        self.finish_txn_at_client(client);
-    }
-
-    // ---- server crash recovery ----
-
-    /// A scheduled crash or restart of shard `shard` from the fault plan.
-    /// On top of the s-2PL volatile state, a crash loses the shard's slice
-    /// of the cache directory and every callback barrier there: the
-    /// directory is rebuilt from re-registration reports, and barrier
-    /// owners re-form their recalls through the ordinary request-retry
-    /// path (their exclusive grant was never shipped, so it is
-    /// deliberately absent from the durable grant history). A restart
-    /// restores the versions from the replayed log and opens the
-    /// handshake.
-    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
-        if up {
-            let versions = &mut self.versions;
-            self.rec
-                .restart(now, shard, &mut self.net, &mut self.cal, |img| {
-                    for (&item, &v) in &img.versions {
-                        versions[item.index()] = v;
-                    }
-                });
-        } else {
-            self.rec.crash_server(now, shard, &mut self.trace);
-            self.locks[shard] = LockTable::new();
-            let per = self.cfg.items.items_per_shard as usize;
-            let range = shard * per..(shard + 1) * per;
-            self.directory[range.clone()]
-                .iter_mut()
-                .for_each(Vec::clear);
-            self.barriers[range.clone()].fill_with(|| None);
-            self.versions[range].fill(0);
-        }
-    }
-
-    /// Close the handshake (see the s-2PL engine). A client that stayed
-    /// silent is presumed crashed, and its directory entries are not
-    /// rebuilt. That is exact for the copies a crash drops, but not for
-    /// the copies a live-but-silent client, or a crashed client's active
-    /// transaction, still holds: a later writer is granted without
-    /// recalling them (a known gap).
-    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        for txn in self.rec.settle_in_doubt(shard, &self.table) {
-            self.resolve_indoubt_commit(now, shard, txn);
-        }
-        let silent = self.rec.restore_grants(
-            now,
-            shard,
-            &self.table,
-            &mut self.locks[shard],
-            &mut self.cal,
+    /// Recall `target`'s cached copy of `item`.
+    fn send_callback(&mut self, item: ItemId, target: ClientId) {
+        let sh = &mut self.sh;
+        sh.net.send(
+            &mut sh.cal,
+            sh.cfg.shard_site(item),
+            target.into(),
+            "c2pl.callback",
+            CTRL_BYTES,
+            Message::Callback { item },
         );
-        self.rec.reopen(shard);
-        self.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        for txn in silent {
-            self.abort_victim(now, txn);
-        }
     }
 
-    /// A recovered shard learned that an in-doubt transaction committed:
-    /// install its write slice and hand the released locks on. The cache
-    /// directory is deliberately left alone — directory truth after a
-    /// crash comes exclusively from re-registration reports, and a client
-    /// that never re-registered has lost its cache, so inventing entries
-    /// here would resurrect dead copies.
-    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        if let Some(writes) = self.rec.commit_in_doubt(now, shard, txn, &mut self.trace) {
-            self.install(txn, &writes);
-            self.release_at(now, shard, txn);
-        }
-    }
+    // ---- server side ----
 
     /// Install `txn`'s written versions at their home shard and mark them
     /// permanent in the committer's WAL.
     fn install(&mut self, txn: TxnId, writes: &[(ItemId, Version)]) {
-        let committer = self.table.info(txn).client;
+        let sh = &mut self.sh;
+        let committer = sh.table.info(txn).client;
         for &(item, version) in writes {
-            debug_assert_eq!(version, self.versions[item.index()] + 1);
-            self.versions[item.index()] = version;
-            if let Some(wal) = &mut self.wal {
+            debug_assert_eq!(version, sh.versions[item.index()] + 1);
+            sh.versions[item.index()] = version;
+            if let Some(wal) = &mut sh.wal {
                 wal[committer.index()].mark_permanent(txn, item);
             }
         }
@@ -1060,217 +173,8 @@ impl C2plEngine {
     /// woken waiters (exclusive ones recall cached copies first).
     fn release_at(&mut self, now: SimTime, shard: usize, txn: TxnId) {
         for (item, t, mode) in self.locks[shard].release_all(txn) {
-            let c = self.table.info(t).client;
+            let c = self.sh.table.info(t).client;
             self.on_lock_granted(now, c, t, item, mode);
-        }
-    }
-
-    /// Tell `txn`'s client, from shard `from`, that it was aborted.
-    fn send_abort_notice(&mut self, from: usize, txn: TxnId) {
-        let client = self.table.info(txn).client;
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(from as u32),
-            client.into(),
-            "c2pl.abort_notice",
-            CTRL_BYTES,
-            Message::SAbortNotice { txn },
-        );
-    }
-
-    // ---- server side ----
-
-    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
-        match msg {
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode,
-            } => {
-                debug_assert_eq!(
-                    self.cfg.shard_of(item) as usize,
-                    shard,
-                    "lock request routed to the wrong shard"
-                );
-                match self.table.status(txn) {
-                    TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.rec.faults_on => {
-                        // A retried request from a victim whose abort
-                        // notice may have been lost: answer it again.
-                        self.send_abort_notice(shard, txn);
-                        return;
-                    }
-                    _ => return,
-                }
-                if self.rec.faults_on {
-                    self.rec.touch(now, txn, &mut self.cal);
-                    if self.locks[shard].mode_of(txn, item).is_some() {
-                        // Already granted. Unless the exclusive grant is
-                        // still gated on a callback barrier (in which case
-                        // the callback-retry timer drives progress),
-                        // re-ship the lost grant.
-                        let gated = self.barriers[item.index()]
-                            .as_ref()
-                            .is_some_and(|b| b.txn == txn);
-                        if !gated {
-                            self.send_grant(now, client, txn, item);
-                        }
-                        return;
-                    }
-                    if self.locks[shard].queued_on(txn) == Some(item) {
-                        return; // duplicate of a still-queued request
-                    }
-                }
-                self.spans.req_arrived(now, txn, item);
-                match self.locks[shard].acquire(txn, item, mode) {
-                    AcquireOutcome::Granted => {
-                        self.on_lock_granted(now, client, txn, item, mode);
-                    }
-                    AcquireOutcome::Queued => self.detect_deadlocks(now, txn),
-                }
-            }
-            Message::Prepare {
-                txn,
-                writes,
-                involved,
-            } => {
-                if self.table.status(txn) == TxnStatus::Active {
-                    self.rec.touch(now, txn, &mut self.cal);
-                }
-                let voted = self.rec.on_prepare(
-                    now,
-                    shard,
-                    txn,
-                    writes,
-                    involved,
-                    &self.table,
-                    &mut self.net,
-                    &mut self.cal,
-                    &mut self.trace,
-                );
-                if !voted {
-                    // The abort won the race with the voting round:
-                    // answer the (possibly lost) notice again.
-                    self.send_abort_notice(shard, txn);
-                }
-            }
-            Message::SCommit { txn, writes, reads } => {
-                let committer = self.table.info(txn).client;
-                if self.rec.faults_on {
-                    // Duplicate commit-release slice (already applied at
-                    // this shard): the ack was lost, so just acknowledge
-                    // again.
-                    if self.rec.applied_at(txn, shard) {
-                        self.send_commit_ack(shard, committer, txn);
-                        return;
-                    }
-                    self.rec.end_lease(txn);
-                }
-                self.rec
-                    .apply_commit(now, shard, txn, &writes, &mut self.trace);
-                self.install(txn, &writes);
-                for &(item, _) in &writes {
-                    // Remote copies were recalled before the X grant; the
-                    // writer keeps the new version cached.
-                    debug_assert!(
-                        self.directory[item.index()].iter().all(|&c| c == committer),
-                        "cached copies survived an exclusive grant"
-                    );
-                    Self::directory_insert(&mut self.directory[item.index()], committer);
-                }
-                for &item in &reads {
-                    // A commit-release can be retried and arrive late: by
-                    // then the reader may already have answered a callback
-                    // and evicted this copy (its ack possibly opening an
-                    // exclusive barrier). Re-inserting it would resurrect a
-                    // directory entry the recall protocol already retired,
-                    // so consult the cache before registering the copy.
-                    if self.rec.faults_on && self.caches[committer.index()][item.index()].is_none()
-                    {
-                        continue;
-                    }
-                    Self::directory_insert(&mut self.directory[item.index()], committer);
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    Some(txn),
-                    None,
-                    SiteId::server(shard as u32),
-                );
-                self.spans.release_arrived(now, txn, true);
-                self.release_at(now, shard, txn);
-                if self.rec.faults_on {
-                    self.send_commit_ack(shard, committer, txn);
-                }
-            }
-            Message::CallbackAck { client, item } => {
-                // Only an ack that actually evicts a directory entry may
-                // decrement the barrier: duplicate acks (possible when a
-                // dismantled barrier's callbacks race a successor
-                // barrier's) must not release the successor early.
-                let evicted = Self::directory_remove(&mut self.directory[item.index()], client);
-                let barrier_open = if evicted {
-                    if let Some(b) = self.barriers[item.index()].as_mut() {
-                        b.acks_left -= 1;
-                        b.acks_left == 0
-                    } else {
-                        false
-                    }
-                } else {
-                    false
-                };
-                if barrier_open {
-                    // lint:allow(L3): barrier_open checked the entry one statement ago
-                    let b = self.barriers[item.index()].take().expect("just observed");
-                    // Aborted owners dismantle their barriers eagerly, so
-                    // a surviving barrier always has a live owner.
-                    debug_assert_eq!(self.table.status(b.txn), TxnStatus::Active);
-                    self.send_grant(now, b.client, b.txn, item);
-                }
-            }
-            Message::SReregister {
-                client,
-                epoch,
-                txn,
-                held,
-                pending,
-                cached,
-            } => {
-                if self
-                    .rec
-                    .reregistered(now, shard, client, epoch, txn, &mut self.trace)
-                {
-                    // The report rebuilds the client's slice of the cache
-                    // directory.
-                    for &item in &cached {
-                        Self::directory_insert(&mut self.directory[item.index()], client);
-                    }
-                    let pending = pending.as_ref();
-                    self.rec
-                        .check_lock_report(shard, &self.table, client, txn, &held, pending);
-                    if self.rec.all_answered(shard) {
-                        self.finish_recovery(now, shard);
-                    }
-                }
-            }
-            Message::CommitQuery {
-                txn, from_shard, ..
-            } => self.rec.answer_commit_query(
-                shard,
-                txn,
-                from_shard,
-                &self.table,
-                &mut self.net,
-                &mut self.cal,
-            ),
-            Message::CommitVerdict { txn, committed } => {
-                if self.rec.on_commit_verdict(shard, txn, committed) {
-                    self.resolve_indoubt_commit(now, shard, txn);
-                }
-            }
-            other => unreachable!("c-2PL server cannot receive {other:?}"),
         }
     }
 
@@ -1297,26 +201,20 @@ impl C2plEngine {
             self.caches[client.index()][item.index()] = None;
             if !remote.is_empty() {
                 for &target in &remote {
-                    self.net.send(
-                        &mut self.cal,
-                        self.cfg.shard_site(item),
-                        target.into(),
-                        "c2pl.callback",
-                        CTRL_BYTES,
-                        Message::Callback { item },
-                    );
+                    self.send_callback(item, target);
                 }
                 self.barriers[item.index()] = Some(XBarrier {
                     txn,
                     client,
                     acks_left: remote.len(),
                 });
-                if self.rec.faults_on {
+                if self.sh.rec.faults_on {
                     // Callbacks (or their acks) can be lost: keep
                     // re-sending to the still-registered copies until the
                     // barrier opens or its owner dies.
-                    self.cal
-                        .schedule_in(self.rec.retry_base, Ev::CallbackRetry { txn });
+                    self.sh
+                        .cal
+                        .schedule_in(self.sh.rec.retry_base, Ev::CallbackRetry { txn });
                 }
                 // The new barrier can close a waits-for cycle (its owner
                 // now waits on every transaction pinning a cached copy),
@@ -1325,44 +223,7 @@ impl C2plEngine {
                 return;
             }
         }
-        self.send_grant(now, client, txn, item);
-    }
-
-    fn send_grant(&mut self, now: SimTime, client: ClientId, txn: TxnId, item: ItemId) {
-        let shard = self.cfg.shard_of(item) as usize;
-        if let Some(slog) = self.rec.slog.get_mut(shard) {
-            // Write-ahead: the grant is durable before it leaves.
-            let exclusive = matches!(
-                self.locks[shard].mode_of(txn, item),
-                Some(LockMode::Exclusive)
-            );
-            slog.append(ServerRecord::Grant {
-                txn,
-                item,
-                exclusive,
-            });
-        }
-        self.trace.record(
-            now,
-            TraceKind::Dispatched,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.dispatched(now, txn, item);
-        self.spans.hop_departed(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "c2pl.grant",
-            CTRL_BYTES + self.cfg.item_size_bytes,
-            Message::SGrant {
-                txn,
-                item,
-                version: self.versions[item.index()],
-            },
-        );
+        send_grant(self, now, client, txn, item);
     }
 
     /// Waits-for search over lock-table waits plus callback waits: a
@@ -1375,10 +236,10 @@ impl C2plEngine {
         let mut finder = std::mem::take(&mut self.finder);
         loop {
             let locks = &self.locks;
-            let table = &self.table;
+            let table = &self.sh.table;
             let barriers = &self.barriers;
             let reading_cached = &self.reading_cached;
-            let clients = &self.clients;
+            let clients = &self.sh.clients;
             let found = finder.find_cycle(trigger, |t, out| {
                 if !table.is_live(t) {
                     return;
@@ -1407,7 +268,7 @@ impl C2plEngine {
                 }
             });
             let Some(cycle) = found else { break };
-            let victim = self.cfg.victim.choose(cycle, |t| {
+            let victim = self.sh.cfg.victim.choose(cycle, |t| {
                 self.locks.iter().map(|lt| lt.held_by(t).len()).sum()
             });
             self.abort_victim(now, victim);
@@ -1416,60 +277,6 @@ impl C2plEngine {
             }
         }
         self.finder = finder;
-    }
-
-    /// Acknowledge a processed commit-release slice (faults only).
-    fn send_commit_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "c2pl.commit_ack",
-            CTRL_BYTES,
-            Message::SCommitAck {
-                txn,
-                shard: shard as u32,
-            },
-        );
-    }
-
-    /// Re-send the callbacks still outstanding for the transaction's
-    /// exclusive barrier(s). Directory entries shrink as acks land, so
-    /// only unacknowledged copies are recalled again; a duplicate
-    /// callback to a pinning client yields a duplicate ack, which the
-    /// ack handler already refuses to double-count.
-    fn on_callback_retry(&mut self, now: SimTime, txn: TxnId) {
-        let _ = now;
-        let mut any = false;
-        for i in 0..self.barriers.len() {
-            let Some(b) = &self.barriers[i] else { continue };
-            if b.txn != txn {
-                continue;
-            }
-            any = true;
-            let owner = b.client;
-            let item = ItemId::new(i as u32);
-            let remote: Vec<ClientId> = self.directory[i]
-                .iter()
-                .copied()
-                .filter(|&c| c != owner)
-                .collect();
-            for target in remote {
-                self.rec.fsum.retries += 1;
-                self.net.send(
-                    &mut self.cal,
-                    self.cfg.shard_site(item),
-                    target.into(),
-                    "c2pl.callback",
-                    CTRL_BYTES,
-                    Message::Callback { item },
-                );
-            }
-        }
-        if any {
-            self.cal
-                .schedule_in(self.rec.retry_base, Ev::CallbackRetry { txn });
-        }
     }
 
     /// Insert `client` into a sorted directory row (no-op when present).
@@ -1489,12 +296,474 @@ impl C2plEngine {
             Err(_) => false,
         }
     }
+}
+
+impl Protocol for C2plEngine {
+    fn shell(&mut self) -> &mut Shell {
+        &mut self.sh
+    }
+
+    /// Issue access `idx`: serve reads from the local cache when
+    /// possible, otherwise go to the server.
+    fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize) {
+        let sh = &mut self.sh;
+        let (item, mode) = sh.clients[client.index()].txn().spec.access(idx);
+        if mode == AccessMode::Read {
+            if let Some(version) = self.caches[client.index()][item.index()] {
+                // Cache hit: grant locally, instantly, with zero messages.
+                sh.collector.on_access_wait(SimTime::ZERO);
+                let pins = &mut self.reading_cached[client.index()];
+                if !pins.contains(&item) {
+                    pins.push(item);
+                }
+                let c = &mut sh.clients[client.index()];
+                let active = c.txn_mut();
+                active.versions.push(version);
+                active.granted += 1;
+                active.phase = ClientPhase::Thinking;
+                sh.trace.record(
+                    now,
+                    TraceKind::CacheHit,
+                    Some(txn),
+                    Some(item),
+                    client.into(),
+                );
+                sh.spans.granted_local(now, txn, item);
+                let think = sh.cfg.profile.draw_think(&mut c.time_rng);
+                sh.cal.schedule_in(
+                    think,
+                    Ev::Timer {
+                        client,
+                        kind: TimerKind::ThinkDone(txn),
+                    },
+                );
+                return;
+            }
+        }
+        sh.request_access(now, client, txn, idx);
+    }
+
+    /// Cache hits count toward a voting round's involved mask too — their
+    /// shard still releases the transactional footprint. Cache state is
+    /// untouched until the decision: an abort may still win the race.
+    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        try_commit(self, now, client, txn);
+    }
+
+    fn resend_pending_commits(&mut self, client: ClientId) {
+        resend_commit_slices(self, client);
+    }
+
+    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
+        let sh = &mut self.sh;
+        match msg {
+            Message::SGrant { txn, item, version } => {
+                let faults_on = sh.rec.faults_on;
+                let c = &mut sh.clients[client.index()];
+                let Some(active) = &mut c.txn else { return };
+                if active.id != txn {
+                    return;
+                }
+                if !matches!(active.phase, ClientPhase::WaitingGrant(_))
+                    || active.spec.access(active.granted).0 != item
+                {
+                    // Duplicate of an already-consumed grant (lossy link).
+                    debug_assert!(faults_on, "unexpected duplicate grant");
+                    return;
+                }
+                active.versions.push(version);
+                active.granted += 1;
+                active.phase = ClientPhase::Thinking;
+                let wait = now.since(active.request_sent_at);
+                if faults_on {
+                    c.retry_progress();
+                }
+                sh.collector.on_access_wait(wait);
+                let think = sh.cfg.profile.draw_think(&mut c.time_rng);
+                sh.trace.record(
+                    now,
+                    TraceKind::Granted,
+                    Some(txn),
+                    Some(item),
+                    client.into(),
+                );
+                sh.spans.granted(now, txn, item);
+                sh.cal.schedule_in(
+                    think,
+                    Ev::Timer {
+                        client,
+                        kind: TimerKind::ThinkDone(txn),
+                    },
+                );
+            }
+            Message::AbortNotice { txn } => self.finalize_abort(now, client, txn),
+            Message::PrepareAck { txn, shard } => on_prepare_ack(self, now, client, txn, shard),
+            Message::SCommitAck { txn, shard } => on_commit_ack(sh, client, txn, shard),
+            Message::Callback { item } => {
+                if self.reading_cached[client.index()].contains(&item) {
+                    // The current transaction reads this cached copy:
+                    // defer the acknowledgement until it finishes.
+                    self.deferred_callbacks[client.index()].push(item);
+                } else {
+                    self.caches[client.index()][item.index()] = None;
+                    self.send_callback_ack(client, item);
+                }
+            }
+            Message::ReregisterReq { shard, epoch } => {
+                // Re-report everything the client holds of the restarted
+                // shard: server-granted accesses of the live transaction
+                // homed there (cache pins never took a server lock, so
+                // they are excluded), that shard's unacknowledged commit
+                // slice, and the cached copies the rebuilt directory
+                // must know about.
+                let pins = &self.reading_cached[client.index()];
+                let c = &sh.clients[client.index()];
+                let mut held = Vec::new();
+                let mut txn = None;
+                if let Some(active) = &c.txn {
+                    txn = Some(active.id);
+                    for idx in 0..active.granted {
+                        let (item, mode) = active.spec.access(idx);
+                        if !pins.contains(&item) && sh.cfg.shard_of(item) == shard {
+                            held.push((item, lock_mode(mode)));
+                        }
+                    }
+                }
+                let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
+                    Message::SCommit { txn, writes, reads } if *s == shard => {
+                        Some((*txn, writes.clone(), reads.clone()))
+                    }
+                    _ => None,
+                });
+                let cached: Vec<ItemId> = self.caches[client.index()]
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, v)| v.map(|_| ItemId::new(i as u32)))
+                    .filter(|&item| sh.cfg.shard_of(item) == shard)
+                    .collect();
+                let bytes = CTRL_BYTES + 8 * (held.len() + cached.len()) as u64;
+                sh.net.send(
+                    &mut sh.cal,
+                    client.into(),
+                    SiteId::server(shard),
+                    "c2pl.reregister",
+                    bytes,
+                    Message::SReregister {
+                        client,
+                        epoch,
+                        txn,
+                        held,
+                        pending,
+                        cached,
+                    },
+                );
+            }
+            other => unreachable!("c-2PL client cannot receive {other:?}"),
+        }
+    }
+
+    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
+        match msg {
+            Message::LockReq {
+                txn,
+                client,
+                item,
+                mode,
+            } => {
+                debug_assert_eq!(
+                    self.sh.cfg.shard_of(item) as usize,
+                    shard,
+                    "lock request routed to the wrong shard"
+                );
+                match self.sh.table.status(txn) {
+                    TxnStatus::Active => {}
+                    TxnStatus::Aborting | TxnStatus::Aborted if self.sh.rec.faults_on => {
+                        // A retried request from a victim whose abort
+                        // notice may have been lost: answer it again.
+                        self.sh.send_abort_notice(shard, txn);
+                        return;
+                    }
+                    _ => return,
+                }
+                if self.sh.rec.faults_on {
+                    self.sh.rec.touch(now, txn, &mut self.sh.cal);
+                    if self.locks[shard].mode_of(txn, item).is_some() {
+                        // Already granted. Unless the exclusive grant is
+                        // still gated on a callback barrier (in which case
+                        // the callback-retry timer drives progress),
+                        // re-ship the lost grant.
+                        let gated = self.barriers[item.index()]
+                            .as_ref()
+                            .is_some_and(|b| b.txn == txn);
+                        if !gated {
+                            send_grant(self, now, client, txn, item);
+                        }
+                        return;
+                    }
+                    if self.locks[shard].queued_on(txn) == Some(item) {
+                        return; // duplicate of a still-queued request
+                    }
+                }
+                self.sh.spans.req_arrived(now, txn, item);
+                match self.locks[shard].acquire(txn, item, mode) {
+                    AcquireOutcome::Granted => {
+                        self.on_lock_granted(now, client, txn, item, mode);
+                    }
+                    AcquireOutcome::Queued => self.detect_deadlocks(now, txn),
+                }
+            }
+            Message::Prepare {
+                txn,
+                writes,
+                involved,
+            } => {
+                let sh = &mut self.sh;
+                if sh.table.status(txn) == TxnStatus::Active {
+                    sh.rec.touch(now, txn, &mut sh.cal);
+                }
+                let voted = sh.rec.on_prepare(
+                    now,
+                    shard,
+                    txn,
+                    writes,
+                    involved,
+                    &sh.table,
+                    &mut sh.net,
+                    &mut sh.cal,
+                    &mut sh.trace,
+                );
+                if !voted {
+                    // The abort won the race with the voting round:
+                    // answer the (possibly lost) notice again.
+                    sh.send_abort_notice(shard, txn);
+                }
+            }
+            Message::SCommit { txn, writes, reads } => {
+                let committer = self.sh.table.info(txn).client;
+                if self.sh.rec.faults_on {
+                    // Duplicate commit-release slice (already applied at
+                    // this shard): the ack was lost, so just acknowledge
+                    // again.
+                    if self.sh.rec.applied_at(txn, shard) {
+                        send_commit_ack(self, shard, committer, txn);
+                        return;
+                    }
+                    self.sh.rec.end_lease(txn);
+                }
+                let sh = &mut self.sh;
+                sh.rec.apply_commit(now, shard, txn, &writes, &mut sh.trace);
+                self.install(txn, &writes);
+                for &(item, _) in &writes {
+                    // Remote copies were recalled before the X grant; the
+                    // writer keeps the new version cached.
+                    debug_assert!(
+                        self.directory[item.index()].iter().all(|&c| c == committer),
+                        "cached copies survived an exclusive grant"
+                    );
+                    Self::directory_insert(&mut self.directory[item.index()], committer);
+                }
+                for &item in &reads {
+                    // A commit-release can be retried and arrive late: by
+                    // then the reader may already have answered a callback
+                    // and evicted this copy (its ack possibly opening an
+                    // exclusive barrier). Re-inserting it would resurrect a
+                    // directory entry the recall protocol already retired,
+                    // so consult the cache before registering the copy.
+                    if self.sh.rec.faults_on
+                        && self.caches[committer.index()][item.index()].is_none()
+                    {
+                        continue;
+                    }
+                    Self::directory_insert(&mut self.directory[item.index()], committer);
+                }
+                self.sh.trace.record(
+                    now,
+                    TraceKind::ReleasedAtServer,
+                    Some(txn),
+                    None,
+                    SiteId::server(shard as u32),
+                );
+                self.sh.spans.release_arrived(now, txn, true);
+                self.release_at(now, shard, txn);
+                if self.sh.rec.faults_on {
+                    send_commit_ack(self, shard, committer, txn);
+                }
+            }
+            Message::CallbackAck { client, item } => {
+                // Only an ack that actually evicts a directory entry may
+                // decrement the barrier: duplicate acks (possible when a
+                // dismantled barrier's callbacks race a successor
+                // barrier's) must not release the successor early.
+                let evicted = Self::directory_remove(&mut self.directory[item.index()], client);
+                let barrier_open = if evicted {
+                    if let Some(b) = self.barriers[item.index()].as_mut() {
+                        b.acks_left -= 1;
+                        b.acks_left == 0
+                    } else {
+                        false
+                    }
+                } else {
+                    false
+                };
+                if barrier_open {
+                    // lint:allow(L3): barrier_open checked the entry one statement ago
+                    let b = self.barriers[item.index()].take().expect("just observed");
+                    // Aborted owners dismantle their barriers eagerly, so
+                    // a surviving barrier always has a live owner.
+                    debug_assert_eq!(self.sh.table.status(b.txn), TxnStatus::Active);
+                    send_grant(self, now, b.client, b.txn, item);
+                }
+            }
+            Message::SReregister {
+                client,
+                epoch,
+                txn,
+                held,
+                pending,
+                cached,
+            } => {
+                let sh = &mut self.sh;
+                if sh
+                    .rec
+                    .reregistered(now, shard, client, epoch, txn, &mut sh.trace)
+                {
+                    // The report rebuilds the client's slice of the cache
+                    // directory.
+                    for &item in &cached {
+                        Self::directory_insert(&mut self.directory[item.index()], client);
+                    }
+                    let pending = pending.as_ref();
+                    sh.rec
+                        .check_lock_report(shard, &sh.table, client, txn, &held, pending);
+                    if sh.rec.all_answered(shard) {
+                        self.finish_recovery(now, shard);
+                    }
+                }
+            }
+            Message::CommitQuery {
+                txn, from_shard, ..
+            } => {
+                let sh = &mut self.sh;
+                sh.rec.answer_commit_query(
+                    shard,
+                    txn,
+                    from_shard,
+                    &sh.table,
+                    &mut sh.net,
+                    &mut sh.cal,
+                );
+            }
+            Message::CommitVerdict { txn, committed } => {
+                if self.sh.rec.on_commit_verdict(shard, txn, committed) {
+                    self.resolve_indoubt_commit(now, shard, txn);
+                }
+            }
+            other => unreachable!("c-2PL server cannot receive {other:?}"),
+        }
+    }
+
+    /// Re-send the callbacks still outstanding for the transaction's
+    /// exclusive barrier(s). Directory entries shrink as acks land, so
+    /// only unacknowledged copies are recalled again; a duplicate
+    /// callback to a pinning client yields a duplicate ack, which the
+    /// ack handler already refuses to double-count.
+    fn on_event(&mut self, _now: SimTime, ev: Ev) {
+        let Ev::CallbackRetry { txn } = ev else {
+            unreachable!("{ev:?} is not part of the c-2PL protocol")
+        };
+        let mut any = false;
+        for i in 0..self.barriers.len() {
+            let Some(b) = &self.barriers[i] else { continue };
+            if b.txn != txn {
+                continue;
+            }
+            any = true;
+            let owner = b.client;
+            let item = ItemId::new(i as u32);
+            let remote: Vec<ClientId> = self.directory[i]
+                .iter()
+                .copied()
+                .filter(|&c| c != owner)
+                .collect();
+            for target in remote {
+                self.sh.rec.fsum.retries += 1;
+                self.send_callback(item, target);
+            }
+        }
+        if any {
+            self.sh
+                .cal
+                .schedule_in(self.sh.rec.retry_base, Ev::CallbackRetry { txn });
+        }
+    }
+
+    /// A crash loses the client's cache, except the copies its active
+    /// transaction has read: those reads belong to the transaction, which
+    /// survives the crash like its server-held locks, so their pins — and
+    /// the callbacks deferred behind them — survive too, and a writer
+    /// cannot overwrite what the transaction read before it ends. The
+    /// server's directory becomes stale, which is safe — retried
+    /// callbacks to a copy the client no longer holds are simply
+    /// acknowledged, shrinking the directory back to truth.
+    fn on_client_crash(&mut self, client: ClientId) {
+        let pins = &self.reading_cached[client.index()];
+        for (i, copy) in self.caches[client.index()].iter_mut().enumerate() {
+            if !pins.contains(&ItemId::new(i as u32)) {
+                *copy = None;
+            }
+        }
+    }
+
+    fn on_restart(&mut self, now: SimTime, client: ClientId) {
+        restart_client(self, now, client);
+    }
+
+    /// On top of the s-2PL volatile state, a crash loses the shard's slice
+    /// of the cache directory and every callback barrier there: the
+    /// directory is rebuilt from re-registration reports, and barrier
+    /// owners re-form their recalls through the ordinary request-retry
+    /// path (their exclusive grant was never shipped, so it is
+    /// deliberately absent from the durable grant history). A restart
+    /// restores the versions from the replayed log and opens the
+    /// handshake.
+    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
+        if up {
+            self.sh.restart_shard(now, shard, |_| {});
+        } else {
+            let items = self.sh.crash_shard(now, shard);
+            self.locks[shard] = LockTable::new();
+            self.directory[items.clone()]
+                .iter_mut()
+                .for_each(Vec::clear);
+            self.barriers[items].fill_with(|| None);
+        }
+    }
+
+    /// Close the handshake (see the s-2PL engine). A client that stayed
+    /// silent is presumed crashed, and its directory entries are not
+    /// rebuilt. That is exact for the copies a crash drops, but not for
+    /// the copies a live-but-silent client, or a crashed client's active
+    /// transaction, still holds: a later writer is granted without
+    /// recalling them (a known gap).
+    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
+        let silent = reopen_lock_shard(self, now, shard);
+        self.sh.trace.record(
+            now,
+            TraceKind::ServerRecovered,
+            None,
+            None,
+            SiteId::server(shard as u32),
+        );
+        for txn in silent {
+            self.abort_victim(now, txn);
+        }
+    }
 
     // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
     fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.table.status(victim), TxnStatus::Active);
-        self.table.set_status(victim, TxnStatus::Aborting);
-        self.rec.retire_victim(victim);
+        debug_assert_eq!(self.sh.table.status(victim), TxnStatus::Active);
+        self.sh.table.set_status(victim, TxnStatus::Aborting);
+        self.sh.rec.retire_victim(victim);
         // Dismantle any callback barrier the victim owns: keeping its
         // exclusive lock until the acknowledgements drained could leave a
         // permanent deadlock (a pinning transaction may be waiting on
@@ -1511,10 +780,203 @@ impl C2plEngine {
             woken.extend(lt.release_all(victim));
         }
         for (item, t, mode) in woken {
-            let c = self.table.info(t).client;
+            let c = self.sh.table.info(t).client;
             self.on_lock_granted(now, c, t, item, mode);
         }
-        self.send_abort_notice(0, victim);
+        self.sh.send_abort_notice(0, victim);
+    }
+
+    fn assert_drained(&self) {
+        assert!(
+            self.locks.iter().all(LockTable::is_quiescent),
+            "locks leaked after drain"
+        );
+        assert!(
+            self.barriers.iter().all(Option::is_none),
+            "callback barriers leaked"
+        );
+    }
+
+    fn into_metrics(self, events: u64) -> RunMetrics {
+        self.sh.into_metrics("c-2PL", events)
+    }
+}
+
+impl LockServer for C2plEngine {
+    const LOCK_LABELS: LockLabels = LockLabels {
+        grant: "c2pl.grant",
+        prepare: "c2pl.prepare",
+        commit_release: "c2pl.commit_release",
+        commit_ack: "c2pl.commit_ack",
+    };
+
+    fn parts(&mut self) -> (&mut Shell, &mut [LockTable]) {
+        (&mut self.sh, &mut self.locks)
+    }
+
+    /// The commit decision point (see the s-2PL engine): every involved
+    /// shard voted yes, or no votes were needed. The client's WAL
+    /// `Commit` record is the coordinator's durable decision record.
+    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        let sh = &mut self.sh;
+        let active = sh.clients[client.index()]
+            .txn
+            .take()
+            // lint:allow(L3): guarded by the caller
+            .expect("committing client has a transaction");
+        debug_assert_eq!(active.id, txn);
+        sh.table.set_status(txn, TxnStatus::Committed);
+        let measured = sh
+            .collector
+            .on_commit_sized(now.since(active.start), active.spec.len());
+
+        // One combined commit/release message per involved shard, in
+        // ascending shard order. A single-shard space degenerates to
+        // exactly the old single message.
+        let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
+        let mut records = Vec::new();
+        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
+            let observed = active.versions[idx];
+            let slice = by_shard.entry(sh.cfg.shard_of(item)).or_default();
+            match mode {
+                AccessMode::Write => {
+                    let installed = observed + 1;
+                    slice.0.push((item, installed));
+                    records.push(AccessRecord {
+                        item,
+                        mode,
+                        version: installed,
+                    });
+                    // The writer's copy stays cached (demoted to shared).
+                    self.caches[client.index()][item.index()] = Some(installed);
+                }
+                AccessMode::Read => {
+                    slice.1.push(item);
+                    records.push(AccessRecord {
+                        item,
+                        mode,
+                        version: observed,
+                    });
+                    self.caches[client.index()][item.index()] = Some(observed);
+                }
+            }
+        }
+        sh.spans
+            .commit_local(now, txn, by_shard.len() as u32, measured);
+        sh.trace
+            .record(now, TraceKind::Committed, Some(txn), None, client.into());
+        if let Some(h) = &mut sh.history {
+            h.push(CommitRecord {
+                txn,
+                at: now,
+                accesses: records,
+            });
+        }
+
+        if let Some(wal) = &mut sh.wal {
+            let log = &mut wal[client.index()];
+            for (writes, _) in by_shard.values() {
+                for &(item, new) in writes {
+                    log.append(LogRecord::Update {
+                        txn,
+                        item,
+                        old: new - 1,
+                        new,
+                    });
+                }
+            }
+            log.append(LogRecord::Commit { txn });
+        }
+
+        if sh.rec.faults_on {
+            // Commit durability under loss: retransmit every slice until
+            // its shard acknowledges; the idle period starts on the last
+            // ack.
+            let c = &mut sh.clients[client.index()];
+            c.retry_progress();
+            c.pending_commits = by_shard
+                .iter()
+                .map(|(&shard, (writes, reads))| {
+                    (
+                        shard,
+                        Message::SCommit {
+                            txn,
+                            writes: writes.clone(),
+                            reads: reads.clone(),
+                        },
+                    )
+                })
+                .collect();
+        }
+        for (shard, (writes, reads)) in by_shard {
+            let bytes = CTRL_BYTES + writes.len() as u64 * sh.cfg.item_size_bytes;
+            sh.net.send(
+                &mut sh.cal,
+                client.into(),
+                SiteId::server(shard),
+                Self::LOCK_LABELS.commit_release,
+                bytes,
+                Message::SCommit { txn, writes, reads },
+            );
+        }
+        // Pins release and deferred callbacks answer at transaction end
+        // regardless; only the next transaction's start is gated on the
+        // ack under faults.
+        self.answer_deferred_callbacks(client);
+        let sh = &mut self.sh;
+        if sh.rec.faults_on {
+            sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
+        } else {
+            sh.schedule_idle(client);
+        }
+    }
+
+    /// Abort the client's transaction locally: on receipt of the server's
+    /// notice, or — under faults — when the client discovers the abort
+    /// on its own (restart after a crash, or a commit racing the notice).
+    /// Its cache pins release and its deferred callbacks answer now.
+    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        let sh = &mut self.sh;
+        let c = &mut sh.clients[client.index()];
+        let Some(active) = &c.txn else { return };
+        if active.id != txn {
+            return;
+        }
+        let read_only = active.spec.is_read_only();
+        let waste = now.since(active.start);
+        let depth = active.granted;
+        c.txn = None;
+        // An abort during the voting round withdraws the outstanding
+        // prepares (see the s-2PL engine).
+        c.pending_commits
+            .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
+        if sh.rec.faults_on {
+            c.retry_progress();
+        }
+        sh.table.set_status(txn, TxnStatus::Aborted);
+        sh.collector.on_abort_diag(read_only, waste, depth);
+        if let Some(wal) = &mut sh.wal {
+            wal[client.index()].append(LogRecord::Abort { txn });
+        }
+        sh.trace
+            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
+        sh.spans.aborted(now, txn);
+        self.answer_deferred_callbacks(client);
+        self.sh.schedule_idle(client);
+    }
+
+    /// A recovered shard learned that an in-doubt transaction committed:
+    /// install its write slice and hand the released locks on. The cache
+    /// directory is deliberately left alone — directory truth after a
+    /// crash comes exclusively from re-registration reports, and a client
+    /// that never re-registered has lost its cache, so inventing entries
+    /// here would resurrect dead copies.
+    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
+        let sh = &mut self.sh;
+        if let Some(writes) = sh.rec.commit_in_doubt(now, shard, txn, &mut sh.trace) {
+            self.install(txn, &writes);
+            self.release_at(now, shard, txn);
+        }
     }
 }
 

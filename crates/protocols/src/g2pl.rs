@@ -41,26 +41,25 @@
 
 use crate::config::{AbortEffect, EngineConfig, G2plOpts, ProtocolKind};
 use crate::cycle::CycleFinder;
-use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, RunMetrics, WalReport};
-use crate::recovery::{Labels, Recovery};
+use crate::history::{AccessRecord, CommitRecord};
+use crate::metrics::RunMetrics;
 use crate::runtime::{
-    ClientCore, ClientPhase, Ev, HoldReport, Message, Net, Resend, TimerKind, TxnStatus, TxnTable,
+    run, ClientPhase, Ev, HoldReport, Labels, Message, Protocol, Shell, TimerKind, TxnStatus,
+    CTRL_BYTES,
 };
-use crate::s2pl::{lock_mode, CTRL_BYTES, EVENT_BUDGET};
-use crate::tracelog::{TraceKind, TraceLog};
+use crate::tracelog::TraceKind;
 use g2pl_fwdlist::window::PendingReq;
 use g2pl_fwdlist::{CollectionWindow, FlEntry, ForwardList, PrecedenceDag, Segment};
 use g2pl_lockmgr::LockMode;
-use g2pl_obs::SpanRecorder;
-use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerRecord, SiteLog};
-use g2pl_workload::{AccessMode, TxnGenerator};
+use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
+use g2pl_wal::{LogRecord, ServerRecord};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Accounting labels of the recovery messages.
+/// Accounting labels of the messages the shared code sends.
 const LABELS: Labels = Labels {
+    lock_request: "g2pl.lock_request",
+    abort_notice: "g2pl.abort_notice",
     commit_query: "g2pl.commit_query",
     commit_verdict: "g2pl.commit_verdict",
     reregister_req: "g2pl.reregister_req",
@@ -94,7 +93,6 @@ struct OutState {
 
 /// Server-side state of one item.
 struct ItemState {
-    version: Version,
     /// Dispatch epoch, bumped on every (re-)dispatch: messages of a
     /// superseded checkout identify themselves as stale and are dropped.
     epoch: u64,
@@ -175,12 +173,10 @@ impl Hold {
 
 /// The g-2PL simulation engine.
 pub struct G2plEngine {
-    cfg: EngineConfig,
+    /// The shared state. Its fault domains' lease period bounds each
+    /// dispatched checkout.
+    sh: Shell,
     opts: G2plOpts,
-    cal: Calendar<Ev>,
-    net: Net,
-    clients: Vec<ClientCore>,
-    table: TxnTable,
     items: Vec<ItemState>,
     /// Client-side holds, slab-indexed by transaction: each slot is the
     /// (few) forward-list entries that transaction holds, in arrival
@@ -204,19 +200,8 @@ pub struct G2plEngine {
     /// Reusable buffer of probe starts for post-dispatch detection.
     start_scratch: Vec<TxnId>,
     arrival_seq: u64,
-    generator: TxnGenerator,
-    collector: Collector,
-    history: Option<History>,
-    trace: TraceLog,
-    spans: SpanRecorder,
-    wal: Option<Vec<SiteLog>>,
-    admitting: bool,
     max_fl_len: usize,
     window_closes: u64,
-    /// The shards' fault domains: gating, crash recovery, presumed-abort
-    /// votes and fault counters. Its lease period bounds each dispatched
-    /// checkout.
-    rec: Recovery,
     /// Coordinator-side phase-2 state: committed multi-home transactions
     /// whose [`Message::Decide`] is still unacknowledged, mapped to the
     /// bitmask of shards that still owe a [`Message::DecideAck`]. The
@@ -232,23 +217,8 @@ impl G2plEngine {
             // lint:allow(L3): constructor precondition, caught by config validation
             panic!("G2plEngine requires a g-2PL configuration");
         };
-        let generator = TxnGenerator::new_sharded(
-            cfg.profile.clone(),
-            cfg.items.num_shards,
-            cfg.items.items_per_shard,
-        );
-        let replay = cfg.replay.clone().map(std::rc::Rc::new);
-        let clients = (0..cfg.num_clients)
-            .map(|i| match &replay {
-                Some(t) => {
-                    ClientCore::with_replay(ClientId::new(i), cfg.seed, std::rc::Rc::clone(t))
-                }
-                None => ClientCore::new(ClientId::new(i), cfg.seed),
-            })
-            .collect();
         let items = (0..cfg.num_items())
             .map(|_| ItemState {
-                version: 0,
                 epoch: 0,
                 out: None,
                 window: CollectionWindow::new(),
@@ -256,14 +226,8 @@ impl G2plEngine {
                 unpermanent_writers: Vec::new(),
             })
             .collect();
-        let net = Net::for_config(&cfg);
         G2plEngine {
-            rec: Recovery::new(&cfg, &net, LABELS),
-            net,
-            pending_decides: BTreeMap::new(),
-            cal: Calendar::new(),
-            clients,
-            table: TxnTable::new(),
+            opts,
             items,
             holds: Slab::new(),
             entries_of: Slab::new(),
@@ -273,186 +237,17 @@ impl G2plEngine {
             finder: CycleFinder::default(),
             start_scratch: Vec::new(),
             arrival_seq: 0,
-            generator,
-            collector: Collector::with_histogram(
-                cfg.warmup_txns,
-                cfg.measured_txns,
-                cfg.latency.nominal().max(2) / 2,
-            ),
-            history: cfg.record_history.then(History::new),
-            trace: TraceLog::new(cfg.trace_events),
-            spans: SpanRecorder::new(cfg.trace_events),
-            wal: cfg.enable_wal.then(|| {
-                (0..cfg.num_clients)
-                    .map(|_| SiteLog::new(cfg.item_size_bytes))
-                    .collect()
-            }),
-            admitting: true,
             max_fl_len: 0,
             window_closes: 0,
-            opts,
-            cfg,
+            pending_decides: BTreeMap::new(),
+            sh: Shell::new(cfg, LABELS),
         }
     }
 
     /// Run to completion and report metrics.
-    pub fn run(mut self) -> RunMetrics {
-        for i in 0..self.cfg.num_clients {
-            let c = &mut self.clients[i as usize];
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule(
-                idle,
-                Ev::Timer {
-                    client: ClientId::new(i),
-                    kind: TimerKind::IdleDone,
-                },
-            );
-        }
-
-        for (client, at, up) in self.net.crash_schedule() {
-            self.cal.schedule(at, Ev::Fault { client, up });
-        }
-        for (shard, at, up) in self.net.server_crash_schedule() {
-            self.cal.schedule(at, Ev::ServerFault { shard, up });
-        }
-
-        let mut events: u64 = 0;
-        while let Some((now, ev)) = self.cal.pop() {
-            events += 1;
-            assert!(events < EVENT_BUDGET, "event budget exhausted: livelock?");
-            match ev {
-                Ev::Timer { client, kind } => {
-                    if !self.clients[client.index()].crashed {
-                        self.on_timer(now, client, kind);
-                    }
-                }
-                Ev::WindowTimer { item } => self.on_window_timer(now, item),
-                Ev::ServerProc { shard, msg } => {
-                    if self.rec.admit_queued(shard as usize, &msg) {
-                        self.on_server_msg(now, shard as usize, msg);
-                    }
-                }
-                Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => match self.rec.admit(now, shard.index(), &msg) {
-                        Some(SimTime::ZERO) => self.on_server_msg(now, shard.index(), msg),
-                        Some(d) => {
-                            self.cal.schedule_in(
-                                d,
-                                Ev::ServerProc {
-                                    shard: shard.0,
-                                    msg,
-                                },
-                            );
-                        }
-                        None => {}
-                    },
-                    SiteId::Client(c) => {
-                        if !self.clients[c.index()].crashed {
-                            self.on_client_msg(now, c, msg);
-                        }
-                    }
-                },
-                Ev::Fault { client, up } => self.on_fault(now, client, up),
-                Ev::LeaseCheck { item, epoch } => self.on_lease_check(now, item, epoch),
-                Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
-                Ev::RecoveryCheck { shard, epoch } => {
-                    let s = shard as usize;
-                    if self
-                        .rec
-                        .on_recovery_check(now, s, epoch, &mut self.net, &mut self.cal)
-                    {
-                        self.finish_recovery(now, s);
-                    }
-                }
-                Ev::TxnLease { .. } | Ev::CallbackRetry { .. } => {
-                    unreachable!("event is not part of the g-2PL protocol")
-                }
-            }
-            if self.rec.faults_on {
-                for (at, site) in self.net.take_fault_marks() {
-                    self.trace
-                        .record(at, TraceKind::FaultInjected, None, None, site);
-                }
-            }
-            if self.collector.done() {
-                if !self.cfg.drain {
-                    break;
-                }
-                self.admitting = false;
-            }
-        }
-
-        // Under an active fault plan the end-of-run snapshot may
-        // legitimately hold residue (a checkout whose lease had not yet
-        // fired, a client down at calendar exhaustion); liveness is
-        // checked by trace property P8 instead of these structural
-        // asserts.
-        if self.cfg.drain && !self.rec.faults_on {
-            for (i, item) in self.items.iter().enumerate() {
-                assert!(item.out.is_none(), "item x{i} not home after drain");
-                assert!(
-                    item.window.is_empty(),
-                    "window of x{i} not empty after drain"
-                );
-            }
-            assert!(
-                self.holds
-                    .iter()
-                    .all(|(_, v)| v.iter().all(|(_, h)| h.forwarded || !h.data_arrived)),
-                "data arrived at a hold but was never passed on"
-            );
-            if let Some(wal) = &self.wal {
-                assert!(
-                    wal.iter().all(SiteLog::is_empty),
-                    "WAL records survived a drain: every version is home"
-                );
-            }
-        }
-
-        let obs = self.spans.finish();
-        let trace_dropped = self.trace.dropped();
-        self.rec.fsum.injected = self.net.fault_counts();
-        RunMetrics {
-            faults: self.rec.fsum,
-            protocol: "g-2PL",
-            response: self.collector.response,
-            aborts: self.collector.aborts,
-            read_only_aborts: self.collector.read_only_aborts,
-            committed_total: self.collector.committed_total,
-            aborted_total: self.collector.aborted_total,
-            net: self.net.acct,
-            end_time: self.cal.now(),
-            history: self.history,
-            trace: if self.trace.enabled() {
-                Some(self.trace.into_events())
-            } else {
-                None
-            },
-            max_fl_len: self.max_fl_len,
-            window_closes: self.window_closes,
-            access_wait: self.collector.access_wait,
-            abort_waste: self.collector.abort_waste,
-            abort_depth: self.collector.abort_depth,
-            response_by_size: self.collector.response_by_size,
-            response_hist: self.collector.response_hist,
-            response_tail: self.collector.response_tail,
-            wal: self.wal.map(|sites| {
-                let mut r = WalReport::default();
-                for site in &sites {
-                    r.absorb(site.metrics(), site.live_records());
-                }
-                r
-            }),
-            phases: obs.breakdown,
-            flight: obs.flight,
-            spans: obs.raw,
-            trace_dropped,
-            events,
-            peak_calendar: self.cal.peak_len(),
-            wall_secs: 0.0,
-        }
+    pub fn run(self) -> RunMetrics {
+        run(self)
     }
-
     /// The hold of `(item, txn)`, if the data (or its anticipation) is at
     /// the client.
     fn hold(&self, item: ItemId, txn: TxnId) -> Option<&Hold> {
@@ -489,7 +284,7 @@ impl G2plEngine {
         let at = match v.iter().position(|(i, _)| *i == item) {
             Some(at) => {
                 if v[at].1.epoch < epoch {
-                    debug_assert!(self.rec.faults_on, "epoch moved on a reliable network");
+                    debug_assert!(self.sh.rec.faults_on, "epoch moved on a reliable network");
                     let mut nh = Hold::new(Rc::clone(fl), pos, epoch);
                     nh.granted = v[at].1.granted;
                     nh.forwarded = v[at].1.forwarded;
@@ -507,100 +302,17 @@ impl G2plEngine {
 
     // ---- client side ----
 
-    fn on_timer(&mut self, now: SimTime, client: ClientId, kind: TimerKind) {
-        match kind {
-            TimerKind::IdleDone => {
-                if !self.admitting {
-                    return;
-                }
-                let c = &mut self.clients[client.index()];
-                let txn = c.begin_txn(&self.generator, &mut self.table, now);
-                if let Some(wal) = &mut self.wal {
-                    wal[client.index()].append(LogRecord::Begin { txn });
-                }
-                let (item, mode) = c.txn().spec.access(0);
-                self.send_request(now, client, txn, item, mode);
-            }
-            TimerKind::ThinkDone(txn) => {
-                let c = &self.clients[client.index()];
-                let Some(active) = &c.txn else { return };
-                if active.id != txn || active.phase != ClientPhase::Thinking {
-                    return; // stale timer
-                }
-                let granted = active.granted;
-                if granted < active.spec.len() {
-                    let (item, mode) = active.spec.access(granted);
-                    {
-                        let t = self.clients[client.index()].txn_mut();
-                        t.phase = ClientPhase::WaitingGrant(granted);
-                        t.request_sent_at = now;
-                    }
-                    self.send_request(now, client, txn, item, mode);
-                } else {
-                    self.try_commit(now, client, txn);
-                }
-            }
-            TimerKind::Retry { epoch } => match self.clients[client.index()].due_resend(epoch) {
-                Some(Resend::CommitPhase) => self.resend_pending_commits(now, client),
-                Some(Resend::Request) => self.resend_request(now, client),
-                None => {}
-            },
-            TimerKind::DecideRetry(txn) => self.on_decide_retry(now, client, txn),
-        }
-    }
-
-    /// Commit if every hold's gates have passed; otherwise enter
-    /// `CommitWait` until the last MR1W reader release arrives. Without
-    /// this certification step a writer that ran concurrently with the
-    /// readers of the previous version could leak its *other* writes
-    /// before those readers finish, producing non-serializable
-    /// executions.
-    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        if self.rec.faults_on && self.table.status(txn) != TxnStatus::Active {
-            // A server-side lease recovery chose this transaction as its
-            // victim while the commit was pending; the server has already
-            // redispatched the surviving suffix, so the abort wins.
-            self.on_abort_notice(now, client, txn);
-            return;
-        }
-        if self.rec.faults_on && !self.clients[client.index()].pending_commits.is_empty() {
-            return; // voting round already under way; acks drive progress
-        }
-        let (ready, involved) = {
-            let active = self.clients[client.index()].txn();
-            let ready = active
-                .spec
-                .accesses
-                .iter()
-                .all(|&(item, _)| self.hold(item, txn).is_some_and(Hold::gates_passed));
-            (ready, active.involved(&self.cfg))
-        };
-        if ready {
-            if self.rec.srv_faults_on && involved.count_ones() > 1 {
-                // Multi-home commitment under shard crashes is two-phase:
-                // collect a durable yes vote from every involved shard
-                // before the client-local commit point.
-                self.begin_prepare(now, client, txn, involved);
-                return;
-            }
-            self.commit(now, client, txn);
-        } else {
-            self.clients[client.index()].txn_mut().phase = ClientPhase::CommitWait;
-        }
-    }
-
     /// Open the voting round of a multi-home commitment: ask every
     /// involved shard to force a prepared record for `txn`. g-2PL
     /// versions migrate client-to-client, so the vote carries no write
     /// slice — it only pins the shard's promise that the decision will
     /// be applied (durably recorded) once the coordinator decides.
-    fn begin_prepare(&mut self, now: SimTime, client: ClientId, txn: TxnId, involved: u64) {
-        let _ = now;
-        let c = &mut self.clients[client.index()];
+    fn begin_prepare(&mut self, client: ClientId, txn: TxnId, involved: u64) {
+        let c = &mut self.sh.clients[client.index()];
         c.txn_mut().phase = ClientPhase::CommitWait;
         c.retry_progress();
         debug_assert!(c.pending_commits.is_empty());
-        for shard in 0..self.cfg.num_shards() {
+        for shard in 0..self.sh.cfg.num_shards() {
             if involved & (1u64 << shard) == 0 {
                 continue;
             }
@@ -609,11 +321,11 @@ impl G2plEngine {
                 writes: Vec::new(),
                 involved,
             };
-            self.clients[client.index()]
+            self.sh.clients[client.index()]
                 .pending_commits
                 .push((shard, msg.clone()));
-            self.net.send(
-                &mut self.cal,
+            self.sh.net.send(
+                &mut self.sh.cal,
                 client.into(),
                 SiteId::server(shard),
                 "g2pl.prepare",
@@ -621,25 +333,7 @@ impl G2plEngine {
                 msg,
             );
         }
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-    }
-
-    /// Re-send every outstanding prepare of the client's voting round.
-    fn resend_pending_commits(&mut self, now: SimTime, client: ClientId) {
-        let _ = now;
-        let pending = self.clients[client.index()].pending_commits.clone();
-        for (shard, msg) in pending {
-            self.rec.fsum.retries += 1;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.prepare",
-                CTRL_BYTES,
-                msg,
-            );
-        }
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
+        self.sh.clients[client.index()].arm_retry(&mut self.sh.cal, self.sh.rec.retry_base);
     }
 
     /// Ship the commit decision to every involved shard and keep
@@ -647,15 +341,14 @@ impl G2plEngine {
     /// already durable at the coordinator (commit oracle + client WAL),
     /// so phase 2 runs detached from the transaction slot — the client
     /// moves on to its next transaction meanwhile.
-    fn send_decides(&mut self, now: SimTime, client: ClientId, txn: TxnId, involved: u64) {
-        let _ = now;
+    fn send_decides(&mut self, client: ClientId, txn: TxnId, involved: u64) {
         self.pending_decides.insert(txn, involved);
-        for shard in 0..self.cfg.num_shards() {
+        for shard in 0..self.sh.cfg.num_shards() {
             if involved & (1u64 << shard) == 0 {
                 continue;
             }
-            self.net.send(
-                &mut self.cal,
+            self.sh.net.send(
+                &mut self.sh.cal,
                 client.into(),
                 SiteId::server(shard),
                 "g2pl.decide",
@@ -663,219 +356,40 @@ impl G2plEngine {
                 Message::Decide { txn },
             );
         }
-        self.cal.schedule_in(
-            self.rec.retry_base,
+        self.sh.cal.schedule_in(
+            self.sh.rec.retry_base,
             Ev::Timer {
                 client,
                 kind: TimerKind::DecideRetry(txn),
             },
         );
-    }
-
-    /// The phase-2 retransmission timer fired: re-send the decision to
-    /// every shard that has not yet acknowledged it.
-    fn on_decide_retry(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let _ = now;
-        let Some(&mask) = self.pending_decides.get(&txn) else {
-            return; // fully acknowledged: the timer dies
-        };
-        for shard in 0..self.cfg.num_shards() {
-            if mask & (1u64 << shard) == 0 {
-                continue;
-            }
-            self.rec.fsum.retries += 1;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.decide",
-                CTRL_BYTES,
-                Message::Decide { txn },
-            );
-        }
-        self.cal.schedule_in(
-            self.rec.retry_base,
-            Ev::Timer {
-                client,
-                kind: TimerKind::DecideRetry(txn),
-            },
-        );
-    }
-
-    fn send_request(
-        &mut self,
-        now: SimTime,
-        client: ClientId,
-        txn: TxnId,
-        item: ItemId,
-        mode: AccessMode,
-    ) {
-        if self.rec.faults_on {
-            self.clients[client.index()].retry_progress();
-        }
-        self.trace.record(
-            now,
-            TraceKind::RequestSent,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.req_sent(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "g2pl.lock_request",
-            CTRL_BYTES,
-            Message::GLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        if self.rec.faults_on {
-            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-        }
-    }
-
-    /// Re-send the outstanding lock request. No `RequestSent` trace or
-    /// request span is recorded for a retransmission: trace consumers
-    /// pair each logical request with one dispatch.
-    fn resend_request(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        let txn = active.id;
-        let (item, mode) = active.spec.access(active.granted);
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.rec.fsum.retries += 1;
-        let _ = now;
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "g2pl.lock_request",
-            CTRL_BYTES,
-            Message::GLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-    }
-
-    /// A scheduled crash or restart from the fault plan.
-    fn on_fault(&mut self, now: SimTime, client: ClientId, up: bool) {
-        if up {
-            self.on_restart(now, client);
-            return;
-        }
-        let c = &mut self.clients[client.index()];
-        if c.crashed {
-            return;
-        }
-        c.crashed = true;
-        self.rec.fsum.crashes += 1;
-        self.trace
-            .record(now, TraceKind::FaultInjected, None, None, client.into());
-    }
-
-    /// A crashed client comes back up. Every timer it had died with the
-    /// crash, so each possible state re-establishes its own wake-up. Item
-    /// copies the site held are re-derived from its log, but any
-    /// migration hop dropped while down is recovered by the server-side
-    /// item lease, not by the client.
-    fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        if !c.crashed {
-            return;
-        }
-        c.crashed = false;
-        c.retry_progress();
-        // Phase-2 retransmission timers died with the crash; the pending
-        // decisions themselves are durable (oracle + WAL), so re-arm one
-        // timer per still-unacknowledged decision this client owns.
-        let unacked: Vec<TxnId> = self
-            .pending_decides
-            .keys()
-            .copied()
-            .filter(|&t| self.table.info(t).client == client)
-            .collect();
-        for txn in unacked {
-            self.cal.schedule_in(
-                SimTime::ZERO,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::DecideRetry(txn),
-                },
-            );
-        }
-        let c = &self.clients[client.index()];
-        let Some(active) = &c.txn else {
-            let c = &mut self.clients[client.index()];
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-            return;
-        };
-        let (txn, phase) = (active.id, active.phase);
-        let voting = !c.pending_commits.is_empty();
-        match self.table.status(txn) {
-            TxnStatus::Aborting | TxnStatus::Aborted => self.on_abort_notice(now, client, txn),
-            TxnStatus::Active => match phase {
-                ClientPhase::WaitingGrant(_) => self.resend_request(now, client),
-                ClientPhase::Thinking => {
-                    // The think timer died with the crash: resume now.
-                    self.cal.schedule_in(
-                        SimTime::ZERO,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::ThinkDone(txn),
-                        },
-                    );
-                }
-                ClientPhase::CommitWait if voting => {
-                    // An open voting round: its retry timer died with the
-                    // crash, so restart the retransmission loop.
-                    self.resend_pending_commits(now, client);
-                }
-                // A commit certification waits on reader releases; any
-                // dropped while down are recovered by the item lease.
-                ClientPhase::CommitWait | ClientPhase::Idle => {}
-            },
-            TxnStatus::Committed => {}
-        }
     }
 
     fn commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let active = self.clients[client.index()]
+        let active = self.sh.clients[client.index()]
             .txn
             .take()
             // lint:allow(L3): commit is only reachable from a client with an active txn
             .expect("committing client has a transaction");
         debug_assert_eq!(active.id, txn);
-        if self.rec.faults_on {
-            self.clients[client.index()].retry_progress();
+        if self.sh.rec.faults_on {
+            self.sh.clients[client.index()].retry_progress();
         }
-        self.table.set_status(txn, TxnStatus::Committed);
+        self.sh.table.set_status(txn, TxnStatus::Committed);
         let measured = self
+            .sh
             .collector
             .on_commit_sized(now.since(active.start), active.spec.len());
         // Every hold forwards exactly once, so exactly one release arrival
         // (client- or server-bound) is expected per accessed item.
-        self.spans
+        self.sh
+            .spans
             .commit_local(now, txn, active.spec.len() as u32, measured);
-        self.trace
+        self.sh
+            .trace
             .record(now, TraceKind::Committed, Some(txn), None, client.into());
 
-        if let Some(h) = &mut self.history {
+        if let Some(h) = &mut self.sh.history {
             let accesses = active
                 .spec
                 .accesses
@@ -898,7 +412,7 @@ impl G2plEngine {
             });
         }
 
-        if let Some(wal) = &mut self.wal {
+        if let Some(wal) = &mut self.sh.wal {
             let log = &mut wal[client.index()];
             for (&(item, mode), &observed) in active.spec.accesses.iter().zip(&active.versions) {
                 if mode.is_write() {
@@ -926,23 +440,13 @@ impl G2plEngine {
         // The committed transaction no longer constrains future windows.
         self.dag.remove_txn(txn);
 
-        let idle = self
-            .cfg
-            .profile
-            .draw_idle(&mut self.clients[client.index()].time_rng);
-        self.cal.schedule_in(
-            idle,
-            Ev::Timer {
-                client,
-                kind: TimerKind::IdleDone,
-            },
-        );
+        self.sh.schedule_idle(client);
     }
 
     /// Forward the hold of `(item, txn)` if all gates have passed and the
     /// transaction is finished (committed, aborting, or aborted).
     fn try_forward(&mut self, now: SimTime, item: ItemId, txn: TxnId) {
-        let status = self.table.status(txn);
+        let status = self.sh.table.status(txn);
         let Some(hold) = self.hold_mut(item, txn) else {
             return; // data not yet arrived; pass-through happens on arrival
         };
@@ -961,7 +465,7 @@ impl G2plEngine {
         };
         let client = fl.entry(pos).client;
         let instant =
-            self.cfg.abort_effect == AbortEffect::Instant && status != TxnStatus::Committed;
+            self.sh.cfg.abort_effect == AbortEffect::Instant && status != TxnStatus::Committed;
 
         // Oracle completion flag for deadlock analysis; completing an
         // entry is the progress the item lease watches for.
@@ -974,7 +478,7 @@ impl G2plEngine {
         if let Some(v) = self.entries_of.get_mut(txn.index()) {
             v.retain(|&i| i != item);
         }
-        self.trace.record(
+        self.sh.trace.record(
             now,
             TraceKind::Forwarded,
             Some(txn),
@@ -995,15 +499,15 @@ impl G2plEngine {
                     let bytes = if self.opts.mr1w {
                         CTRL_BYTES
                     } else {
-                        self.spans.hop_departed(now, fl.entry(w).txn, item);
-                        CTRL_BYTES + self.cfg.item_size_bytes
+                        self.sh.spans.hop_departed(now, fl.entry(w).txn, item);
+                        CTRL_BYTES + self.sh.cfg.item_size_bytes
                     };
                     (SiteId::Client(fl.entry(w).client), Some(w), bytes)
                 }
                 None => (
-                    self.cfg.shard_site(item),
+                    self.sh.cfg.shard_site(item),
                     None,
-                    CTRL_BYTES + self.cfg.item_size_bytes,
+                    CTRL_BYTES + self.sh.cfg.item_size_bytes,
                 ),
             };
             let msg = Message::GReaderRelease {
@@ -1015,8 +519,8 @@ impl G2plEngine {
                 epoch,
             };
             if instant {
-                self.net.send_with_delay(
-                    &mut self.cal,
+                self.sh.net.send_with_delay(
+                    &mut self.sh.cal,
                     client.into(),
                     to_site,
                     "g2pl.reader_release",
@@ -1025,8 +529,8 @@ impl G2plEngine {
                     SimTime::ZERO,
                 );
             } else {
-                self.net.send(
-                    &mut self.cal,
+                self.sh.net.send(
+                    &mut self.sh.cal,
                     client.into(),
                     to_site,
                     "g2pl.reader_release",
@@ -1072,22 +576,22 @@ impl G2plEngine {
                         epoch,
                     };
                     if instant {
-                        self.net.send_with_delay(
-                            &mut self.cal,
+                        self.sh.net.send_with_delay(
+                            &mut self.sh.cal,
                             client.into(),
-                            self.cfg.shard_site(item),
+                            self.sh.cfg.shard_site(item),
                             "g2pl.return",
-                            CTRL_BYTES + self.cfg.item_size_bytes,
+                            CTRL_BYTES + self.sh.cfg.item_size_bytes,
                             msg,
                             SimTime::ZERO,
                         );
                     } else {
-                        self.net.send(
-                            &mut self.cal,
+                        self.sh.net.send(
+                            &mut self.sh.cal,
                             client.into(),
-                            self.cfg.shard_site(item),
+                            self.sh.cfg.shard_site(item),
                             "g2pl.return",
-                            CTRL_BYTES + self.cfg.item_size_bytes,
+                            CTRL_BYTES + self.sh.cfg.item_size_bytes,
                             msg,
                         );
                     }
@@ -1133,7 +637,8 @@ impl G2plEngine {
             .segment_at(seg_start)
             // lint:allow(L3): callers advance seg_start only to valid segment starts
             .expect("send_segment called past the end of the list");
-        let data_bytes = CTRL_BYTES + self.cfg.item_size_bytes + fl.len() as u64 * FL_ENTRY_BYTES;
+        let data_bytes =
+            CTRL_BYTES + self.sh.cfg.item_size_bytes + fl.len() as u64 * FL_ENTRY_BYTES;
         // The MR1W extra copy to the writer after a reader group chains
         // onto the segment's own range, so no target list is materialised.
         let extra_writer = match (&seg, self.opts.mr1w) {
@@ -1142,14 +647,14 @@ impl G2plEngine {
         };
         for pos in seg.range().chain(extra_writer) {
             let to = fl.entry(pos).client;
-            self.trace.record(
+            self.sh.trace.record(
                 now,
                 TraceKind::Dispatched,
                 Some(fl.entry(pos).txn),
                 Some(item),
                 to.into(),
             );
-            self.spans.hop_departed(now, fl.entry(pos).txn, item);
+            self.sh.spans.hop_departed(now, fl.entry(pos).txn, item);
             let msg = Message::GData {
                 item,
                 version,
@@ -1159,8 +664,8 @@ impl G2plEngine {
                 epoch,
             };
             if instant {
-                self.net.send_with_delay(
-                    &mut self.cal,
+                self.sh.net.send_with_delay(
+                    &mut self.sh.cal,
                     from,
                     to.into(),
                     "g2pl.data",
@@ -1169,173 +674,15 @@ impl G2plEngine {
                     SimTime::ZERO,
                 );
             } else {
-                self.net
-                    .send(&mut self.cal, from, to.into(), "g2pl.data", data_bytes, msg);
-            }
-        }
-    }
-
-    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
-        match msg {
-            Message::GData {
-                item,
-                version,
-                fl,
-                pos,
-                from_txn,
-                epoch,
-            } => {
-                let txn = fl.entry(pos).txn;
-                debug_assert_eq!(fl.entry(pos).client, client);
-                if self.rec.faults_on {
-                    if let Some(h) = self.hold(item, txn) {
-                        if epoch < h.epoch {
-                            return; // copy from a superseded dispatch
-                        }
-                        if epoch == h.epoch && h.data_arrived {
-                            return; // duplicated delivery of this copy
-                        }
-                    }
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::DataArrived,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                if let Some(ft) = from_txn {
-                    // The forwarder's release rode this hop (§3.2 merge):
-                    // it reaches a client, not the server, so it costs the
-                    // releasing transaction no extra sequential round.
-                    self.spans.release_arrived(now, ft, false);
-                }
-                let hold = self.hold_or_insert(item, txn, &fl, pos, epoch);
-                hold.data_arrived = true;
-                hold.version = version;
-                self.after_gate_update(now, client, item, txn);
-            }
-            Message::GReaderRelease {
-                item,
-                version,
-                fl,
-                from_pos,
-                to_pos,
-                epoch,
-            } => {
-                // lint:allow(L3): the sender set to_pos on every client-bound release
-                let w = to_pos.expect("client-bound release has a writer position");
-                let txn = fl.entry(w).txn;
-                debug_assert_eq!(fl.entry(w).client, client);
-                if self.rec.faults_on {
-                    if let Some(h) = self.hold(item, txn) {
-                        if epoch < h.epoch {
-                            return; // release from a superseded dispatch
-                        }
-                        if epoch == h.epoch && h.releases_from.contains(&from_pos) {
-                            return; // duplicated delivery of this release
-                        }
-                    }
-                }
-                self.spans
-                    .release_arrived(now, fl.entry(from_pos).txn, false);
-                let mr1w = self.opts.mr1w;
-                let hold = self.hold_or_insert(item, txn, &fl, w, epoch);
-                hold.releases_from.push(from_pos);
-                hold.releases_recv += 1;
-                if !mr1w {
-                    // The release carries the data in the non-MR1W flavor.
-                    hold.data_arrived = true;
-                    hold.version = version;
-                }
-                debug_assert!(
-                    hold.releases_recv <= hold.releases_expected,
-                    "more releases than readers for {item} at {txn}"
-                );
-                self.after_gate_update(now, client, item, txn);
-            }
-            Message::GAbortNotice { txn } => self.on_abort_notice(now, client, txn),
-            Message::PrepareAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                match c.take_ack(
-                    shard,
-                    |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
-                ) {
-                    None => {} // stale or duplicated ack
-                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
-                    // The abort won the voting race; the notice (or its
-                    // lease-driven re-send) drives the client-side
-                    // cleanup, and abort_victim retired the votes.
-                    Some(true) if self.table.status(txn) != TxnStatus::Active => {}
-                    Some(true) => {
-                        // Every involved shard voted yes: decide commit
-                        // locally (the decision record is the client's WAL
-                        // commit) and ship the decision as phase 2.
-                        let active = c.txn();
-                        debug_assert_eq!(active.id, txn, "foreign prepare ack");
-                        let involved = active.involved(&self.cfg);
-                        self.commit(now, client, txn);
-                        self.send_decides(now, client, txn, involved);
-                    }
-                }
-            }
-            Message::DecideAck { txn, shard } => {
-                if let Some(mask) = self.pending_decides.get_mut(&txn) {
-                    *mask &= !(1u64 << shard);
-                    if *mask == 0 {
-                        self.pending_decides.remove(&txn);
-                    }
-                }
-            }
-            Message::ReregisterReq { shard, epoch } => {
-                // Report every live (unforwarded) forward-list slot this
-                // client holds or anticipates — checked-out items,
-                // in-flight positions, and committed-but-unreturned
-                // versions all ride in the same report. The report covers
-                // the restarted shard's items only: other shards' state
-                // never died. A pure function of client state, so
-                // duplicated deliveries are idempotent at the server.
-                let mut holds = Vec::new();
-                for (_, slots) in self.holds.iter() {
-                    for (item, h) in slots {
-                        if h.forwarded
-                            || h.fl.entry(h.pos).client != client
-                            || self.cfg.shard_of(*item) != shard
-                        {
-                            continue;
-                        }
-                        holds.push(HoldReport {
-                            txn: h.fl.entry(h.pos).txn,
-                            item: *item,
-                            pos: h.pos,
-                            epoch: h.epoch,
-                            version: h.version,
-                            forwarded: h.forwarded,
-                            data_arrived: h.data_arrived,
-                        });
-                    }
-                }
-                let bytes = CTRL_BYTES + holds.len() as u64 * FL_ENTRY_BYTES;
-                self.net.send(
-                    &mut self.cal,
-                    client.into(),
-                    SiteId::server(shard),
-                    "g2pl.reregister",
-                    bytes,
-                    Message::GReregister {
-                        client,
-                        epoch,
-                        holds,
-                    },
+                self.sh.net.send(
+                    &mut self.sh.cal,
+                    from,
+                    to.into(),
+                    "g2pl.data",
+                    data_bytes,
+                    msg,
                 );
             }
-            Message::GPrune { item, txn } => {
-                let v = self.pruned[client.index()].ensure(txn.index());
-                if !v.contains(&item) {
-                    v.push(item);
-                }
-            }
-            other => unreachable!("g-2PL client cannot receive {other:?}"),
         }
     }
 
@@ -1343,7 +690,7 @@ impl G2plEngine {
     /// grant the transaction if it is now ready, or forward the hold if
     /// the transaction has already finished.
     fn after_gate_update(&mut self, now: SimTime, client: ClientId, item: ItemId, txn: TxnId) {
-        if self.table.status(txn) != TxnStatus::Active {
+        if self.sh.table.status(txn) != TxnStatus::Active {
             self.try_forward(now, item, txn);
             return;
         }
@@ -1353,7 +700,7 @@ impl G2plEngine {
         if hold.granted {
             // Already granted: this gate message can only be a reader
             // release completing a pending MR1W commit certification.
-            if self.clients[client.index()]
+            if self.sh.clients[client.index()]
                 .txn
                 .as_ref()
                 .is_some_and(|a| a.id == txn && a.phase == ClientPhase::CommitWait)
@@ -1367,7 +714,7 @@ impl G2plEngine {
         }
         hold.granted = true;
         let version = hold.version;
-        let c = &mut self.clients[client.index()];
+        let c = &mut self.sh.clients[client.index()];
         let active = c.txn_mut();
         debug_assert_eq!(active.id, txn, "hold grant for a foreign transaction");
         debug_assert_eq!(
@@ -1379,17 +726,17 @@ impl G2plEngine {
         active.granted += 1;
         active.phase = ClientPhase::Thinking;
         let wait = now.since(active.request_sent_at);
-        self.collector.on_access_wait(wait);
-        self.trace.record(
+        self.sh.collector.on_access_wait(wait);
+        self.sh.trace.record(
             now,
             TraceKind::Granted,
             Some(txn),
             Some(item),
             client.into(),
         );
-        self.spans.granted(now, txn, item);
-        let think = self.cfg.profile.draw_think(&mut c.time_rng);
-        self.cal.schedule_in(
+        self.sh.spans.granted(now, txn, item);
+        let think = self.sh.cfg.profile.draw_think(&mut c.time_rng);
+        self.sh.cal.schedule_in(
             think,
             Ev::Timer {
                 client,
@@ -1399,45 +746,36 @@ impl G2plEngine {
     }
 
     fn on_abort_notice(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        match self.table.status(txn) {
+        match self.sh.table.status(txn) {
             TxnStatus::Committed => return, // the commit won the race
             TxnStatus::Aborted => return,
             TxnStatus::Active | TxnStatus::Aborting => {}
         }
-        self.table.set_status(txn, TxnStatus::Aborted);
-        if let Some(wal) = &mut self.wal {
+        self.sh.table.set_status(txn, TxnStatus::Aborted);
+        if let Some(wal) = &mut self.sh.wal {
             wal[client.index()].append(LogRecord::Abort { txn });
         }
-        self.trace
+        self.sh
+            .trace
             .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        self.spans.aborted(now, txn);
+        self.sh.spans.aborted(now, txn);
 
-        let c = &mut self.clients[client.index()];
+        let c = &mut self.sh.clients[client.index()];
         if c.txn.as_ref().is_some_and(|a| a.id == txn) {
             let active = c.txn.take().expect("just checked"); // lint:allow(L3): is_some_and above
-            if self.rec.faults_on {
+            if self.sh.rec.faults_on {
                 c.retry_progress();
             }
             // An abort during the voting round withdraws the outstanding
             // prepares (abort_victim retired the shards' votes).
             c.pending_commits
                 .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-            self.collector.on_abort_diag(
+            self.sh.collector.on_abort_diag(
                 active.spec.is_read_only(),
                 now.since(active.start),
                 active.granted,
             );
-            let idle = self
-                .cfg
-                .profile
-                .draw_idle(&mut self.clients[client.index()].time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
+            self.sh.schedule_idle(client);
             // Pass every satisfied hold straight through; unsatisfied
             // ones pass through when their gates fill.
             for &(item, _) in &active.spec.accesses {
@@ -1448,403 +786,7 @@ impl G2plEngine {
 
     // ---- server crash recovery ----
 
-    /// A scheduled crash or restart of shard `shard` from the fault plan.
-    ///
-    /// A crash loses the shard's checkout and window bookkeeping,
-    /// dispatch epochs and installed versions. Client-side holds are
-    /// other sites and live on; `unpermanent_writers` is kept because it
-    /// mirrors the *clients'* log obligations, which a server crash does
-    /// not discharge. Other shards keep their state untouched, so the
-    /// (global) precedence DAG is reset only in the single-shard case; at
-    /// multi-shard, surviving shards' edges must live on, and the crashed
-    /// shard's survivors are re-dispatched in durable-record order, which
-    /// cannot contradict their existing edges.
-    ///
-    /// A restart restores versions and dispatch epochs from the replayed
-    /// log and opens the handshake; outstanding checkouts are resolved in
-    /// [`Self::finish_recovery`] once the reports are in.
-    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
-        if up {
-            let items = &mut self.items;
-            self.rec
-                .restart(now, shard, &mut self.net, &mut self.cal, |img| {
-                    for (&item, &v) in &img.versions {
-                        items[item.index()].version = v;
-                    }
-                    // Epochs restart at the last durably dispatched value, so
-                    // every pre-crash in-flight segment is at most equal — and
-                    // any post-recovery redispatch strictly above — the
-                    // restored epoch: no grant can ever be issued from
-                    // pre-crash forward-list state.
-                    for (&item, d) in &img.dispatches {
-                        items[item.index()].epoch = d.epoch;
-                    }
-                });
-            return;
-        }
-        self.rec.crash_server(now, shard, &mut self.trace);
-        let per = self.cfg.items.items_per_shard as usize;
-        let mut orphaned = std::mem::take(&mut self.start_scratch);
-        orphaned.clear();
-        for idx in shard * per..(shard + 1) * per {
-            let item = ItemId::new(idx as u32);
-            if let Some(out) = self.items[idx].out.take() {
-                self.clear_entry_index(&out, item);
-            }
-            let st = &mut self.items[idx];
-            orphaned.extend(st.window.pending().iter().map(|r| r.entry.txn));
-            st.window = CollectionWindow::new();
-            st.holding = false;
-            st.version = 0;
-            st.epoch = 0;
-        }
-        // Window entries die with the shard; their owners' request
-        // retries re-enqueue them after recovery, which the
-        // pending-request duplicate filter must not suppress.
-        for txn in orphaned.drain(..) {
-            if let Some(slot) = self.pending_of.get_mut(txn.index()) {
-                *slot = None;
-            }
-        }
-        self.start_scratch = orphaned;
-        if self.cfg.num_shards() == 1 {
-            self.dag = PrecedenceDag::new();
-        }
-    }
-
-    /// Close the re-registration handshake. In-doubt votes no peer
-    /// verdict settled are resolved from the commit oracle first. Then,
-    /// per checked-out item, the durable dispatch record plus the commit
-    /// oracle decide the outcome: committed writers advance the version
-    /// base (their updates are recoverable from their sites' logs,
-    /// exactly as in lease recovery), live entries of responding clients
-    /// are re-dispatched under a fresh epoch, and live entries of silent
-    /// clients are presumed dead and aborted. With no survivors the item
-    /// comes home at the version a fault-free drain would have installed.
-    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        // An in-doubt commit has no write slice to install here: the
-        // committed versions migrated client-to-client and come home with
-        // the item returns.
-        for txn in self.rec.settle_in_doubt(shard, &self.table) {
-            self.rec.commit_in_doubt(now, shard, txn, &mut self.trace);
-        }
-        let img = self.rec.take_image(shard);
-        let mut silent_victims: Vec<TxnId> = Vec::new();
-        let mut redispatch = Vec::new();
-        for &item in &img.out {
-            let Some(d) = img.dispatches.get(&item) else {
-                continue; // every `out` item has a dispatch record
-            };
-            let mut survivors = Vec::new();
-            let mut committed_writes: Version = 0;
-            for &(txn, exclusive) in &d.entries {
-                match self.table.status(txn) {
-                    TxnStatus::Active => {
-                        let owner = self.table.info(txn).client;
-                        if self.rec.answered(shard, owner) {
-                            let arrival = self.arrival_seq;
-                            self.arrival_seq += 1;
-                            let mode = if exclusive {
-                                LockMode::Exclusive
-                            } else {
-                                LockMode::Shared
-                            };
-                            survivors.push(PendingReq {
-                                entry: FlEntry::new(txn, owner, mode),
-                                arrival,
-                                restarts: 0,
-                            });
-                        } else if !silent_victims.contains(&txn) {
-                            silent_victims.push(txn);
-                        }
-                    }
-                    TxnStatus::Committed => {
-                        if exclusive {
-                            committed_writes += 1;
-                            // The committed version lives only in the
-                            // writer's site log until the item is home:
-                            // GC before permanence would lose it.
-                            if let Some(wal) = &self.wal {
-                                let site = self.table.info(txn).client;
-                                debug_assert!(
-                                    wal[site.index()].awaits_permanence(txn),
-                                    "committed write of {txn} on {item} collected before permanence"
-                                );
-                            }
-                        }
-                    }
-                    TxnStatus::Aborting | TxnStatus::Aborted => {}
-                }
-            }
-            self.items[item.index()].version = d.base + committed_writes;
-            redispatch.push((item, survivors));
-        }
-        self.rec.reopen(shard);
-        self.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        for (item, survivors) in redispatch {
-            if survivors.is_empty() {
-                let version = self.items[item.index()].version;
-                self.rec.slog[shard].append(ServerRecord::Home { item, version });
-                self.mark_writers_permanent(item);
-                self.close_window(now, item);
-            } else {
-                self.rec.fsum.redispatches += 1;
-                self.dispatch(now, item, survivors);
-            }
-        }
-        for txn in silent_victims {
-            // A survivors' redispatch may already have aborted a silent
-            // transaction as its deadlock victim.
-            if self.table.status(txn) == TxnStatus::Active {
-                self.abort_victim(now, txn);
-            }
-        }
-    }
-
-    /// Tell `txn`'s client, from shard `from`, that it was aborted.
-    fn send_abort_notice(&mut self, from: usize, txn: TxnId) {
-        let client = self.table.info(txn).client;
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(from as u32),
-            client.into(),
-            "g2pl.abort_notice",
-            CTRL_BYTES,
-            Message::GAbortNotice { txn },
-        );
-    }
-
     // ---- server side ----
-
-    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
-        match msg {
-            Message::GLockReq {
-                txn,
-                client,
-                item,
-                mode,
-            } => {
-                debug_assert_eq!(
-                    self.cfg.shard_of(item) as usize,
-                    shard,
-                    "lock request routed to the wrong shard"
-                );
-                match self.table.status(txn) {
-                    TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.rec.faults_on => {
-                        // A retried request from a victim whose abort
-                        // notice may have been lost: answer it again.
-                        self.send_abort_notice(shard, txn);
-                        return;
-                    }
-                    _ => return, // stale request
-                }
-                if self.rec.faults_on {
-                    // Retransmission of a request the server already has:
-                    // either still gathering in a window, or already on a
-                    // dispatched list (its grant is in flight, or the item
-                    // lease will recover it).
-                    if self.pending_of.get(txn.index()).copied().flatten() == Some(item) {
-                        return;
-                    }
-                    if self
-                        .entries_of
-                        .get(txn.index())
-                        .is_some_and(|v| v.contains(&item))
-                    {
-                        return;
-                    }
-                }
-                self.on_request(now, txn, client, item, mode);
-            }
-            Message::GReturn {
-                item,
-                version,
-                txn,
-                epoch,
-            } => {
-                {
-                    let st = &self.items[item.index()];
-                    if st.epoch != epoch || st.out.is_none() {
-                        // A return from a superseded checkout, or a
-                        // duplicated return for one already processed.
-                        debug_assert!(self.rec.faults_on, "stale return on a reliable network");
-                        return;
-                    }
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    None,
-                    Some(item),
-                    SiteId::server(shard as u32),
-                );
-                // The final holder's release reaches the server: its one
-                // extra sequential round (the "+1" of `2m + 1`).
-                self.spans.release_arrived(now, txn, true);
-                let st = &mut self.items[item.index()];
-                debug_assert!(st.out.is_some(), "return for an item already home");
-                st.version = version;
-                let out = st.out.take().expect("just checked"); // lint:allow(L3): debug_assert above
-                self.clear_entry_index(&out, item);
-                if let Some(slog) = self.rec.slog.get_mut(shard) {
-                    slog.append(ServerRecord::Home { item, version });
-                }
-                self.mark_writers_permanent(item);
-                self.close_window(now, item);
-            }
-            Message::GReaderRelease {
-                item,
-                version,
-                fl,
-                from_pos,
-                to_pos: None,
-                epoch,
-            } => {
-                {
-                    let st = &self.items[item.index()];
-                    let stale = st.epoch != epoch
-                        || st
-                            .out
-                            .as_ref()
-                            .is_none_or(|o| o.final_released.contains(&from_pos));
-                    if stale {
-                        // A release from a superseded checkout, or a
-                        // duplicated copy of one already counted.
-                        debug_assert!(self.rec.faults_on, "stale release on a reliable network");
-                        return;
-                    }
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    None,
-                    Some(item),
-                    SiteId::server(shard as u32),
-                );
-                // A tail-group reader's release travels to the server: a
-                // full sequential round for that reader.
-                self.spans
-                    .release_arrived(now, fl.entry(from_pos).txn, true);
-                let st = &mut self.items[item.index()];
-                // lint:allow(L3): a reader release implies the item is still out
-                let out = st.out.as_mut().expect("release for an item already home");
-                out.final_released.push(from_pos);
-                out.last_progress = now;
-                debug_assert!(out.final_releases_left > 0);
-                out.final_releases_left -= 1;
-                if out.final_releases_left == 0 {
-                    st.version = version;
-                    let out = st.out.take().expect("item is out"); // lint:allow(L3): as_mut above
-                    self.clear_entry_index(&out, item);
-                    if let Some(slog) = self.rec.slog.get_mut(shard) {
-                        slog.append(ServerRecord::Home { item, version });
-                    }
-                    self.mark_writers_permanent(item);
-                    self.close_window(now, item);
-                }
-            }
-            Message::GReregister {
-                client,
-                epoch,
-                holds,
-            } => {
-                if !self
-                    .rec
-                    .reregistered(now, shard, client, epoch, None, &mut self.trace)
-                {
-                    return;
-                }
-                // Reports corroborate the durable dispatch history
-                // (restoration itself works off the log plus the commit
-                // oracle, so entries whose data was still in flight are
-                // recovered even when no client-side hold exists to
-                // report): a slot re-reported at the last durable epoch
-                // must be on the logged list.
-                if let Some(img) = self.rec.image(shard).filter(|_| cfg!(debug_assertions)) {
-                    for r in &holds {
-                        if let Some(d) = img.dispatches.get(&r.item) {
-                            debug_assert!(
-                                r.epoch != d.epoch || d.entries.iter().any(|&(t, _)| t == r.txn),
-                                "{client} re-reported a slot the log never dispatched: {} {}",
-                                r.txn,
-                                r.item
-                            );
-                        }
-                    }
-                }
-                if self.rec.all_answered(shard) {
-                    self.finish_recovery(now, shard);
-                }
-            }
-            Message::Prepare {
-                txn,
-                writes,
-                involved,
-            } => {
-                debug_assert!(writes.is_empty(), "g-2PL versions migrate client-side");
-                let voted = self.rec.on_prepare(
-                    now,
-                    shard,
-                    txn,
-                    writes,
-                    involved,
-                    &self.table,
-                    &mut self.net,
-                    &mut self.cal,
-                    &mut self.trace,
-                );
-                if !voted {
-                    // The vote request raced an abort: answer with the
-                    // (possibly lost) abort notice instead of a vote.
-                    self.send_abort_notice(shard, txn);
-                }
-            }
-            Message::Decide { txn } => {
-                if self.rec.prepared_at(txn, shard) {
-                    // Phase 2: retire the vote with a durable decision
-                    // record. There is no slice to install — the
-                    // committed versions migrate client-to-client.
-                    self.rec.apply_commit(now, shard, txn, &[], &mut self.trace);
-                }
-                // Always ack — even when recovery already resolved the
-                // vote — so the coordinator's retry timer stops.
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    self.table.info(txn).client.into(),
-                    "g2pl.decide_ack",
-                    CTRL_BYTES,
-                    Message::DecideAck {
-                        txn,
-                        shard: shard as u32,
-                    },
-                );
-            }
-            Message::CommitQuery {
-                txn, from_shard, ..
-            } => self.rec.answer_commit_query(
-                shard,
-                txn,
-                from_shard,
-                &self.table,
-                &mut self.net,
-                &mut self.cal,
-            ),
-            Message::CommitVerdict { txn, committed } => {
-                if self.rec.on_commit_verdict(shard, txn, committed) {
-                    self.rec.commit_in_doubt(now, shard, txn, &mut self.trace);
-                }
-            }
-            other => unreachable!("g-2PL server cannot receive {other:?}"),
-        }
-    }
 
     fn on_request(
         &mut self,
@@ -1854,7 +796,7 @@ impl G2plEngine {
         item: ItemId,
         mode: LockMode,
     ) {
-        self.spans.req_arrived(now, txn, item);
+        self.sh.spans.req_arrived(now, txn, item);
         let entry = FlEntry::new(txn, client, mode);
         let arrival = self.arrival_seq;
         self.arrival_seq += 1;
@@ -1895,34 +837,34 @@ impl G2plEngine {
                 let fl = Rc::make_mut(&mut out.fl);
                 let pos = fl.len();
                 fl.push(entry);
-                self.trace.record(
+                self.sh.trace.record(
                     now,
                     TraceKind::FlExtended,
                     Some(txn),
                     Some(item),
-                    self.cfg.shard_site(item),
+                    self.sh.cfg.shard_site(item),
                 );
                 out.completed.push(false);
                 out.final_releases_left += 1;
                 out.last_progress = now;
                 self.entries_of.ensure(txn.index()).push(item);
                 let fl = Rc::clone(&out.fl);
-                let version = st.version;
+                let version = self.sh.versions[item.index()];
                 let epoch = st.epoch;
                 let data_bytes =
-                    CTRL_BYTES + self.cfg.item_size_bytes + fl.len() as u64 * FL_ENTRY_BYTES;
-                self.trace.record(
+                    CTRL_BYTES + self.sh.cfg.item_size_bytes + fl.len() as u64 * FL_ENTRY_BYTES;
+                self.sh.trace.record(
                     now,
                     TraceKind::Dispatched,
                     Some(txn),
                     Some(item),
                     client.into(),
                 );
-                self.spans.dispatched(now, txn, item);
-                self.spans.hop_departed(now, txn, item);
-                self.net.send(
-                    &mut self.cal,
-                    self.cfg.shard_site(item),
+                self.sh.spans.dispatched(now, txn, item);
+                self.sh.spans.hop_departed(now, txn, item);
+                self.sh.net.send(
+                    &mut self.sh.cal,
+                    self.sh.cfg.shard_site(item),
                     client.into(),
                     "g2pl.data",
                     data_bytes,
@@ -1953,9 +895,9 @@ impl G2plEngine {
     /// at the server, so the writers' sites may garbage-collect.
     fn mark_writers_permanent(&mut self, item: ItemId) {
         let writers = std::mem::take(&mut self.items[item.index()].unpermanent_writers);
-        if let Some(wal) = &mut self.wal {
+        if let Some(wal) = &mut self.sh.wal {
             for txn in writers {
-                let site = self.table.info(txn).client;
+                let site = self.sh.table.info(txn).client;
                 wal[site.index()].mark_permanent(txn, item);
             }
         }
@@ -1970,7 +912,8 @@ impl G2plEngine {
         if let Some(delay) = self.opts.dispatch_delay {
             if !st.holding {
                 st.holding = true;
-                self.cal
+                self.sh
+                    .cal
                     .schedule_in(SimTime::new(delay), Ev::WindowTimer { item });
             }
             return;
@@ -1988,7 +931,10 @@ impl G2plEngine {
         if !st.holding {
             // A timer from a dispatch-delay hold that died with a server
             // crash (the crash clears `holding`).
-            debug_assert!(self.rec.srv_faults_on, "window timer without a held item");
+            debug_assert!(
+                self.sh.rec.srv_faults_on,
+                "window timer without a held item"
+            );
             return;
         }
         st.holding = false;
@@ -2021,13 +967,15 @@ impl G2plEngine {
             // lint:allow(L3): is_some checked above
             let out = st.out.as_ref().expect("checked above");
             let idle = now.since(out.last_progress);
-            if idle < self.rec.lease {
-                self.cal
-                    .schedule_in(self.rec.lease.since(idle), Ev::LeaseCheck { item, epoch });
+            if idle < self.sh.rec.lease {
+                self.sh.cal.schedule_in(
+                    self.sh.rec.lease.since(idle),
+                    Ev::LeaseCheck { item, epoch },
+                );
                 return;
             }
-            self.rec.fsum.lease_expiries += 1;
-            self.rec.fsum.recovery_stall += idle.as_f64();
+            self.sh.rec.fsum.lease_expiries += 1;
+            self.sh.rec.fsum.recovery_stall += idle.as_f64();
         }
         // lint:allow(L3): is_some checked above
         let out = self.items[item.index()].out.take().expect("checked above");
@@ -2039,27 +987,20 @@ impl G2plEngine {
             .iter()
             .position(|&done| !done)
             .map(|p| out.fl.entry(p).txn);
-        self.trace.record(
+        self.sh.trace.record(
             now,
             TraceKind::LeaseExpired,
             victim,
             Some(item),
-            self.cfg.shard_site(item),
+            self.sh.cfg.shard_site(item),
         );
-        match victim.map(|t| (t, self.table.status(t))) {
+        match victim.map(|t| (t, self.sh.table.status(t))) {
             Some((t, TxnStatus::Active)) => self.abort_victim(now, t),
             Some((t, TxnStatus::Aborting)) => {
                 // Already a deadlock victim; its notice may have been
                 // lost, so answer the silence with a fresh one.
-                // lint:allow(L6): an abort notice promises nothing durable; the later append logs the survivors' redispatch, unrelated to this message
-                self.net.send(
-                    &mut self.cal,
-                    self.cfg.shard_site(item),
-                    self.table.info(t).client.into(),
-                    "g2pl.abort_notice",
-                    CTRL_BYTES,
-                    Message::GAbortNotice { txn: t },
-                );
+                let shard = self.sh.cfg.shard_of(item) as usize;
+                self.sh.send_abort_notice(shard, t);
             }
             _ => {}
         }
@@ -2071,7 +1012,7 @@ impl G2plEngine {
             if out.completed[p] || Some(e.txn) == victim {
                 continue;
             }
-            if self.table.status(e.txn) != TxnStatus::Active {
+            if self.sh.table.status(e.txn) != TxnStatus::Active {
                 continue;
             }
             let arrival = self.arrival_seq;
@@ -2087,17 +1028,19 @@ impl G2plEngine {
             .fl
             .entries()
             .iter()
-            .filter(|e| e.mode.is_exclusive() && self.table.status(e.txn) == TxnStatus::Committed)
+            .filter(|e| {
+                e.mode.is_exclusive() && self.sh.table.status(e.txn) == TxnStatus::Committed
+            })
             .count() as Version;
         if cfg!(debug_assertions) {
             // The redispatch base leans on the committed writers' site
             // logs: none of them may have been collected before its
             // version became permanent at the server.
-            if let Some(wal) = &self.wal {
+            if let Some(wal) = &self.sh.wal {
                 for e in out.fl.entries().iter().filter(|e| {
-                    e.mode.is_exclusive() && self.table.status(e.txn) == TxnStatus::Committed
+                    e.mode.is_exclusive() && self.sh.table.status(e.txn) == TxnStatus::Committed
                 }) {
-                    let site = self.table.info(e.txn).client;
+                    let site = self.sh.table.info(e.txn).client;
                     debug_assert!(
                         wal[site.index()].awaits_permanence(e.txn),
                         "committed write of {} on {item} collected before permanence",
@@ -2106,21 +1049,21 @@ impl G2plEngine {
                 }
             }
         }
-        self.items[item.index()].version = out.base_version + committed_writes;
+        self.sh.versions[item.index()] = out.base_version + committed_writes;
 
-        self.rec.fsum.redispatches += 1;
-        self.trace.record(
+        self.sh.rec.fsum.redispatches += 1;
+        self.sh.trace.record(
             now,
             TraceKind::Redispatch,
             victim,
             Some(item),
-            self.cfg.shard_site(item),
+            self.sh.cfg.shard_site(item),
         );
         if survivors.is_empty() {
             // No live suffix: the item simply comes home.
-            let shard = self.cfg.shard_of(item) as usize;
-            if let Some(slog) = self.rec.slog.get_mut(shard) {
-                let version = self.items[item.index()].version;
+            let shard = self.sh.cfg.shard_of(item) as usize;
+            if let Some(slog) = self.sh.rec.slog.get_mut(shard) {
+                let version = self.sh.versions[item.index()];
                 slog.append(ServerRecord::Home { item, version });
             }
             self.mark_writers_permanent(item);
@@ -2146,26 +1089,26 @@ impl G2plEngine {
         debug_assert!(!fl.is_empty());
         self.window_closes += 1;
         self.max_fl_len = self.max_fl_len.max(fl.len());
-        self.trace.record(
+        self.sh.trace.record(
             now,
             TraceKind::WindowClosed,
             None,
             Some(item),
-            self.cfg.shard_site(item),
+            self.sh.cfg.shard_site(item),
         );
-        self.spans.window_closed(now, item, fl.len());
+        self.sh.spans.window_closed(now, item, fl.len());
         for e in fl.entries() {
-            self.trace.record(
+            self.sh.trace.record(
                 now,
                 TraceKind::FlOrdered,
                 Some(e.txn),
                 Some(item),
-                self.cfg.shard_site(item),
+                self.sh.cfg.shard_site(item),
             );
             // Every list member leaves the server queue at window close;
             // entries past the first segment then sit in Migration until
             // their hop departs from the preceding holder.
-            self.spans.dispatched(now, e.txn, item);
+            self.sh.spans.dispatched(now, e.txn, item);
         }
 
         let final_releases = match fl.segments().last() {
@@ -2177,8 +1120,8 @@ impl G2plEngine {
         for e in fl.entries() {
             self.entries_of.ensure(e.txn.index()).push(item);
         }
+        let version = self.sh.versions[item.index()];
         let st = &mut self.items[item.index()];
-        let version = st.version;
         st.epoch += 1;
         let epoch = st.epoch;
         st.out = Some(OutState {
@@ -2190,13 +1133,19 @@ impl G2plEngine {
             last_progress: now,
             final_released: Vec::new(),
         });
-        if self.rec.faults_on {
+        if self.sh.rec.faults_on {
             // One lease per checkout: it re-arms itself while the list
             // keeps making progress and recovers it when progress stops.
-            self.cal
-                .schedule_in(self.rec.lease, Ev::LeaseCheck { item, epoch });
+            self.sh
+                .cal
+                .schedule_in(self.sh.rec.lease, Ev::LeaseCheck { item, epoch });
         }
-        if let Some(slog) = self.rec.slog.get_mut(self.cfg.shard_of(item) as usize) {
+        if let Some(slog) = self
+            .sh
+            .rec
+            .slog
+            .get_mut(self.sh.cfg.shard_of(item) as usize)
+        {
             // Write-ahead: the list construction/reorder decision is
             // durable before the first data segment leaves the server.
             slog.append(ServerRecord::Dispatch {
@@ -2210,7 +1159,15 @@ impl G2plEngine {
                     .collect(),
             });
         }
-        self.send_segment(now, self.cfg.shard_site(item), item, version, &fl, 0, epoch);
+        self.send_segment(
+            now,
+            self.sh.cfg.shard_site(item),
+            item,
+            version,
+            &fl,
+            0,
+            epoch,
+        );
 
         // A dispatch creates new waits-for edges (the list's internal
         // order, plus whatever was already pending against these
@@ -2259,13 +1216,13 @@ impl G2plEngine {
     /// the appended range) instead of allocating a fresh list per node.
     fn waits_of_into(&self, t: TxnId, out: &mut Vec<TxnId>) {
         let start = out.len();
-        if !self.table.is_live(t) {
+        if !self.sh.table.is_live(t) {
             return;
         }
         if let Some(x) = self.pending_of.get(t.index()).copied().flatten() {
             if let Some(o) = &self.items[x.index()].out {
                 for (j, e) in o.fl.entries().iter().enumerate() {
-                    if !o.completed[j] && self.table.is_live(e.txn) {
+                    if !o.completed[j] && self.sh.table.is_live(e.txn) {
                         out.push(e.txn);
                     }
                 }
@@ -2293,7 +1250,7 @@ impl G2plEngine {
                 for j in 0..skip_from {
                     if !o.completed[j] {
                         let other = o.fl.entry(j).txn;
-                        if self.table.is_live(other) {
+                        if self.sh.table.is_live(other) {
                             out.push(other);
                         }
                     }
@@ -2319,13 +1276,13 @@ impl G2plEngine {
         let mut finder = std::mem::take(&mut self.finder);
         for &start in starts {
             loop {
-                if !self.table.is_live(start) {
+                if !self.sh.table.is_live(start) {
                     break;
                 }
                 let this = &*self;
                 let found = finder.find_cycle(start, |t, out| this.waits_of_into(t, out));
                 let Some(cycle) = found else { break };
-                let victim = self.cfg.victim.choose(cycle, |t| {
+                let victim = self.sh.cfg.victim.choose(cycle, |t| {
                     self.entries_of.get(t.index()).map_or(0, Vec::len)
                 });
                 self.abort_victim(now, victim);
@@ -2333,11 +1290,722 @@ impl G2plEngine {
         }
         self.finder = finder;
     }
+}
+
+impl Protocol for G2plEngine {
+    fn shell(&mut self) -> &mut Shell {
+        &mut self.sh
+    }
+
+    fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize) {
+        self.sh.request_access(now, client, txn, idx);
+    }
+
+    /// Commit if every hold's gates have passed; otherwise enter
+    /// `CommitWait` until the last MR1W reader release arrives. Without
+    /// this certification step a writer that ran concurrently with the
+    /// readers of the previous version could leak its *other* writes
+    /// before those readers finish, producing non-serializable
+    /// executions.
+    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        if self.sh.rec.faults_on && self.sh.table.status(txn) != TxnStatus::Active {
+            // A server-side lease recovery chose this transaction as its
+            // victim while the commit was pending; the server has already
+            // redispatched the surviving suffix, so the abort wins.
+            self.on_abort_notice(now, client, txn);
+            return;
+        }
+        if self.sh.rec.faults_on && !self.sh.clients[client.index()].pending_commits.is_empty() {
+            return; // voting round already under way; acks drive progress
+        }
+        let (ready, involved) = {
+            let active = self.sh.clients[client.index()].txn();
+            let ready = active
+                .spec
+                .accesses
+                .iter()
+                .all(|&(item, _)| self.hold(item, txn).is_some_and(Hold::gates_passed));
+            (ready, active.involved(&self.sh.cfg))
+        };
+        if ready {
+            if self.sh.rec.srv_faults_on && involved.count_ones() > 1 {
+                // Multi-home commitment under shard crashes is two-phase:
+                // collect a durable yes vote from every involved shard
+                // before the client-local commit point.
+                self.begin_prepare(client, txn, involved);
+                return;
+            }
+            self.commit(now, client, txn);
+        } else {
+            self.sh.clients[client.index()].txn_mut().phase = ClientPhase::CommitWait;
+        }
+    }
+
+    /// Re-send every outstanding prepare of the client's voting round.
+    fn resend_pending_commits(&mut self, client: ClientId) {
+        let pending = self.sh.clients[client.index()].pending_commits.clone();
+        for (shard, msg) in pending {
+            self.sh.rec.fsum.retries += 1;
+            self.sh.net.send(
+                &mut self.sh.cal,
+                client.into(),
+                SiteId::server(shard),
+                "g2pl.prepare",
+                CTRL_BYTES,
+                msg,
+            );
+        }
+        self.sh.clients[client.index()].arm_retry(&mut self.sh.cal, self.sh.rec.retry_base);
+    }
+
+    /// The phase-2 retransmission timer fired: re-send the decision to
+    /// every shard that has not yet acknowledged it.
+    fn on_decide_retry(&mut self, _now: SimTime, client: ClientId, txn: TxnId) {
+        let Some(&mask) = self.pending_decides.get(&txn) else {
+            return; // fully acknowledged: the timer dies
+        };
+        for shard in 0..self.sh.cfg.num_shards() {
+            if mask & (1u64 << shard) == 0 {
+                continue;
+            }
+            self.sh.rec.fsum.retries += 1;
+            self.sh.net.send(
+                &mut self.sh.cal,
+                client.into(),
+                SiteId::server(shard),
+                "g2pl.decide",
+                CTRL_BYTES,
+                Message::Decide { txn },
+            );
+        }
+        self.sh.cal.schedule_in(
+            self.sh.rec.retry_base,
+            Ev::Timer {
+                client,
+                kind: TimerKind::DecideRetry(txn),
+            },
+        );
+    }
+
+    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
+        match msg {
+            Message::GData {
+                item,
+                version,
+                fl,
+                pos,
+                from_txn,
+                epoch,
+            } => {
+                let txn = fl.entry(pos).txn;
+                debug_assert_eq!(fl.entry(pos).client, client);
+                if self.sh.rec.faults_on {
+                    if let Some(h) = self.hold(item, txn) {
+                        if epoch < h.epoch {
+                            return; // copy from a superseded dispatch
+                        }
+                        if epoch == h.epoch && h.data_arrived {
+                            return; // duplicated delivery of this copy
+                        }
+                    }
+                }
+                self.sh.trace.record(
+                    now,
+                    TraceKind::DataArrived,
+                    Some(txn),
+                    Some(item),
+                    client.into(),
+                );
+                if let Some(ft) = from_txn {
+                    // The forwarder's release rode this hop (§3.2 merge):
+                    // it reaches a client, not the server, so it costs the
+                    // releasing transaction no extra sequential round.
+                    self.sh.spans.release_arrived(now, ft, false);
+                }
+                let hold = self.hold_or_insert(item, txn, &fl, pos, epoch);
+                hold.data_arrived = true;
+                hold.version = version;
+                self.after_gate_update(now, client, item, txn);
+            }
+            Message::GReaderRelease {
+                item,
+                version,
+                fl,
+                from_pos,
+                to_pos,
+                epoch,
+            } => {
+                // lint:allow(L3): the sender set to_pos on every client-bound release
+                let w = to_pos.expect("client-bound release has a writer position");
+                let txn = fl.entry(w).txn;
+                debug_assert_eq!(fl.entry(w).client, client);
+                if self.sh.rec.faults_on {
+                    if let Some(h) = self.hold(item, txn) {
+                        if epoch < h.epoch {
+                            return; // release from a superseded dispatch
+                        }
+                        if epoch == h.epoch && h.releases_from.contains(&from_pos) {
+                            return; // duplicated delivery of this release
+                        }
+                    }
+                }
+                self.sh
+                    .spans
+                    .release_arrived(now, fl.entry(from_pos).txn, false);
+                let mr1w = self.opts.mr1w;
+                let hold = self.hold_or_insert(item, txn, &fl, w, epoch);
+                hold.releases_from.push(from_pos);
+                hold.releases_recv += 1;
+                if !mr1w {
+                    // The release carries the data in the non-MR1W flavor.
+                    hold.data_arrived = true;
+                    hold.version = version;
+                }
+                debug_assert!(
+                    hold.releases_recv <= hold.releases_expected,
+                    "more releases than readers for {item} at {txn}"
+                );
+                self.after_gate_update(now, client, item, txn);
+            }
+            Message::AbortNotice { txn } => self.on_abort_notice(now, client, txn),
+            Message::PrepareAck { txn, shard } => {
+                let c = &mut self.sh.clients[client.index()];
+                match c.take_ack(
+                    shard,
+                    |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
+                ) {
+                    None => {} // stale or duplicated ack
+                    Some(false) => c.arm_retry(&mut self.sh.cal, self.sh.rec.retry_base),
+                    // The abort won the voting race; the notice (or its
+                    // lease-driven re-send) drives the client-side
+                    // cleanup, and abort_victim retired the votes.
+                    Some(true) if self.sh.table.status(txn) != TxnStatus::Active => {}
+                    Some(true) => {
+                        // Every involved shard voted yes: decide commit
+                        // locally (the decision record is the client's WAL
+                        // commit) and ship the decision as phase 2.
+                        let active = c.txn();
+                        debug_assert_eq!(active.id, txn, "foreign prepare ack");
+                        let involved = active.involved(&self.sh.cfg);
+                        self.commit(now, client, txn);
+                        self.send_decides(client, txn, involved);
+                    }
+                }
+            }
+            Message::DecideAck { txn, shard } => {
+                if let Some(mask) = self.pending_decides.get_mut(&txn) {
+                    *mask &= !(1u64 << shard);
+                    if *mask == 0 {
+                        self.pending_decides.remove(&txn);
+                    }
+                }
+            }
+            Message::ReregisterReq { shard, epoch } => {
+                // Report every live (unforwarded) forward-list slot this
+                // client holds or anticipates — checked-out items,
+                // in-flight positions, and committed-but-unreturned
+                // versions all ride in the same report. The report covers
+                // the restarted shard's items only: other shards' state
+                // never died. A pure function of client state, so
+                // duplicated deliveries are idempotent at the server.
+                let mut holds = Vec::new();
+                for (_, slots) in self.holds.iter() {
+                    for (item, h) in slots {
+                        if h.forwarded
+                            || h.fl.entry(h.pos).client != client
+                            || self.sh.cfg.shard_of(*item) != shard
+                        {
+                            continue;
+                        }
+                        holds.push(HoldReport {
+                            txn: h.fl.entry(h.pos).txn,
+                            item: *item,
+                            pos: h.pos,
+                            epoch: h.epoch,
+                            version: h.version,
+                            forwarded: h.forwarded,
+                            data_arrived: h.data_arrived,
+                        });
+                    }
+                }
+                let bytes = CTRL_BYTES + holds.len() as u64 * FL_ENTRY_BYTES;
+                self.sh.net.send(
+                    &mut self.sh.cal,
+                    client.into(),
+                    SiteId::server(shard),
+                    "g2pl.reregister",
+                    bytes,
+                    Message::GReregister {
+                        client,
+                        epoch,
+                        holds,
+                    },
+                );
+            }
+            Message::GPrune { item, txn } => {
+                let v = self.pruned[client.index()].ensure(txn.index());
+                if !v.contains(&item) {
+                    v.push(item);
+                }
+            }
+            other => unreachable!("g-2PL client cannot receive {other:?}"),
+        }
+    }
+
+    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
+        match msg {
+            Message::LockReq {
+                txn,
+                client,
+                item,
+                mode,
+            } => {
+                debug_assert_eq!(
+                    self.sh.cfg.shard_of(item) as usize,
+                    shard,
+                    "lock request routed to the wrong shard"
+                );
+                match self.sh.table.status(txn) {
+                    TxnStatus::Active => {}
+                    TxnStatus::Aborting | TxnStatus::Aborted if self.sh.rec.faults_on => {
+                        // A retried request from a victim whose abort
+                        // notice may have been lost: answer it again.
+                        self.sh.send_abort_notice(shard, txn);
+                        return;
+                    }
+                    _ => return, // stale request
+                }
+                if self.sh.rec.faults_on {
+                    // Retransmission of a request the server already has:
+                    // either still gathering in a window, or already on a
+                    // dispatched list (its grant is in flight, or the item
+                    // lease will recover it).
+                    if self.pending_of.get(txn.index()).copied().flatten() == Some(item) {
+                        return;
+                    }
+                    if self
+                        .entries_of
+                        .get(txn.index())
+                        .is_some_and(|v| v.contains(&item))
+                    {
+                        return;
+                    }
+                }
+                self.on_request(now, txn, client, item, mode);
+            }
+            Message::GReturn {
+                item,
+                version,
+                txn,
+                epoch,
+            } => {
+                {
+                    let st = &self.items[item.index()];
+                    if st.epoch != epoch || st.out.is_none() {
+                        // A return from a superseded checkout, or a
+                        // duplicated return for one already processed.
+                        debug_assert!(self.sh.rec.faults_on, "stale return on a reliable network");
+                        return;
+                    }
+                }
+                self.sh.trace.record(
+                    now,
+                    TraceKind::ReleasedAtServer,
+                    None,
+                    Some(item),
+                    SiteId::server(shard as u32),
+                );
+                // The final holder's release reaches the server: its one
+                // extra sequential round (the "+1" of `2m + 1`).
+                self.sh.spans.release_arrived(now, txn, true);
+                self.sh.versions[item.index()] = version;
+                let st = &mut self.items[item.index()];
+                debug_assert!(st.out.is_some(), "return for an item already home");
+                let out = st.out.take().expect("just checked"); // lint:allow(L3): debug_assert above
+                self.clear_entry_index(&out, item);
+                if let Some(slog) = self.sh.rec.slog.get_mut(shard) {
+                    slog.append(ServerRecord::Home { item, version });
+                }
+                self.mark_writers_permanent(item);
+                self.close_window(now, item);
+            }
+            Message::GReaderRelease {
+                item,
+                version,
+                fl,
+                from_pos,
+                to_pos: None,
+                epoch,
+            } => {
+                {
+                    let st = &self.items[item.index()];
+                    let stale = st.epoch != epoch
+                        || st
+                            .out
+                            .as_ref()
+                            .is_none_or(|o| o.final_released.contains(&from_pos));
+                    if stale {
+                        // A release from a superseded checkout, or a
+                        // duplicated copy of one already counted.
+                        debug_assert!(self.sh.rec.faults_on, "stale release on a reliable network");
+                        return;
+                    }
+                }
+                self.sh.trace.record(
+                    now,
+                    TraceKind::ReleasedAtServer,
+                    None,
+                    Some(item),
+                    SiteId::server(shard as u32),
+                );
+                // A tail-group reader's release travels to the server: a
+                // full sequential round for that reader.
+                self.sh
+                    .spans
+                    .release_arrived(now, fl.entry(from_pos).txn, true);
+                let st = &mut self.items[item.index()];
+                // lint:allow(L3): a reader release implies the item is still out
+                let out = st.out.as_mut().expect("release for an item already home");
+                out.final_released.push(from_pos);
+                out.last_progress = now;
+                debug_assert!(out.final_releases_left > 0);
+                out.final_releases_left -= 1;
+                if out.final_releases_left == 0 {
+                    self.sh.versions[item.index()] = version;
+                    let out = st.out.take().expect("item is out"); // lint:allow(L3): as_mut above
+                    self.clear_entry_index(&out, item);
+                    if let Some(slog) = self.sh.rec.slog.get_mut(shard) {
+                        slog.append(ServerRecord::Home { item, version });
+                    }
+                    self.mark_writers_permanent(item);
+                    self.close_window(now, item);
+                }
+            }
+            Message::GReregister {
+                client,
+                epoch,
+                holds,
+            } => {
+                if !self
+                    .sh
+                    .rec
+                    .reregistered(now, shard, client, epoch, None, &mut self.sh.trace)
+                {
+                    return;
+                }
+                // Reports corroborate the durable dispatch history
+                // (restoration itself works off the log plus the commit
+                // oracle, so entries whose data was still in flight are
+                // recovered even when no client-side hold exists to
+                // report): a slot re-reported at the last durable epoch
+                // must be on the logged list.
+                if let Some(img) = self.sh.rec.image(shard).filter(|_| cfg!(debug_assertions)) {
+                    for r in &holds {
+                        if let Some(d) = img.dispatches.get(&r.item) {
+                            debug_assert!(
+                                r.epoch != d.epoch || d.entries.iter().any(|&(t, _)| t == r.txn),
+                                "{client} re-reported a slot the log never dispatched: {} {}",
+                                r.txn,
+                                r.item
+                            );
+                        }
+                    }
+                }
+                if self.sh.rec.all_answered(shard) {
+                    self.finish_recovery(now, shard);
+                }
+            }
+            Message::Prepare {
+                txn,
+                writes,
+                involved,
+            } => {
+                debug_assert!(writes.is_empty(), "g-2PL versions migrate client-side");
+                let voted = self.sh.rec.on_prepare(
+                    now,
+                    shard,
+                    txn,
+                    writes,
+                    involved,
+                    &self.sh.table,
+                    &mut self.sh.net,
+                    &mut self.sh.cal,
+                    &mut self.sh.trace,
+                );
+                if !voted {
+                    // The vote request raced an abort: answer with the
+                    // (possibly lost) abort notice instead of a vote.
+                    self.sh.send_abort_notice(shard, txn);
+                }
+            }
+            Message::Decide { txn } => {
+                if self.sh.rec.prepared_at(txn, shard) {
+                    // Phase 2: retire the vote with a durable decision
+                    // record. There is no slice to install — the
+                    // committed versions migrate client-to-client.
+                    self.sh
+                        .rec
+                        .apply_commit(now, shard, txn, &[], &mut self.sh.trace);
+                }
+                // Always ack — even when recovery already resolved the
+                // vote — so the coordinator's retry timer stops.
+                self.sh.net.send(
+                    &mut self.sh.cal,
+                    SiteId::server(shard as u32),
+                    self.sh.table.info(txn).client.into(),
+                    "g2pl.decide_ack",
+                    CTRL_BYTES,
+                    Message::DecideAck {
+                        txn,
+                        shard: shard as u32,
+                    },
+                );
+            }
+            Message::CommitQuery {
+                txn, from_shard, ..
+            } => self.sh.rec.answer_commit_query(
+                shard,
+                txn,
+                from_shard,
+                &self.sh.table,
+                &mut self.sh.net,
+                &mut self.sh.cal,
+            ),
+            Message::CommitVerdict { txn, committed } => {
+                if self.sh.rec.on_commit_verdict(shard, txn, committed) {
+                    self.sh
+                        .rec
+                        .commit_in_doubt(now, shard, txn, &mut self.sh.trace);
+                }
+            }
+            other => unreachable!("g-2PL server cannot receive {other:?}"),
+        }
+    }
+
+    fn on_event(&mut self, now: SimTime, ev: Ev) {
+        match ev {
+            Ev::WindowTimer { item } => self.on_window_timer(now, item),
+            Ev::LeaseCheck { item, epoch } => self.on_lease_check(now, item, epoch),
+            other => unreachable!("{other:?} is not part of the g-2PL protocol"),
+        }
+    }
+
+    /// A crashed client comes back up. Every timer it had died with the
+    /// crash, so each possible state re-establishes its own wake-up. Item
+    /// copies the site held are re-derived from its log, but any
+    /// migration hop dropped while down is recovered by the server-side
+    /// item lease, not by the client.
+    fn on_restart(&mut self, now: SimTime, client: ClientId) {
+        // Phase-2 retransmission timers died with the crash; the pending
+        // decisions themselves are durable (oracle + WAL), so re-arm one
+        // timer per still-unacknowledged decision this client owns.
+        let unacked: Vec<TxnId> = self
+            .pending_decides
+            .keys()
+            .copied()
+            .filter(|&t| self.sh.table.info(t).client == client)
+            .collect();
+        for txn in unacked {
+            self.sh.cal.schedule_in(
+                SimTime::ZERO,
+                Ev::Timer {
+                    client,
+                    kind: TimerKind::DecideRetry(txn),
+                },
+            );
+        }
+        let c = &self.sh.clients[client.index()];
+        let Some(active) = &c.txn else {
+            self.sh.schedule_idle(client);
+            return;
+        };
+        let (txn, phase) = (active.id, active.phase);
+        let voting = !c.pending_commits.is_empty();
+        match self.sh.table.status(txn) {
+            TxnStatus::Aborting | TxnStatus::Aborted => self.on_abort_notice(now, client, txn),
+            TxnStatus::Active => match phase {
+                ClientPhase::WaitingGrant(_) => self.sh.resend_request(client),
+                ClientPhase::Thinking => {
+                    // The think timer died with the crash: resume now.
+                    self.sh.cal.schedule_in(
+                        SimTime::ZERO,
+                        Ev::Timer {
+                            client,
+                            kind: TimerKind::ThinkDone(txn),
+                        },
+                    );
+                }
+                ClientPhase::CommitWait if voting => {
+                    // An open voting round: its retry timer died with the
+                    // crash, so restart the retransmission loop.
+                    self.resend_pending_commits(client);
+                }
+                // A commit certification waits on reader releases; any
+                // dropped while down are recovered by the item lease.
+                ClientPhase::CommitWait | ClientPhase::Idle => {}
+            },
+            TxnStatus::Committed => {}
+        }
+    }
+
+    /// A scheduled crash or restart of shard `shard` from the fault plan.
+    ///
+    /// A crash loses the shard's checkout and window bookkeeping,
+    /// dispatch epochs and installed versions. Client-side holds are
+    /// other sites and live on; `unpermanent_writers` is kept because it
+    /// mirrors the *clients'* log obligations, which a server crash does
+    /// not discharge. Other shards keep their state untouched, so the
+    /// (global) precedence DAG is reset only in the single-shard case; at
+    /// multi-shard, surviving shards' edges must live on, and the crashed
+    /// shard's survivors are re-dispatched in durable-record order, which
+    /// cannot contradict their existing edges.
+    ///
+    /// A restart restores versions and dispatch epochs from the replayed
+    /// log and opens the handshake; outstanding checkouts are resolved in
+    /// [`Self::finish_recovery`] once the reports are in.
+    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
+        if up {
+            let items = &mut self.items;
+            self.sh.restart_shard(now, shard, |img| {
+                // Epochs restart at the last durably dispatched value, so
+                // every pre-crash in-flight segment is at most equal — and
+                // any post-recovery redispatch strictly above — the
+                // restored epoch: no grant can ever be issued from
+                // pre-crash forward-list state.
+                for (&item, d) in &img.dispatches {
+                    items[item.index()].epoch = d.epoch;
+                }
+            });
+            return;
+        }
+        let mut orphaned = std::mem::take(&mut self.start_scratch);
+        orphaned.clear();
+        for idx in self.sh.crash_shard(now, shard) {
+            let item = ItemId::new(idx as u32);
+            if let Some(out) = self.items[idx].out.take() {
+                self.clear_entry_index(&out, item);
+            }
+            let st = &mut self.items[idx];
+            orphaned.extend(st.window.pending().iter().map(|r| r.entry.txn));
+            st.window = CollectionWindow::new();
+            st.holding = false;
+            st.epoch = 0;
+        }
+        // Window entries die with the shard; their owners' request
+        // retries re-enqueue them after recovery, which the
+        // pending-request duplicate filter must not suppress.
+        for txn in orphaned.drain(..) {
+            if let Some(slot) = self.pending_of.get_mut(txn.index()) {
+                *slot = None;
+            }
+        }
+        self.start_scratch = orphaned;
+        if self.sh.cfg.num_shards() == 1 {
+            self.dag = PrecedenceDag::new();
+        }
+    }
+
+    /// Close the re-registration handshake. In-doubt votes no peer
+    /// verdict settled are resolved from the commit oracle first. Then,
+    /// per checked-out item, the durable dispatch record plus the commit
+    /// oracle decide the outcome: committed writers advance the version
+    /// base (their updates are recoverable from their sites' logs,
+    /// exactly as in lease recovery), live entries of responding clients
+    /// are re-dispatched under a fresh epoch, and live entries of silent
+    /// clients are presumed dead and aborted. With no survivors the item
+    /// comes home at the version a fault-free drain would have installed.
+    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
+        // An in-doubt commit has no write slice to install here: the
+        // committed versions migrated client-to-client and come home with
+        // the item returns.
+        for txn in self.sh.rec.settle_in_doubt(shard, &self.sh.table) {
+            self.sh
+                .rec
+                .commit_in_doubt(now, shard, txn, &mut self.sh.trace);
+        }
+        let img = self.sh.rec.take_image(shard);
+        let mut silent_victims: Vec<TxnId> = Vec::new();
+        let mut redispatch = Vec::new();
+        for &item in &img.out {
+            let Some(d) = img.dispatches.get(&item) else {
+                continue; // every `out` item has a dispatch record
+            };
+            let mut survivors = Vec::new();
+            let mut committed_writes: Version = 0;
+            for &(txn, exclusive) in &d.entries {
+                match self.sh.table.status(txn) {
+                    TxnStatus::Active => {
+                        let owner = self.sh.table.info(txn).client;
+                        if self.sh.rec.answered(shard, owner) {
+                            let arrival = self.arrival_seq;
+                            self.arrival_seq += 1;
+                            let mode = if exclusive {
+                                LockMode::Exclusive
+                            } else {
+                                LockMode::Shared
+                            };
+                            survivors.push(PendingReq {
+                                entry: FlEntry::new(txn, owner, mode),
+                                arrival,
+                                restarts: 0,
+                            });
+                        } else if !silent_victims.contains(&txn) {
+                            silent_victims.push(txn);
+                        }
+                    }
+                    TxnStatus::Committed => {
+                        if exclusive {
+                            committed_writes += 1;
+                            // The committed version lives only in the
+                            // writer's site log until the item is home:
+                            // GC before permanence would lose it.
+                            if let Some(wal) = &self.sh.wal {
+                                let site = self.sh.table.info(txn).client;
+                                debug_assert!(
+                                    wal[site.index()].awaits_permanence(txn),
+                                    "committed write of {txn} on {item} collected before permanence"
+                                );
+                            }
+                        }
+                    }
+                    TxnStatus::Aborting | TxnStatus::Aborted => {}
+                }
+            }
+            self.sh.versions[item.index()] = d.base + committed_writes;
+            redispatch.push((item, survivors));
+        }
+        self.sh.rec.reopen(shard);
+        self.sh.trace.record(
+            now,
+            TraceKind::ServerRecovered,
+            None,
+            None,
+            SiteId::server(shard as u32),
+        );
+        for (item, survivors) in redispatch {
+            if survivors.is_empty() {
+                let version = self.sh.versions[item.index()];
+                self.sh.rec.slog[shard].append(ServerRecord::Home { item, version });
+                self.mark_writers_permanent(item);
+                self.close_window(now, item);
+            } else {
+                self.sh.rec.fsum.redispatches += 1;
+                self.dispatch(now, item, survivors);
+            }
+        }
+        for txn in silent_victims {
+            // A survivors' redispatch may already have aborted a silent
+            // transaction as its deadlock victim.
+            if self.sh.table.status(txn) == TxnStatus::Active {
+                self.abort_victim(now, txn);
+            }
+        }
+    }
 
     // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
     fn abort_victim(&mut self, _now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.table.status(victim), TxnStatus::Active);
-        self.table.set_status(victim, TxnStatus::Aborting);
+        debug_assert_eq!(self.sh.table.status(victim), TxnStatus::Active);
+        self.sh.table.set_status(victim, TxnStatus::Aborting);
         if let Some(item) = self
             .pending_of
             .get_mut(victim.index())
@@ -2346,29 +2014,22 @@ impl G2plEngine {
             self.items[item.index()].window.remove_txn(victim);
         }
         self.dag.remove_txn(victim);
-        self.rec.retire_victim(victim);
-        let client = self.table.info(victim).client;
+        self.sh.rec.retire_victim(victim);
+        let client = self.sh.table.info(victim).client;
         // Abort coordination stays at shard 0 (leases and deadlock
         // detection are centralized there).
-        if self.cfg.abort_effect == AbortEffect::Instant {
-            self.net.send_with_delay(
-                &mut self.cal,
+        if self.sh.cfg.abort_effect == AbortEffect::Instant {
+            self.sh.net.send_with_delay(
+                &mut self.sh.cal,
                 SiteId::SERVER0,
                 client.into(),
-                "g2pl.abort_notice",
+                self.sh.rec.labels.abort_notice,
                 CTRL_BYTES,
-                Message::GAbortNotice { txn: victim },
+                Message::AbortNotice { txn: victim },
                 SimTime::ZERO,
             );
         } else {
-            self.net.send(
-                &mut self.cal,
-                SiteId::SERVER0,
-                client.into(),
-                "g2pl.abort_notice",
-                CTRL_BYTES,
-                Message::GAbortNotice { txn: victim },
-            );
+            self.sh.send_abort_notice(0, victim);
         }
         // Multicast prune notices for the victim's not-yet-served entries
         // on dispatched forward lists, so upstream forwarders skip them.
@@ -2376,7 +2037,7 @@ impl G2plEngine {
         // are parallel control traffic, not sequential rounds. Pointless
         // under instant-abort semantics, where dead entries already cost
         // nothing.
-        if self.cfg.abort_effect == AbortEffect::Instant {
+        if self.sh.cfg.abort_effect == AbortEffect::Instant {
             return;
         }
         for (idx, st) in self.items.iter().enumerate() {
@@ -2396,15 +2057,39 @@ impl G2plEngine {
                 .filter(|&c| c != client)
                 .collect();
             for to in targets {
-                self.net.send(
-                    &mut self.cal,
-                    self.cfg.shard_site(item),
+                self.sh.net.send(
+                    &mut self.sh.cal,
+                    self.sh.cfg.shard_site(item),
                     to.into(),
                     "g2pl.prune",
                     CTRL_BYTES,
                     Message::GPrune { item, txn: victim },
                 );
             }
+        }
+    }
+
+    fn assert_drained(&self) {
+        for (i, item) in self.items.iter().enumerate() {
+            assert!(item.out.is_none(), "item x{i} not home after drain");
+            assert!(
+                item.window.is_empty(),
+                "window of x{i} not empty after drain"
+            );
+        }
+        assert!(
+            self.holds
+                .iter()
+                .all(|(_, v)| v.iter().all(|(_, h)| h.forwarded || !h.data_arrived)),
+            "data arrived at a hold but was never passed on"
+        );
+    }
+
+    fn into_metrics(self, events: u64) -> RunMetrics {
+        RunMetrics {
+            max_fl_len: self.max_fl_len,
+            window_closes: self.window_closes,
+            ..self.sh.into_metrics("g-2PL", events)
         }
     }
 }

@@ -21,8 +21,7 @@
 
 use crate::config::EngineConfig;
 use crate::metrics::FaultSummary;
-use crate::runtime::{Ev, Message, Net, ServerCpu, TxnStatus, TxnTable};
-use crate::s2pl::CTRL_BYTES;
+use crate::runtime::{Ev, Labels, Message, Net, ServerCpu, TxnStatus, TxnTable, CTRL_BYTES};
 use crate::tracelog::{TraceKind, TraceLog};
 use g2pl_faults::FaultPlan;
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
@@ -63,20 +62,6 @@ impl ShardFaultState {
     fn is_up(&self) -> bool {
         !self.down && !self.recovering
     }
-}
-
-/// The accounting labels of the messages [`Recovery`] sends on an
-/// engine's behalf.
-#[derive(Clone, Copy, Debug)]
-pub struct Labels {
-    /// Recovering shard → involved peer: [`Message::CommitQuery`].
-    pub commit_query: &'static str,
-    /// Peer → recovering shard: [`Message::CommitVerdict`].
-    pub commit_verdict: &'static str,
-    /// Recovering shard → client: [`Message::ReregisterReq`].
-    pub reregister_req: &'static str,
-    /// Shard → coordinating client: [`Message::PrepareAck`].
-    pub prepare_ack: &'static str,
 }
 
 /// The server-side lease period for a fault plan: how long a checkout or
@@ -150,7 +135,8 @@ pub struct Recovery {
     leased: Vec<bool>,
     /// Fault-injection and recovery counters.
     pub fsum: FaultSummary,
-    labels: Labels,
+    /// The accounting labels of the engine's messages.
+    pub(crate) labels: Labels,
     num_clients: u32,
 }
 
@@ -864,6 +850,8 @@ mod tests {
     use g2pl_faults::ServerCrashWindow;
 
     const LABELS: Labels = Labels {
+        lock_request: "t.lock_request",
+        abort_notice: "t.abort_notice",
         commit_query: "t.commit_query",
         commit_verdict: "t.commit_verdict",
         reregister_req: "t.reregister_req",
@@ -886,7 +874,7 @@ mod tests {
         let (mut rec, mut net) = crash_plan_rec(2, 2);
         let mut cal = Calendar::new();
         let mut trace = TraceLog::new(false);
-        let req = Message::SAbortNotice { txn: TxnId::new(0) };
+        let req = Message::AbortNotice { txn: TxnId::new(0) };
         let report = Message::GReregister {
             client: ClientId::new(0),
             epoch: 1,

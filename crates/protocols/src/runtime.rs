@@ -1,14 +1,40 @@
 //! Shared simulation plumbing for all protocol engines: events, messages,
-//! the network sender, per-client state, and the global transaction table.
+//! the network sender, per-client state, the global transaction table,
+//! and the engine shell — the state every engine shares, the one event
+//! loop that drives them, and the client request and lock-server paths
+//! the protocols have in common.
 
 use crate::config::EngineConfig;
+use crate::history::History;
+use crate::metrics::{Collector, RunMetrics, WalReport};
+use crate::recovery::Recovery;
+use crate::tracelog::{TraceKind, TraceLog};
 use g2pl_faults::{FaultCounts, FaultPlan};
 use g2pl_fwdlist::ForwardList;
-use g2pl_lockmgr::LockMode;
+use g2pl_lockmgr::{LockMode, LockTable};
 use g2pl_netmodel::{LatencyModel, LossyLink, NetAccounting};
+use g2pl_obs::SpanRecorder;
 use g2pl_simcore::{Calendar, ClientId, ItemId, RngStream, SimTime, SiteId, TxnId, Version};
-use g2pl_workload::{Trace, TxnGenerator, TxnSpec};
+use g2pl_wal::{LogRecord, ServerImage, ServerRecord, SiteLog};
+use g2pl_workload::{AccessMode, Trace, TxnGenerator, TxnSpec};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
+
+/// Control-message payload size in bytes (requests, notices).
+pub(crate) const CTRL_BYTES: u64 = 64;
+
+/// Hard cap on processed events — a deterministic simulation exceeding
+/// this has livelocked, and panicking beats spinning forever.
+pub(crate) const EVENT_BUDGET: u64 = 2_000_000_000;
+
+/// The lock mode an access needs.
+pub(crate) fn lock_mode(mode: AccessMode) -> LockMode {
+    match mode {
+        AccessMode::Read => LockMode::Shared,
+        AccessMode::Write => LockMode::Exclusive,
+    }
+}
 
 /// Client-side timers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,9 +73,9 @@ pub type PendingCommit = (TxnId, Vec<(ItemId, Version)>, Vec<ItemId>);
 /// its own subset and treats the rest as unreachable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
-    // ---- s-2PL / c-2PL ----
+    // ---- every engine ----
     /// Client → server: lock + data request for one item.
-    SLockReq {
+    LockReq {
         /// Requesting transaction.
         txn: TxnId,
         /// Requesting client.
@@ -59,6 +85,14 @@ pub enum Message {
         /// Requested mode.
         mode: LockMode,
     },
+    /// Server → client: the transaction was chosen as a victim (of a
+    /// deadlock, or of a lease expiry).
+    AbortNotice {
+        /// Aborted transaction.
+        txn: TxnId,
+    },
+
+    // ---- s-2PL / c-2PL ----
     /// Server → client: lock granted, data shipped.
     SGrant {
         /// Granted transaction.
@@ -77,11 +111,6 @@ pub enum Message {
         writes: Vec<(ItemId, Version)>,
         /// Items only read.
         reads: Vec<ItemId>,
-    },
-    /// Server → client: the transaction was chosen as a deadlock victim.
-    SAbortNotice {
-        /// Aborted transaction.
-        txn: TxnId,
     },
     /// Server → client: the commit's lock release was processed. Only
     /// sent when a fault plan is active — the client retransmits
@@ -109,17 +138,6 @@ pub enum Message {
     },
 
     // ---- g-2PL ----
-    /// Client → server: lock + data request for one item.
-    GLockReq {
-        /// Requesting transaction.
-        txn: TxnId,
-        /// Requesting client.
-        client: ClientId,
-        /// Requested item.
-        item: ItemId,
-        /// Requested mode.
-        mode: LockMode,
-    },
     /// Data + forward list arriving at the entry at `pos` (from the
     /// server at dispatch, or from the previous writer during migration).
     GData {
@@ -170,11 +188,6 @@ pub enum Message {
         txn: TxnId,
         /// Dispatch epoch of the forward list (see [`Message::GData`]).
         epoch: u64,
-    },
-    /// Server → client: the transaction was chosen as a deadlock victim.
-    GAbortNotice {
-        /// Aborted transaction.
-        txn: TxnId,
     },
     /// Server → client: the given transaction's entry on `item`'s
     /// dispatched forward list is dead (its transaction aborted before
@@ -888,6 +901,785 @@ impl ClientCore {
     }
 }
 
+/// The accounting labels of the messages the shared code sends on an
+/// engine's behalf, one const per engine.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Labels {
+    /// Client → shard: [`Message::LockReq`].
+    pub(crate) lock_request: &'static str,
+    /// Shard → client: [`Message::AbortNotice`].
+    pub(crate) abort_notice: &'static str,
+    /// Recovering shard → involved peer: [`Message::CommitQuery`].
+    pub(crate) commit_query: &'static str,
+    /// Peer → recovering shard: [`Message::CommitVerdict`].
+    pub(crate) commit_verdict: &'static str,
+    /// Recovering shard → client: [`Message::ReregisterReq`].
+    pub(crate) reregister_req: &'static str,
+    /// Shard → coordinating client: [`Message::PrepareAck`].
+    pub(crate) prepare_ack: &'static str,
+}
+
+/// The state every engine shares. An engine owns one and adds only its
+/// protocol's state; [`run`] drives it through the [`Protocol`] hooks.
+pub(crate) struct Shell {
+    pub(crate) cfg: EngineConfig,
+    pub(crate) cal: Calendar<Ev>,
+    pub(crate) net: Net,
+    pub(crate) clients: Vec<ClientCore>,
+    pub(crate) table: TxnTable,
+    /// Installed version per item, at its home shard.
+    pub(crate) versions: Vec<Version>,
+    pub(crate) generator: TxnGenerator,
+    pub(crate) collector: Collector,
+    pub(crate) history: Option<History>,
+    pub(crate) trace: TraceLog,
+    pub(crate) spans: SpanRecorder,
+    /// One client-site WAL per client, when enabled.
+    pub(crate) wal: Option<Vec<SiteLog>>,
+    /// False once the measurement window is full in drain mode: no new
+    /// transaction starts, the in-flight ones finish.
+    pub(crate) admitting: bool,
+    /// The shards' fault domains: gating, crash recovery, presumed-abort
+    /// votes, leases and fault counters. It keeps the engine's message
+    /// labels.
+    pub(crate) rec: Recovery,
+}
+
+impl Shell {
+    /// The shared state of an engine for `cfg`, labelling the messages
+    /// the shared code sends with `labels`.
+    pub(crate) fn new(cfg: EngineConfig, labels: Labels) -> Self {
+        let generator = TxnGenerator::new_sharded(
+            cfg.profile.clone(),
+            cfg.items.num_shards,
+            cfg.items.items_per_shard,
+        );
+        let replay = cfg.replay.clone().map(Rc::new);
+        let clients = (0..cfg.num_clients)
+            .map(|i| match &replay {
+                Some(t) => ClientCore::with_replay(ClientId::new(i), cfg.seed, Rc::clone(t)),
+                None => ClientCore::new(ClientId::new(i), cfg.seed),
+            })
+            .collect();
+        let net = Net::for_config(&cfg);
+        Shell {
+            rec: Recovery::new(&cfg, &net, labels),
+            net,
+            cal: Calendar::new(),
+            clients,
+            table: TxnTable::new(),
+            versions: vec![0; cfg.num_items() as usize],
+            generator,
+            collector: Collector::with_histogram(
+                cfg.warmup_txns,
+                cfg.measured_txns,
+                cfg.latency.nominal().max(2) / 2,
+            ),
+            history: cfg.record_history.then(History::new),
+            trace: TraceLog::new(cfg.trace_events),
+            spans: SpanRecorder::new(cfg.trace_events),
+            wal: cfg.enable_wal.then(|| {
+                (0..cfg.num_clients)
+                    .map(|_| SiteLog::new(cfg.item_size_bytes))
+                    .collect()
+            }),
+            admitting: true,
+            cfg,
+        }
+    }
+
+    /// Draw `client`'s idle period and schedule its next transaction.
+    pub(crate) fn schedule_idle(&mut self, client: ClientId) {
+        let idle = self
+            .cfg
+            .profile
+            .draw_idle(&mut self.clients[client.index()].time_rng);
+        self.cal.schedule_in(
+            idle,
+            Ev::Timer {
+                client,
+                kind: TimerKind::IdleDone,
+            },
+        );
+    }
+
+    /// Request access `idx` of `client`'s transaction `txn` from the
+    /// item's home shard.
+    pub(crate) fn request_access(
+        &mut self,
+        now: SimTime,
+        client: ClientId,
+        txn: TxnId,
+        idx: usize,
+    ) {
+        let t = self.clients[client.index()].txn_mut();
+        let (item, mode) = t.spec.access(idx);
+        t.phase = ClientPhase::WaitingGrant(idx);
+        t.request_sent_at = now;
+        if self.rec.faults_on {
+            self.clients[client.index()].retry_progress();
+        }
+        self.trace.record(
+            now,
+            TraceKind::RequestSent,
+            Some(txn),
+            Some(item),
+            client.into(),
+        );
+        self.spans.req_sent(now, txn, item);
+        self.send_lock_req(client, txn, item, mode);
+        if self.rec.faults_on {
+            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
+        }
+    }
+
+    /// Re-send the outstanding lock request. No `RequestSent` trace or
+    /// request span is recorded for a retransmission: trace consumers
+    /// pair each logical request with one grant.
+    pub(crate) fn resend_request(&mut self, client: ClientId) {
+        let c = &mut self.clients[client.index()];
+        let Some(active) = &c.txn else { return };
+        let txn = active.id;
+        let (item, mode) = active.spec.access(active.granted);
+        c.retry_attempts = c.retry_attempts.saturating_add(1);
+        self.rec.fsum.retries += 1;
+        self.send_lock_req(client, txn, item, mode);
+        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
+    }
+
+    fn send_lock_req(&mut self, client: ClientId, txn: TxnId, item: ItemId, mode: AccessMode) {
+        self.net.send(
+            &mut self.cal,
+            client.into(),
+            self.cfg.shard_site(item),
+            self.rec.labels.lock_request,
+            CTRL_BYTES,
+            Message::LockReq {
+                txn,
+                client,
+                item,
+                mode: lock_mode(mode),
+            },
+        );
+    }
+
+    /// Tell `txn`'s client, from shard `from`, that it was aborted.
+    pub(crate) fn send_abort_notice(&mut self, from: usize, txn: TxnId) {
+        let client = self.table.info(txn).client;
+        self.net.send(
+            &mut self.cal,
+            SiteId::server(from as u32),
+            client.into(),
+            self.rec.labels.abort_notice,
+            CTRL_BYTES,
+            Message::AbortNotice { txn },
+        );
+    }
+
+    /// Crash shard `shard`: its fault domain goes down and its items lose
+    /// their installed versions. Returns the shard's item index range, for
+    /// the engine to drop its own volatile state there.
+    pub(crate) fn crash_shard(&mut self, now: SimTime, shard: usize) -> Range<usize> {
+        self.rec.crash_server(now, shard, &mut self.trace);
+        let per = self.cfg.items.items_per_shard as usize;
+        let items = shard * per..(shard + 1) * per;
+        self.versions[items.clone()].fill(0);
+        items
+    }
+
+    /// Restart shard `shard` from its replayed log: restore its items'
+    /// installed versions, let `rebuild` restore the engine's own durable
+    /// state from the same image, and open the re-registration handshake.
+    pub(crate) fn restart_shard(
+        &mut self,
+        now: SimTime,
+        shard: usize,
+        rebuild: impl FnOnce(&ServerImage),
+    ) {
+        let versions = &mut self.versions;
+        self.rec
+            .restart(now, shard, &mut self.net, &mut self.cal, |img| {
+                for (&item, &v) in &img.versions {
+                    versions[item.index()] = v;
+                }
+                rebuild(img);
+            });
+    }
+
+    /// The run's metrics, with no protocol-specific extras.
+    pub(crate) fn into_metrics(mut self, protocol: &'static str, events: u64) -> RunMetrics {
+        let obs = self.spans.finish();
+        let trace_dropped = self.trace.dropped();
+        self.rec.fsum.injected = self.net.fault_counts();
+        RunMetrics {
+            faults: self.rec.fsum,
+            protocol,
+            events,
+            peak_calendar: self.cal.peak_len(),
+            wall_secs: 0.0,
+            response: self.collector.response,
+            aborts: self.collector.aborts,
+            read_only_aborts: self.collector.read_only_aborts,
+            committed_total: self.collector.committed_total,
+            aborted_total: self.collector.aborted_total,
+            net: self.net.acct,
+            end_time: self.cal.now(),
+            history: self.history,
+            trace: if self.trace.enabled() {
+                Some(self.trace.into_events())
+            } else {
+                None
+            },
+            max_fl_len: 0,
+            window_closes: 0,
+            access_wait: self.collector.access_wait,
+            abort_waste: self.collector.abort_waste,
+            abort_depth: self.collector.abort_depth,
+            response_by_size: self.collector.response_by_size,
+            response_hist: self.collector.response_hist,
+            response_tail: self.collector.response_tail,
+            wal: self.wal.map(|sites| {
+                let mut r = WalReport::default();
+                for site in &sites {
+                    r.absorb(site.metrics(), site.live_records());
+                }
+                r
+            }),
+            phases: obs.breakdown,
+            flight: obs.flight,
+            spans: obs.raw,
+            trace_dropped,
+        }
+    }
+}
+
+/// What makes an engine a protocol: the hooks the shared [`run`] loop
+/// calls. Each engine implements them over its own state plus its
+/// [`Shell`]; calls are static.
+pub(crate) trait Protocol {
+    /// The engine's shared state.
+    fn shell(&mut self) -> &mut Shell;
+    /// Start access `idx` of `client`'s transaction `txn`.
+    fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize);
+    /// Every access of `client`'s transaction `txn` was granted and
+    /// processed: commit it (or start its voting round, or discover
+    /// that it was aborted meanwhile).
+    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId);
+    /// A retry timer found unacknowledged commit-phase messages.
+    fn resend_pending_commits(&mut self, client: ClientId);
+    /// A [`TimerKind::DecideRetry`] timer fired.
+    fn on_decide_retry(&mut self, _now: SimTime, _client: ClientId, _txn: TxnId) {
+        unreachable!("decide timer armed by a protocol without a decide phase")
+    }
+    /// A message reached a live client.
+    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message);
+    /// A shard admitted a message.
+    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message);
+    /// A protocol-specific event ([`Ev::WindowTimer`], [`Ev::LeaseCheck`]
+    /// or [`Ev::CallbackRetry`]).
+    fn on_event(&mut self, _now: SimTime, ev: Ev) {
+        unreachable!("{ev:?} is not part of this protocol")
+    }
+    /// `client` just crashed (the shell already marked it down).
+    fn on_client_crash(&mut self, _client: ClientId) {}
+    /// `client` came back up; every timer it had died with the crash.
+    fn on_restart(&mut self, now: SimTime, client: ClientId);
+    /// A scheduled crash (`up == false`) or restart of shard `shard`.
+    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool);
+    /// Close shard `shard`'s re-registration handshake.
+    fn finish_recovery(&mut self, now: SimTime, shard: usize);
+    /// Abort `txn` as a victim (of a deadlock or a lease expiry).
+    fn abort_victim(&mut self, now: SimTime, txn: TxnId);
+    /// After a fault-free drain: the protocol's state must be quiescent.
+    fn assert_drained(&self) {}
+    /// The run's metrics, after `events` processed events.
+    fn into_metrics(self, events: u64) -> RunMetrics;
+}
+
+/// Run `eng` to completion and report its metrics: the one event loop of
+/// every engine.
+pub(crate) fn run<P: Protocol>(mut eng: P) -> RunMetrics {
+    let sh = eng.shell();
+    // Stagger client start-up by one idle draw each, as the model's
+    // "replaced after some idle time" rule implies for the very first
+    // transaction too.
+    for i in 0..sh.cfg.num_clients {
+        sh.schedule_idle(ClientId::new(i));
+    }
+    for (client, at, up) in sh.net.crash_schedule() {
+        sh.cal.schedule(at, Ev::Fault { client, up });
+    }
+    for (shard, at, up) in sh.net.server_crash_schedule() {
+        sh.cal.schedule(at, Ev::ServerFault { shard, up });
+    }
+
+    let mut events: u64 = 0;
+    while let Some((now, ev)) = eng.shell().cal.pop() {
+        events += 1;
+        assert!(events < EVENT_BUDGET, "event budget exhausted: livelock?");
+        match ev {
+            Ev::Timer { client, kind } => {
+                if !eng.shell().clients[client.index()].crashed {
+                    on_timer(&mut eng, now, client, kind);
+                }
+            }
+            Ev::ServerProc { shard, msg } => {
+                if eng.shell().rec.admit_queued(shard as usize, &msg) {
+                    eng.on_server_msg(now, shard as usize, msg);
+                }
+            }
+            Ev::Deliver { to, msg } => match to {
+                SiteId::Server(shard) => match eng.shell().rec.admit(now, shard.index(), &msg) {
+                    Some(SimTime::ZERO) => eng.on_server_msg(now, shard.index(), msg),
+                    Some(d) => {
+                        eng.shell().cal.schedule_in(
+                            d,
+                            Ev::ServerProc {
+                                shard: shard.0,
+                                msg,
+                            },
+                        );
+                    }
+                    None => {}
+                },
+                SiteId::Client(c) => {
+                    if !eng.shell().clients[c.index()].crashed {
+                        eng.on_client_msg(now, c, msg);
+                    }
+                }
+            },
+            Ev::Fault { client, up } => {
+                let sh = eng.shell();
+                let c = &mut sh.clients[client.index()];
+                // Crashing a down client or restarting a live one is a
+                // no-op.
+                if c.crashed == up {
+                    c.crashed = !up;
+                    if up {
+                        c.retry_progress();
+                        eng.on_restart(now, client);
+                    } else {
+                        sh.rec.fsum.crashes += 1;
+                        sh.trace
+                            .record(now, TraceKind::FaultInjected, None, None, client.into());
+                        eng.on_client_crash(client);
+                    }
+                }
+            }
+            Ev::ServerFault { shard, up } => eng.on_server_fault(now, shard as usize, up),
+            Ev::RecoveryCheck { shard, epoch } => {
+                let s = shard as usize;
+                let sh = eng.shell();
+                if sh
+                    .rec
+                    .on_recovery_check(now, s, epoch, &mut sh.net, &mut sh.cal)
+                {
+                    eng.finish_recovery(now, s);
+                }
+            }
+            Ev::TxnLease { txn } => {
+                let sh = eng.shell();
+                if sh
+                    .rec
+                    .on_txn_lease(now, txn, &sh.table, &mut sh.cal, &mut sh.trace)
+                {
+                    eng.abort_victim(now, txn);
+                    let sh = eng.shell();
+                    sh.rec.lease_reclaimed(now, txn, &mut sh.trace);
+                }
+            }
+            ev @ (Ev::WindowTimer { .. } | Ev::LeaseCheck { .. } | Ev::CallbackRetry { .. }) => {
+                eng.on_event(now, ev);
+            }
+        }
+        let sh = eng.shell();
+        if sh.rec.faults_on {
+            for (at, site) in sh.net.take_fault_marks() {
+                sh.trace
+                    .record(at, TraceKind::FaultInjected, None, None, site);
+            }
+        }
+        if sh.collector.done() {
+            if !sh.cfg.drain {
+                break;
+            }
+            sh.admitting = false;
+        }
+    }
+
+    // Under an active fault plan the end-of-run snapshot may
+    // legitimately hold residue (e.g. a client that crashed and never
+    // restarted before the calendar emptied); liveness is checked by
+    // trace property P8 instead of these structural asserts.
+    let sh = eng.shell();
+    if sh.cfg.drain && !sh.rec.faults_on {
+        if let Some(wal) = &sh.wal {
+            assert!(
+                wal.iter().all(SiteLog::is_empty),
+                "WAL records survived a drain: every version is home"
+            );
+        }
+        eng.assert_drained();
+    }
+    eng.into_metrics(events)
+}
+
+/// A live client's timer fired.
+fn on_timer<P: Protocol>(eng: &mut P, now: SimTime, client: ClientId, kind: TimerKind) {
+    match kind {
+        TimerKind::IdleDone => {
+            let sh = eng.shell();
+            if !sh.admitting {
+                return;
+            }
+            let txn = sh.clients[client.index()].begin_txn(&sh.generator, &mut sh.table, now);
+            if let Some(wal) = &mut sh.wal {
+                wal[client.index()].append(LogRecord::Begin { txn });
+            }
+            eng.issue_access(now, client, txn, 0);
+        }
+        TimerKind::ThinkDone(txn) => {
+            let Some(active) = &eng.shell().clients[client.index()].txn else {
+                return;
+            };
+            if active.id != txn || active.phase != ClientPhase::Thinking {
+                return; // stale timer of an aborted transaction
+            }
+            let granted = active.granted;
+            if granted < active.spec.len() {
+                eng.issue_access(now, client, txn, granted);
+            } else {
+                eng.try_commit(now, client, txn);
+            }
+        }
+        TimerKind::Retry { epoch } => match eng.shell().clients[client.index()].due_resend(epoch) {
+            Some(Resend::CommitPhase) => eng.resend_pending_commits(client),
+            Some(Resend::Request) => eng.shell().resend_request(client),
+            None => {}
+        },
+        TimerKind::DecideRetry(txn) => eng.on_decide_retry(now, client, txn),
+    }
+}
+
+// ---- the s-2PL / c-2PL lock server ----
+
+/// Labels of the messages only the lock-server engines send.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LockLabels {
+    /// Shard → client: [`Message::SGrant`].
+    pub(crate) grant: &'static str,
+    /// Client → shard: [`Message::Prepare`].
+    pub(crate) prepare: &'static str,
+    /// Client → shard: [`Message::SCommit`].
+    pub(crate) commit_release: &'static str,
+    /// Shard → client: [`Message::SCommitAck`].
+    pub(crate) commit_ack: &'static str,
+}
+
+/// An engine whose shards grant locks and ship data from a lock table,
+/// and whose clients send their writes home at commit (s-2PL, c-2PL).
+/// The functions below are the client and recovery paths such engines
+/// share.
+pub(crate) trait LockServer: Protocol {
+    /// Labels of the lock-server messages.
+    const LOCK_LABELS: LockLabels;
+    /// The shell and the per-shard lock tables, borrowed together.
+    fn parts(&mut self) -> (&mut Shell, &mut [LockTable]);
+    /// Abort `client`'s transaction `txn` locally.
+    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId);
+    /// The commit decision point: every involved shard voted yes, or no
+    /// votes were needed. Commit `client`'s transaction `txn`.
+    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId);
+    /// Positive commit evidence arrived for `txn`'s in-doubt vote at
+    /// shard `shard`.
+    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId);
+}
+
+/// Ship `item` to `client` for `txn`, durably logging the grant first
+/// when the shard keeps a log.
+pub(crate) fn send_grant<E: LockServer>(
+    eng: &mut E,
+    now: SimTime,
+    client: ClientId,
+    txn: TxnId,
+    item: ItemId,
+) {
+    let (sh, locks) = eng.parts();
+    let shard = sh.cfg.shard_of(item) as usize;
+    if let Some(slog) = sh.rec.slog.get_mut(shard) {
+        // Write-ahead: the grant is durable before it leaves.
+        let exclusive = matches!(locks[shard].mode_of(txn, item), Some(LockMode::Exclusive));
+        slog.append(ServerRecord::Grant {
+            txn,
+            item,
+            exclusive,
+        });
+    }
+    sh.trace.record(
+        now,
+        TraceKind::Dispatched,
+        Some(txn),
+        Some(item),
+        client.into(),
+    );
+    sh.spans.dispatched(now, txn, item);
+    sh.spans.hop_departed(now, txn, item);
+    sh.net.send(
+        &mut sh.cal,
+        SiteId::server(shard as u32),
+        client.into(),
+        E::LOCK_LABELS.grant,
+        CTRL_BYTES + sh.cfg.item_size_bytes,
+        Message::SGrant {
+            txn,
+            item,
+            version: sh.versions[item.index()],
+        },
+    );
+}
+
+/// Acknowledge a processed commit-release slice (faults only).
+pub(crate) fn send_commit_ack<E: LockServer>(
+    eng: &mut E,
+    shard: usize,
+    client: ClientId,
+    txn: TxnId,
+) {
+    let sh = eng.shell();
+    sh.net.send(
+        &mut sh.cal,
+        SiteId::server(shard as u32),
+        client.into(),
+        E::LOCK_LABELS.commit_ack,
+        CTRL_BYTES,
+        Message::SCommitAck {
+            txn,
+            shard: shard as u32,
+        },
+    );
+}
+
+/// Every access of `client`'s transaction `txn` is granted: commit it,
+/// or start its voting round.
+pub(crate) fn try_commit<E: LockServer>(eng: &mut E, now: SimTime, client: ClientId, txn: TxnId) {
+    let sh = eng.shell();
+    // Under faults a lease expiry can pick a merely-slow (crashed and
+    // restarted) transaction as victim while its abort notice is still in
+    // flight; the oracle status resolves the race in favour of the abort,
+    // exactly as the server already decided it.
+    if sh.rec.faults_on && sh.table.status(txn) != TxnStatus::Active {
+        eng.finalize_abort(now, client, txn);
+        return;
+    }
+    // Under a server-crash plan a multi-home commit must be atomic across
+    // shard fault domains: run presumed-abort two-phase commitment.
+    // Single-home commits keep the one-phase path (the single-participant
+    // optimization), as do all commits under plans without server
+    // crashes.
+    if sh.rec.srv_faults_on {
+        let involved = sh.clients[client.index()].txn().involved(&sh.cfg);
+        if involved.count_ones() > 1 {
+            begin_prepare(eng, client, txn, involved);
+            return;
+        }
+    }
+    eng.commit_decided(now, client, txn);
+}
+
+/// Shard `shard` voted yes on `client`'s transaction `txn`.
+pub(crate) fn on_prepare_ack<E: LockServer>(
+    eng: &mut E,
+    now: SimTime,
+    client: ClientId,
+    txn: TxnId,
+    shard: u32,
+) {
+    let sh = eng.shell();
+    let c = &mut sh.clients[client.index()];
+    match c.take_ack(
+        shard,
+        |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
+    ) {
+        None => {} // duplicate ack of an already-counted vote
+        // Other shards still owe votes: keep retransmitting their
+        // prepares from a fresh backoff.
+        Some(false) => c.arm_retry(&mut sh.cal, sh.rec.retry_base),
+        // Unanimous yes. An abort may still have raced the voting round
+        // (a lease victim whose notice is in flight); the oracle resolves
+        // it in the abort's favour — the shards' prepared votes are
+        // retired by the victim's releases.
+        Some(true) if sh.table.status(txn) != TxnStatus::Active => {
+            eng.finalize_abort(now, client, txn);
+        }
+        Some(true) => eng.commit_decided(now, client, txn),
+    }
+}
+
+/// Shard `shard` applied `client`'s commit-release slice of `txn`.
+pub(crate) fn on_commit_ack(sh: &mut Shell, client: ClientId, txn: TxnId, shard: u32) {
+    let c = &mut sh.clients[client.index()];
+    match c.take_ack(
+        shard,
+        |m| matches!(m, Message::SCommit { txn: t, .. } if *t == txn),
+    ) {
+        None => {} // duplicate ack of an older commit slice
+        // Other shards still owe acks: keep retransmitting their slices
+        // from a fresh backoff.
+        Some(false) => c.arm_retry(&mut sh.cal, sh.rec.retry_base),
+        Some(true) => sh.schedule_idle(client),
+    }
+}
+
+/// Phase 1 of two-phase commitment: send each involved shard its prepare
+/// (write slice + involved-shard mask) and wait for every yes vote before
+/// deciding. The prepares sit in `pending_commits` and retransmit on the
+/// usual backoff until acknowledged.
+pub(crate) fn begin_prepare<E: LockServer>(
+    eng: &mut E,
+    client: ClientId,
+    txn: TxnId,
+    involved: u64,
+) {
+    let sh = eng.shell();
+    let c = &mut sh.clients[client.index()];
+    let active = c.txn_mut();
+    debug_assert_eq!(active.id, txn);
+    active.phase = ClientPhase::CommitWait;
+    let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
+    for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
+        let slot = by_shard.entry(sh.cfg.shard_of(item)).or_default();
+        if mode == AccessMode::Write {
+            slot.push((item, active.versions[idx] + 1));
+        }
+    }
+    c.retry_progress();
+    c.pending_commits = by_shard
+        .iter()
+        .map(|(&shard, writes)| {
+            (
+                shard,
+                Message::Prepare {
+                    txn,
+                    writes: writes.clone(),
+                    involved,
+                },
+            )
+        })
+        .collect();
+    for (shard, writes) in by_shard {
+        let bytes = CTRL_BYTES + 12 * writes.len() as u64;
+        sh.net.send(
+            &mut sh.cal,
+            client.into(),
+            SiteId::server(shard),
+            E::LOCK_LABELS.prepare,
+            bytes,
+            Message::Prepare {
+                txn,
+                writes,
+                involved,
+            },
+        );
+    }
+    sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
+}
+
+/// Re-send every unacknowledged commit-phase slice (the client's WAL
+/// tail), one per still-unanswered shard: commit-releases, or — for a
+/// multi-home transaction still in its voting round — prepares.
+pub(crate) fn resend_commit_slices<E: LockServer>(eng: &mut E, client: ClientId) {
+    let sh = eng.shell();
+    let c = &mut sh.clients[client.index()];
+    let pending = c.pending_commits.clone();
+    if pending.is_empty() {
+        return;
+    }
+    c.retry_attempts = c.retry_attempts.saturating_add(1);
+    for (shard, msg) in pending {
+        let (kind, bytes) = match &msg {
+            Message::SCommit { writes, .. } => (
+                E::LOCK_LABELS.commit_release,
+                CTRL_BYTES + writes.len() as u64 * sh.cfg.item_size_bytes,
+            ),
+            Message::Prepare { writes, .. } => (
+                E::LOCK_LABELS.prepare,
+                CTRL_BYTES + 12 * writes.len() as u64,
+            ),
+            _ => continue,
+        };
+        sh.rec.fsum.retries += 1;
+        sh.net.send(
+            &mut sh.cal,
+            client.into(),
+            SiteId::server(shard),
+            kind,
+            bytes,
+            msg,
+        );
+    }
+    sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
+}
+
+/// A crashed client came back up. Each possible state re-establishes its
+/// own wake-up: an unacknowledged commit resumes retransmission (the WAL
+/// tail), an aborted transaction finalizes locally (the notice may have
+/// been lost while down), an outstanding request is re-sent, and an idle
+/// client re-draws its idle period.
+pub(crate) fn restart_client<E: LockServer>(eng: &mut E, now: SimTime, client: ClientId) {
+    let sh = eng.shell();
+    let c = &sh.clients[client.index()];
+    if !c.pending_commits.is_empty() {
+        resend_commit_slices(eng, client);
+        return;
+    }
+    let Some(active) = &c.txn else {
+        sh.schedule_idle(client);
+        return;
+    };
+    let (txn, phase) = (active.id, active.phase);
+    match sh.table.status(txn) {
+        TxnStatus::Aborting | TxnStatus::Aborted => eng.finalize_abort(now, client, txn),
+        TxnStatus::Active => match phase {
+            ClientPhase::WaitingGrant(_) => sh.resend_request(client),
+            ClientPhase::Thinking => {
+                // The think timer died with the crash: resume now.
+                sh.cal.schedule_in(
+                    SimTime::ZERO,
+                    Ev::Timer {
+                        client,
+                        kind: TimerKind::ThinkDone(txn),
+                    },
+                );
+            }
+            ClientPhase::CommitWait | ClientPhase::Idle => {}
+        },
+        TxnStatus::Committed => {}
+    }
+}
+
+/// The shared part of closing shard `shard`'s re-registration handshake:
+/// settle the in-doubt votes from the commit oracle, restore every
+/// outstanding durable grant whose owner still needs it, and resume
+/// normal service. Returns the active transactions of the clients that
+/// never answered (presumed dead), for the engine to abort once it has
+/// recorded the recovery.
+pub(crate) fn reopen_lock_shard<E: LockServer>(
+    eng: &mut E,
+    now: SimTime,
+    shard: usize,
+) -> Vec<TxnId> {
+    let sh = eng.shell();
+    for txn in sh.rec.settle_in_doubt(shard, &sh.table) {
+        eng.resolve_indoubt_commit(now, shard, txn);
+    }
+    let (sh, locks) = eng.parts();
+    let silent = sh
+        .rec
+        .restore_grants(now, shard, &sh.table, &mut locks[shard], &mut sh.cal);
+    sh.rec.reopen(shard);
+    silent
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,7 +1696,7 @@ mod tests {
             SiteId::Client(ClientId::new(0)),
             "grant",
             64,
-            Message::SAbortNotice { txn: TxnId::new(0) },
+            Message::AbortNotice { txn: TxnId::new(0) },
         );
         let (at, ev) = cal.pop().expect("delivery scheduled");
         assert_eq!(at, SimTime::new(7));
@@ -927,7 +1719,7 @@ mod tests {
             SiteId::Client(ClientId::new(0)),
             "grant",
             64,
-            Message::SAbortNotice { txn: TxnId::new(0) },
+            Message::AbortNotice { txn: TxnId::new(0) },
         );
         assert!(cal.pop().is_none(), "certain loss delivers nothing");
         assert_eq!(net.fault_counts().dropped, 1);

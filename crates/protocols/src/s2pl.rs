@@ -10,924 +10,71 @@
 
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
-use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, RunMetrics, WalReport};
-use crate::recovery::{Labels, Recovery};
+use crate::history::{AccessRecord, CommitRecord};
+use crate::metrics::RunMetrics;
 use crate::runtime::{
-    ClientCore, ClientPhase, Ev, Message, Net, Resend, TimerKind, TxnStatus, TxnTable,
+    lock_mode, on_commit_ack, on_prepare_ack, reopen_lock_shard, resend_commit_slices,
+    restart_client, run, send_commit_ack, send_grant, try_commit, ClientPhase, Ev, Labels,
+    LockLabels, LockServer, Message, Protocol, Shell, TimerKind, TxnStatus, CTRL_BYTES,
 };
-use crate::tracelog::{TraceKind, TraceLog};
-use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
-use g2pl_obs::SpanRecorder;
-use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerRecord, SiteLog};
+use crate::tracelog::TraceKind;
+use g2pl_lockmgr::{AcquireOutcome, LockTable};
+use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, TxnId, Version};
+use g2pl_wal::LogRecord;
+use g2pl_workload::AccessMode;
+use std::collections::BTreeMap;
 
 /// Per-shard slice of a committing transaction: written `(item,
 /// version)` pairs plus read-only items, bound for one home server.
 type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
-use g2pl_workload::{AccessMode, TxnGenerator};
-use std::collections::BTreeMap;
 
-/// Control-message payload size in bytes (requests, notices).
-pub(crate) const CTRL_BYTES: u64 = 64;
-
-/// Accounting labels of the recovery messages.
+/// Accounting labels of the messages the shared code sends.
 const LABELS: Labels = Labels {
+    lock_request: "s2pl.lock_request",
+    abort_notice: "s2pl.abort_notice",
     commit_query: "s2pl.commit_query",
     commit_verdict: "s2pl.commit_verdict",
     reregister_req: "s2pl.reregister_req",
     prepare_ack: "s2pl.prepare_ack",
 };
 
-/// Hard cap on processed events — a deterministic simulation exceeding
-/// this has livelocked, and panicking beats spinning forever.
-pub(crate) const EVENT_BUDGET: u64 = 2_000_000_000;
-
-pub(crate) fn lock_mode(mode: AccessMode) -> LockMode {
-    match mode {
-        AccessMode::Read => LockMode::Shared,
-        AccessMode::Write => LockMode::Exclusive,
-    }
-}
-
 /// The s-2PL simulation engine.
 pub struct S2plEngine {
-    cfg: EngineConfig,
-    cal: Calendar<Ev>,
-    net: Net,
-    clients: Vec<ClientCore>,
-    table: TxnTable,
+    sh: Shell,
     /// One lock table per server shard; an item's locks live at the
     /// shard owning it ([`EngineConfig::shard_of`]).
     locks: Vec<LockTable>,
-    versions: Vec<Version>,
-    generator: TxnGenerator,
-    collector: Collector,
-    history: Option<History>,
-    trace: TraceLog,
-    spans: SpanRecorder,
-    wal: Option<Vec<SiteLog>>,
-    admitting: bool,
     finder: CycleFinder,
-    /// The shards' fault domains: gating, crash recovery, presumed-abort
-    /// votes, leases and fault counters.
-    rec: Recovery,
 }
 
 impl S2plEngine {
     /// Build an engine for `cfg`.
     pub fn new(cfg: EngineConfig) -> Self {
-        let generator = TxnGenerator::new_sharded(
-            cfg.profile.clone(),
-            cfg.items.num_shards,
-            cfg.items.items_per_shard,
-        );
-        let replay = cfg.replay.clone().map(std::rc::Rc::new);
-        let clients = (0..cfg.num_clients)
-            .map(|i| match &replay {
-                Some(t) => {
-                    ClientCore::with_replay(ClientId::new(i), cfg.seed, std::rc::Rc::clone(t))
-                }
-                None => ClientCore::new(ClientId::new(i), cfg.seed),
-            })
-            .collect();
-        let net = Net::for_config(&cfg);
         S2plEngine {
-            rec: Recovery::new(&cfg, &net, LABELS),
-            net,
-            cal: Calendar::new(),
-            clients,
-            table: TxnTable::new(),
             locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
-            versions: vec![0; cfg.num_items() as usize],
-            generator,
-            collector: Collector::with_histogram(
-                cfg.warmup_txns,
-                cfg.measured_txns,
-                cfg.latency.nominal().max(2) / 2,
-            ),
-            history: cfg.record_history.then(History::new),
-            trace: TraceLog::new(cfg.trace_events),
-            spans: SpanRecorder::new(cfg.trace_events),
-            wal: cfg.enable_wal.then(|| {
-                (0..cfg.num_clients)
-                    .map(|_| SiteLog::new(cfg.item_size_bytes))
-                    .collect()
-            }),
-            admitting: true,
             finder: CycleFinder::default(),
-            cfg,
+            sh: Shell::new(cfg, LABELS),
         }
     }
 
     /// Run to completion and report metrics.
-    pub fn run(mut self) -> RunMetrics {
-        // Stagger client start-up by one idle draw each, as the model's
-        // "replaced after some idle time" rule implies for the very first
-        // transaction too.
-        for i in 0..self.cfg.num_clients {
-            let c = &mut self.clients[i as usize];
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule(
-                idle,
-                Ev::Timer {
-                    client: ClientId::new(i),
-                    kind: TimerKind::IdleDone,
-                },
-            );
-        }
-
-        for (client, at, up) in self.net.crash_schedule() {
-            self.cal.schedule(at, Ev::Fault { client, up });
-        }
-        for (shard, at, up) in self.net.server_crash_schedule() {
-            self.cal.schedule(at, Ev::ServerFault { shard, up });
-        }
-
-        let mut events: u64 = 0;
-        while let Some((now, ev)) = self.cal.pop() {
-            events += 1;
-            assert!(events < EVENT_BUDGET, "event budget exhausted: livelock?");
-            match ev {
-                Ev::Timer { client, kind } => {
-                    if !self.clients[client.index()].crashed {
-                        self.on_timer(now, client, kind);
-                    }
-                }
-                Ev::WindowTimer { .. } | Ev::LeaseCheck { .. } | Ev::CallbackRetry { .. } => {
-                    unreachable!("event is not part of the s-2PL protocol")
-                }
-                Ev::ServerProc { shard, msg } => {
-                    if self.rec.admit_queued(shard as usize, &msg) {
-                        self.on_server_msg(now, shard as usize, msg);
-                    }
-                }
-                Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => match self.rec.admit(now, shard.index(), &msg) {
-                        Some(SimTime::ZERO) => self.on_server_msg(now, shard.index(), msg),
-                        Some(d) => {
-                            self.cal.schedule_in(
-                                d,
-                                Ev::ServerProc {
-                                    shard: shard.0,
-                                    msg,
-                                },
-                            );
-                        }
-                        None => {}
-                    },
-                    SiteId::Client(c) => {
-                        if !self.clients[c.index()].crashed {
-                            self.on_client_msg(now, c, msg);
-                        }
-                    }
-                },
-                Ev::Fault { client, up } => self.on_fault(now, client, up),
-                Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
-                Ev::RecoveryCheck { shard, epoch } => {
-                    let s = shard as usize;
-                    if self
-                        .rec
-                        .on_recovery_check(now, s, epoch, &mut self.net, &mut self.cal)
-                    {
-                        self.finish_recovery(now, s);
-                    }
-                }
-                Ev::TxnLease { txn } => {
-                    if self
-                        .rec
-                        .on_txn_lease(now, txn, &self.table, &mut self.cal, &mut self.trace)
-                    {
-                        self.abort_victim(now, txn);
-                        self.rec.lease_reclaimed(now, txn, &mut self.trace);
-                    }
-                }
-            }
-            if self.rec.faults_on {
-                for (at, site) in self.net.take_fault_marks() {
-                    self.trace
-                        .record(at, TraceKind::FaultInjected, None, None, site);
-                }
-            }
-            if self.collector.done() {
-                if !self.cfg.drain {
-                    break;
-                }
-                self.admitting = false;
-            }
-        }
-
-        // Under an active fault plan the end-of-run snapshot may
-        // legitimately hold residue (e.g. a client that crashed and never
-        // restarted before the calendar emptied); liveness is checked by
-        // trace property P8 instead of these structural asserts.
-        if self.cfg.drain && !self.rec.faults_on {
-            assert!(
-                self.locks.iter().all(LockTable::is_quiescent),
-                "locks leaked after drain"
-            );
-            if let Some(wal) = &self.wal {
-                assert!(
-                    wal.iter().all(SiteLog::is_empty),
-                    "WAL records survived a drain: every version is home"
-                );
-            }
-        }
-
-        let obs = self.spans.finish();
-        let trace_dropped = self.trace.dropped();
-        self.rec.fsum.injected = self.net.fault_counts();
-        RunMetrics {
-            faults: self.rec.fsum,
-            protocol: "s-2PL",
-            events,
-            peak_calendar: self.cal.peak_len(),
-            wall_secs: 0.0,
-            response: self.collector.response,
-            aborts: self.collector.aborts,
-            read_only_aborts: self.collector.read_only_aborts,
-            committed_total: self.collector.committed_total,
-            aborted_total: self.collector.aborted_total,
-            net: self.net.acct,
-            end_time: self.cal.now(),
-            history: self.history,
-            trace: if self.trace.enabled() {
-                Some(self.trace.into_events())
-            } else {
-                None
-            },
-            max_fl_len: 0,
-            window_closes: 0,
-            access_wait: self.collector.access_wait,
-            abort_waste: self.collector.abort_waste,
-            abort_depth: self.collector.abort_depth,
-            response_by_size: self.collector.response_by_size,
-            response_hist: self.collector.response_hist,
-            response_tail: self.collector.response_tail,
-            wal: self.wal.map(|sites| {
-                let mut r = WalReport::default();
-                for site in &sites {
-                    r.absorb(site.metrics(), site.live_records());
-                }
-                r
-            }),
-            phases: obs.breakdown,
-            flight: obs.flight,
-            spans: obs.raw,
-            trace_dropped,
-        }
-    }
-
-    // ---- client side ----
-
-    fn on_timer(&mut self, now: SimTime, client: ClientId, kind: TimerKind) {
-        match kind {
-            TimerKind::IdleDone => {
-                if !self.admitting {
-                    return;
-                }
-                let c = &mut self.clients[client.index()];
-                let txn = c.begin_txn(&self.generator, &mut self.table, now);
-                if let Some(wal) = &mut self.wal {
-                    wal[client.index()].append(LogRecord::Begin { txn });
-                }
-                let (item, mode) = c.txn().spec.access(0);
-                self.send_request(now, client, txn, item, mode);
-            }
-            TimerKind::ThinkDone(txn) => {
-                let c = &self.clients[client.index()];
-                let Some(active) = &c.txn else { return };
-                if active.id != txn || active.phase != ClientPhase::Thinking {
-                    return; // stale timer of an aborted transaction
-                }
-                let granted = active.granted;
-                if granted < active.spec.len() {
-                    let (item, mode) = active.spec.access(granted);
-                    {
-                        let t = self.clients[client.index()].txn_mut();
-                        t.phase = ClientPhase::WaitingGrant(granted);
-                        t.request_sent_at = now;
-                    }
-                    self.send_request(now, client, txn, item, mode);
-                } else {
-                    self.commit(now, client, txn);
-                }
-            }
-            TimerKind::Retry { epoch } => match self.clients[client.index()].due_resend(epoch) {
-                Some(Resend::CommitPhase) => self.resend_pending_commits(now, client),
-                Some(Resend::Request) => self.resend_request(now, client),
-                None => {}
-            },
-            // s-2PL's phase 2 piggybacks on the regular commit-release
-            // retry epoch; the dedicated decide timer is g-2PL-only.
-            TimerKind::DecideRetry(_) => unreachable!("s-2PL never arms a decide timer"),
-        }
-    }
-
-    /// Re-send the outstanding lock request. No `RequestSent` trace or
-    /// request span is recorded for a retransmission: trace consumers
-    /// pair each logical request with one grant.
-    fn resend_request(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        let txn = active.id;
-        let (item, mode) = active.spec.access(active.granted);
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.rec.fsum.retries += 1;
-        let _ = now;
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "s2pl.lock_request",
-            CTRL_BYTES,
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-    }
-
-    /// Re-send every unacknowledged commit-phase slice (the client's
-    /// WAL tail), one per still-unanswered shard: commit-releases, or
-    /// — for a multi-home transaction still in its voting round —
-    /// prepares.
-    fn resend_pending_commits(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        let pending = c.pending_commits.clone();
-        if pending.is_empty() {
-            return;
-        }
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        let _ = now;
-        for (shard, msg) in pending {
-            let (kind, bytes) = match &msg {
-                Message::SCommit { writes, .. } => (
-                    "s2pl.commit_release",
-                    CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes,
-                ),
-                Message::Prepare { writes, .. } => {
-                    ("s2pl.prepare", CTRL_BYTES + 12 * writes.len() as u64)
-                }
-                _ => continue,
-            };
-            self.rec.fsum.retries += 1;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                kind,
-                bytes,
-                msg,
-            );
-        }
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-    }
-
-    /// A scheduled crash or restart from the fault plan.
-    fn on_fault(&mut self, now: SimTime, client: ClientId, up: bool) {
-        if up {
-            self.on_restart(now, client);
-            return;
-        }
-        let c = &mut self.clients[client.index()];
-        if c.crashed {
-            return;
-        }
-        c.crashed = true;
-        self.rec.fsum.crashes += 1;
-        self.trace
-            .record(now, TraceKind::FaultInjected, None, None, client.into());
-    }
-
-    /// A crashed client comes back up. Every timer it had died with the
-    /// crash, so each possible state re-establishes its own wake-up: an
-    /// unacknowledged commit resumes retransmission (the WAL tail), an
-    /// aborted transaction finalizes locally (the notice may have been
-    /// lost while down), an outstanding request is re-sent, and an idle
-    /// client re-draws its idle period.
-    fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        if !c.crashed {
-            return;
-        }
-        c.crashed = false;
-        c.retry_progress();
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-            return;
-        }
-        let Some(active) = &c.txn else {
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-            return;
-        };
-        let (txn, phase) = (active.id, active.phase);
-        match self.table.status(txn) {
-            TxnStatus::Aborting | TxnStatus::Aborted => self.finalize_abort(now, client, txn),
-            TxnStatus::Active => match phase {
-                ClientPhase::WaitingGrant(_) => self.resend_request(now, client),
-                ClientPhase::Thinking => {
-                    // The think timer died with the crash: resume now.
-                    self.cal.schedule_in(
-                        SimTime::ZERO,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::ThinkDone(txn),
-                        },
-                    );
-                }
-                ClientPhase::CommitWait | ClientPhase::Idle => {}
-            },
-            TxnStatus::Committed => {}
-        }
-    }
-
-    fn send_request(
-        &mut self,
-        now: SimTime,
-        client: ClientId,
-        txn: TxnId,
-        item: ItemId,
-        mode: AccessMode,
-    ) {
-        if self.rec.faults_on {
-            self.clients[client.index()].retry_progress();
-        }
-        self.trace.record(
-            now,
-            TraceKind::RequestSent,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.req_sent(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "s2pl.lock_request",
-            CTRL_BYTES,
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        if self.rec.faults_on {
-            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-        }
-    }
-
-    // lint:allow(L5): the outcome is recorded downstream — commit_decided traces Committed on every path, and the voting detour traces Prepared/CommitApplied at the shards
-    fn commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        // Under faults a lease expiry can pick a merely-slow (crashed and
-        // restarted) transaction as victim while its abort notice is
-        // still in flight; the oracle status resolves the race in favour
-        // of the abort, exactly as the server already decided it.
-        if self.rec.faults_on && self.table.status(txn) != TxnStatus::Active {
-            self.finalize_abort(now, client, txn);
-            return;
-        }
-        // Under a server-crash plan a multi-home commit must be atomic
-        // across shard fault domains: run presumed-abort two-phase
-        // commitment. Single-home commits keep the one-phase path (the
-        // single-participant optimization), as do all commits under
-        // plans without server crashes.
-        if self.rec.srv_faults_on {
-            let involved = self.clients[client.index()].txn().involved(&self.cfg);
-            if involved.count_ones() > 1 {
-                self.begin_prepare(now, client, txn, involved);
-                return;
-            }
-        }
-        self.commit_decided(now, client, txn);
-    }
-
-    /// Phase 1 of two-phase commitment: send each involved shard its
-    /// prepare (write slice + involved-shard mask) and wait for every
-    /// yes vote before deciding. The prepares sit in `pending_commits`
-    /// and retransmit on the usual backoff until acknowledged.
-    fn begin_prepare(&mut self, now: SimTime, client: ClientId, txn: TxnId, involved: u64) {
-        let _ = now;
-        let c = &mut self.clients[client.index()];
-        // lint:allow(L3): guarded by the caller
-        let active = c.txn.as_mut().expect("preparing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        active.phase = ClientPhase::CommitWait;
-        let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let slot = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            if mode == AccessMode::Write {
-                slot.push((item, active.versions[idx] + 1));
-            }
-        }
-        c.retry_progress();
-        c.pending_commits = by_shard
-            .iter()
-            .map(|(&shard, writes)| {
-                (
-                    shard,
-                    Message::Prepare {
-                        txn,
-                        writes: writes.clone(),
-                        involved,
-                    },
-                )
-            })
-            .collect();
-        for (shard, writes) in by_shard {
-            let bytes = CTRL_BYTES + 12 * writes.len() as u64;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "s2pl.prepare",
-                bytes,
-                Message::Prepare {
-                    txn,
-                    writes,
-                    involved,
-                },
-            );
-        }
-        self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-    }
-
-    /// The commit decision point: every involved shard has voted yes (or
-    /// the transaction is single-home and no votes were needed). From
-    /// here the commit is irrevocable — the client's WAL `Commit` record
-    /// below is the coordinator's durable decision record, and the
-    /// commit-release slices retransmit until every shard applies.
-    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let c = &mut self.clients[client.index()];
-        // lint:allow(L3): commit is only reachable from a client with an active txn
-        let active = c.txn.take().expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        self.table.set_status(txn, TxnStatus::Committed);
-        let measured = self
-            .collector
-            .on_commit_sized(now.since(active.start), active.spec.len());
-        self.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
-
-        // Group the transaction's accesses by owning shard: a multi-home
-        // commit sends one combined commit/release message per involved
-        // shard (§3.1's single message, per home), all in the same round.
-        let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
-        let mut records = Vec::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let observed = active.versions[idx];
-            let slot = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            match mode {
-                AccessMode::Write => {
-                    slot.0.push((item, observed + 1));
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: observed + 1,
-                    });
-                }
-                AccessMode::Read => {
-                    slot.1.push(item);
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: observed,
-                    });
-                }
-            }
-        }
-        // One commit/release round trip per involved shard, in parallel.
-        self.spans
-            .commit_local(now, txn, by_shard.len() as u32, measured);
-        if let Some(h) = &mut self.history {
-            h.push(CommitRecord {
-                txn,
-                at: now,
-                accesses: records,
-            });
-        }
-
-        if let Some(wal) = &mut self.wal {
-            let log = &mut wal[client.index()];
-            for (writes, _) in by_shard.values() {
-                for &(item, new) in writes {
-                    log.append(LogRecord::Update {
-                        txn,
-                        item,
-                        old: new - 1,
-                        new,
-                    });
-                }
-            }
-            log.append(LogRecord::Commit { txn });
-        }
-
-        if self.rec.faults_on {
-            // Commit durability under loss: retransmit each shard's
-            // release until that shard acknowledges; the next transaction
-            // starts only when every slice is acked (see the SCommitAck
-            // handler).
-            c.retry_progress();
-            c.pending_commits = by_shard
-                .iter()
-                .map(|(&shard, (writes, reads))| {
-                    (
-                        shard,
-                        Message::SCommit {
-                            txn,
-                            writes: writes.clone(),
-                            reads: reads.clone(),
-                        },
-                    )
-                })
-                .collect();
-        } else {
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-        }
-        for (shard, (writes, reads)) in by_shard {
-            let bytes = CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "s2pl.commit_release",
-                bytes,
-                Message::SCommit { txn, writes, reads },
-            );
-        }
-        if self.rec.faults_on {
-            self.clients[client.index()].arm_retry(&mut self.cal, self.rec.retry_base);
-        }
-    }
-
-    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
-        match msg {
-            Message::SGrant { txn, item, version } => {
-                let faults_on = self.rec.faults_on;
-                let c = &mut self.clients[client.index()];
-                let Some(active) = &mut c.txn else {
-                    debug_assert!(faults_on, "grant for idle client");
-                    return;
-                };
-                if active.id != txn {
-                    debug_assert!(faults_on, "grant for stale transaction");
-                    return;
-                }
-                if !matches!(active.phase, ClientPhase::WaitingGrant(_))
-                    || active.spec.access(active.granted).0 != item
-                {
-                    // Duplicate of an already-consumed grant (lossy link).
-                    debug_assert!(faults_on, "unexpected duplicate grant");
-                    return;
-                }
-                active.versions.push(version);
-                active.granted += 1;
-                active.phase = ClientPhase::Thinking;
-                let wait = now.since(active.request_sent_at);
-                if faults_on {
-                    c.retry_progress();
-                }
-                self.collector.on_access_wait(wait);
-                let think = self.cfg.profile.draw_think(&mut c.time_rng);
-                self.trace.record(
-                    now,
-                    TraceKind::Granted,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                self.spans.granted(now, txn, item);
-                self.cal.schedule_in(
-                    think,
-                    Ev::Timer {
-                        client,
-                        kind: TimerKind::ThinkDone(txn),
-                    },
-                );
-            }
-            Message::SAbortNotice { txn } => self.finalize_abort(now, client, txn),
-            Message::PrepareAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                match c.take_ack(
-                    shard,
-                    |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
-                ) {
-                    None => {} // duplicate ack of an already-counted vote
-                    // Other shards still owe votes: keep retransmitting
-                    // their prepares from a fresh backoff.
-                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
-                    // Unanimous yes. An abort may still have raced the
-                    // voting round (a lease victim whose notice is in
-                    // flight); the oracle resolves it in the abort's
-                    // favour — the shards' prepared votes are retired by
-                    // the victim's releases.
-                    Some(true) if self.table.status(txn) != TxnStatus::Active => {
-                        self.finalize_abort(now, client, txn);
-                    }
-                    Some(true) => self.commit_decided(now, client, txn),
-                }
-            }
-            Message::SCommitAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                match c.take_ack(
-                    shard,
-                    |m| matches!(m, Message::SCommit { txn: t, .. } if *t == txn),
-                ) {
-                    None => {} // duplicate ack of an older commit slice
-                    // Other shards still owe acks: keep retransmitting
-                    // their slices from a fresh backoff.
-                    Some(false) => c.arm_retry(&mut self.cal, self.rec.retry_base),
-                    Some(true) => {
-                        let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-                        self.cal.schedule_in(
-                            idle,
-                            Ev::Timer {
-                                client,
-                                kind: TimerKind::IdleDone,
-                            },
-                        );
-                    }
-                }
-            }
-            Message::ReregisterReq { shard, epoch } => {
-                // Re-report everything the client holds of the restarted
-                // shard: granted items of the live transaction homed
-                // there and that shard's slice of an unacknowledged
-                // (committed-but-unreleased) commit.
-                let c = &self.clients[client.index()];
-                let mut held = Vec::new();
-                let mut txn = None;
-                if let Some(active) = &c.txn {
-                    txn = Some(active.id);
-                    for idx in 0..active.granted {
-                        let (item, mode) = active.spec.access(idx);
-                        if self.cfg.shard_of(item) == shard {
-                            held.push((item, lock_mode(mode)));
-                        }
-                    }
-                }
-                let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
-                    Message::SCommit { txn, writes, reads } if *s == shard => {
-                        Some((*txn, writes.clone(), reads.clone()))
-                    }
-                    _ => None,
-                });
-                let bytes = CTRL_BYTES + 8 * held.len() as u64;
-                self.net.send(
-                    &mut self.cal,
-                    client.into(),
-                    SiteId::server(shard),
-                    "s2pl.reregister",
-                    bytes,
-                    Message::SReregister {
-                        client,
-                        epoch,
-                        txn,
-                        held,
-                        pending,
-                        cached: Vec::new(),
-                    },
-                );
-            }
-            other => unreachable!("s-2PL client cannot receive {other:?}"),
-        }
-    }
-
-    /// Abort the client's transaction locally: on receipt of the server's
-    /// notice, or — under faults — when the client discovers the abort
-    /// on its own (restart after a crash, or a commit racing the notice).
-    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        if active.id != txn {
-            return;
-        }
-        let read_only = active.spec.is_read_only();
-        let waste = now.since(active.start);
-        let depth = active.granted;
-        c.txn = None;
-        // An abort during the voting round withdraws the outstanding
-        // prepares; shards that already voted are cleaned up by the
-        // victim's releases.
-        c.pending_commits
-            .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if self.rec.faults_on {
-            c.retry_progress();
-        }
-        self.table.set_status(txn, TxnStatus::Aborted);
-        self.collector.on_abort_diag(read_only, waste, depth);
-        if let Some(wal) = &mut self.wal {
-            wal[client.index()].append(LogRecord::Abort { txn });
-        }
-        self.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        self.spans.aborted(now, txn);
-        let idle = self
-            .cfg
-            .profile
-            .draw_idle(&mut self.clients[client.index()].time_rng);
-        self.cal.schedule_in(
-            idle,
-            Ev::Timer {
-                client,
-                kind: TimerKind::IdleDone,
-            },
-        );
-    }
-
-    // ---- server crash recovery ----
-
-    /// A scheduled crash or restart of shard `shard` from the fault plan.
-    /// A crash loses the shard's lock table and its items' installed
-    /// versions; a restart restores the versions from the replayed log
-    /// and opens the re-registration handshake.
-    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
-        if up {
-            let versions = &mut self.versions;
-            self.rec
-                .restart(now, shard, &mut self.net, &mut self.cal, |img| {
-                    for (&item, &v) in &img.versions {
-                        versions[item.index()] = v;
-                    }
-                });
-        } else {
-            self.rec.crash_server(now, shard, &mut self.trace);
-            self.locks[shard] = LockTable::new();
-            let per = self.cfg.items.items_per_shard as usize;
-            self.versions[shard * per..(shard + 1) * per].fill(0);
-        }
-    }
-
-    /// Close shard `shard`'s re-registration handshake: settle the
-    /// in-doubt votes from the commit oracle, restore every outstanding
-    /// durable grant whose owner still needs it, resume normal service,
-    /// then abort the active transactions of clients that never answered
-    /// (presumed dead).
-    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        for txn in self.rec.settle_in_doubt(shard, &self.table) {
-            self.resolve_indoubt_commit(now, shard, txn);
-        }
-        let silent = self.rec.restore_grants(
-            now,
-            shard,
-            &self.table,
-            &mut self.locks[shard],
-            &mut self.cal,
-        );
-        self.rec.reopen(shard);
-        self.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        for txn in silent {
-            self.abort_victim(now, txn);
-        }
-    }
-
-    /// Positive commit evidence arrived for an in-doubt prepared vote at
-    /// shard `shard`: install the prepared write slice exactly as the lost
-    /// commit-release would have, and release the transaction's locks.
-    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        if let Some(writes) = self.rec.commit_in_doubt(now, shard, txn, &mut self.trace) {
-            self.install(txn, writes);
-            self.release_at(now, shard, txn);
-        }
+    pub fn run(self) -> RunMetrics {
+        run(self)
     }
 
     /// Install `txn`'s written versions at their home shard and mark them
     /// permanent in the committer's WAL.
     fn install(&mut self, txn: TxnId, writes: Vec<(ItemId, Version)>) {
-        let committer = self.table.info(txn).client;
+        let sh = &mut self.sh;
+        let committer = sh.table.info(txn).client;
         for (item, version) in writes {
             debug_assert_eq!(
                 version,
-                self.versions[item.index()] + 1,
+                sh.versions[item.index()] + 1,
                 "write version chain broken for {item}"
             );
-            self.versions[item.index()] = version;
-            if let Some(wal) = &mut self.wal {
+            sh.versions[item.index()] = version;
+            if let Some(wal) = &mut sh.wal {
                 wal[committer.index()].mark_permanent(txn, item);
             }
         }
@@ -937,211 +84,9 @@ impl S2plEngine {
     /// grants it wakes.
     fn release_at(&mut self, now: SimTime, shard: usize, txn: TxnId) {
         for (item, t, _) in self.locks[shard].release_all(txn) {
-            let c = self.table.info(t).client;
-            self.send_grant(now, c, t, item);
+            let c = self.sh.table.info(t).client;
+            send_grant(self, now, c, t, item);
         }
-    }
-
-    /// Tell `txn`'s client, from shard `from`, that it was aborted.
-    fn send_abort_notice(&mut self, from: usize, txn: TxnId) {
-        let client = self.table.info(txn).client;
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(from as u32),
-            client.into(),
-            "s2pl.abort_notice",
-            CTRL_BYTES,
-            Message::SAbortNotice { txn },
-        );
-    }
-
-    // ---- server side ----
-
-    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
-        match msg {
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode,
-            } => {
-                debug_assert_eq!(
-                    self.cfg.shard_of(item) as usize,
-                    shard,
-                    "lock request routed to the wrong shard"
-                );
-                match self.table.status(txn) {
-                    TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.rec.faults_on => {
-                        // A retried request from a victim whose abort
-                        // notice may have been lost: answer it again.
-                        self.send_abort_notice(shard, txn);
-                        return;
-                    }
-                    _ => return, // stale request of a finished transaction
-                }
-                if self.rec.faults_on {
-                    self.rec.touch(now, txn, &mut self.cal);
-                    if self.locks[shard].mode_of(txn, item).is_some() {
-                        // Duplicate of an already-granted request (the
-                        // grant or the original request was lost or
-                        // duplicated): re-ship the grant.
-                        self.send_grant(now, client, txn, item);
-                        return;
-                    }
-                    if self.locks[shard].queued_on(txn) == Some(item) {
-                        return; // duplicate of a still-queued request
-                    }
-                }
-                self.spans.req_arrived(now, txn, item);
-                match self.locks[shard].acquire(txn, item, mode) {
-                    AcquireOutcome::Granted => self.send_grant(now, client, txn, item),
-                    AcquireOutcome::Queued => self.detect_deadlocks(now, txn),
-                }
-            }
-            Message::Prepare {
-                txn,
-                writes,
-                involved,
-            } => {
-                if self.table.status(txn) == TxnStatus::Active {
-                    self.rec.touch(now, txn, &mut self.cal);
-                }
-                let voted = self.rec.on_prepare(
-                    now,
-                    shard,
-                    txn,
-                    writes,
-                    involved,
-                    &self.table,
-                    &mut self.net,
-                    &mut self.cal,
-                    &mut self.trace,
-                );
-                if !voted {
-                    // The abort won the race with the voting round:
-                    // answer the (possibly lost) notice again.
-                    self.send_abort_notice(shard, txn);
-                }
-            }
-            Message::SCommit { txn, writes, .. } => {
-                let committer = self.table.info(txn).client;
-                if self.rec.faults_on {
-                    // Duplicate commit-release slice (already applied at
-                    // this shard): the ack was lost, so just acknowledge
-                    // again. Each shard's bit of the applied set is
-                    // durable — it survives crashes via log replay.
-                    if self.rec.applied_at(txn, shard) {
-                        self.send_commit_ack(shard, committer, txn);
-                        return;
-                    }
-                    self.rec.end_lease(txn);
-                }
-                self.rec
-                    .apply_commit(now, shard, txn, &writes, &mut self.trace);
-                self.install(txn, writes);
-                self.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    Some(txn),
-                    None,
-                    SiteId::server(shard as u32),
-                );
-                self.spans.release_arrived(now, txn, true);
-                self.release_at(now, shard, txn);
-                if self.rec.faults_on {
-                    self.send_commit_ack(shard, committer, txn);
-                }
-            }
-            Message::SReregister {
-                client,
-                epoch,
-                txn,
-                held,
-                pending,
-                cached: _,
-            } => {
-                if self
-                    .rec
-                    .reregistered(now, shard, client, epoch, txn, &mut self.trace)
-                {
-                    let pending = pending.as_ref();
-                    self.rec
-                        .check_lock_report(shard, &self.table, client, txn, &held, pending);
-                    if self.rec.all_answered(shard) {
-                        self.finish_recovery(now, shard);
-                    }
-                }
-            }
-            Message::CommitQuery {
-                txn, from_shard, ..
-            } => self.rec.answer_commit_query(
-                shard,
-                txn,
-                from_shard,
-                &self.table,
-                &mut self.net,
-                &mut self.cal,
-            ),
-            Message::CommitVerdict { txn, committed } => {
-                if self.rec.on_commit_verdict(shard, txn, committed) {
-                    self.resolve_indoubt_commit(now, shard, txn);
-                }
-            }
-            other => unreachable!("s-2PL server cannot receive {other:?}"),
-        }
-    }
-
-    /// Acknowledge a processed commit-release slice (faults only).
-    fn send_commit_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "s2pl.commit_ack",
-            CTRL_BYTES,
-            Message::SCommitAck {
-                txn,
-                shard: shard as u32,
-            },
-        );
-    }
-
-    fn send_grant(&mut self, now: SimTime, client: ClientId, txn: TxnId, item: ItemId) {
-        let shard = self.cfg.shard_of(item) as usize;
-        if let Some(slog) = self.rec.slog.get_mut(shard) {
-            // Write-ahead: the grant is durable before it leaves.
-            let exclusive = matches!(
-                self.locks[shard].mode_of(txn, item),
-                Some(LockMode::Exclusive)
-            );
-            slog.append(ServerRecord::Grant {
-                txn,
-                item,
-                exclusive,
-            });
-        }
-        self.trace.record(
-            now,
-            TraceKind::Dispatched,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.dispatched(now, txn, item);
-        self.spans.hop_departed(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "s2pl.grant",
-            CTRL_BYTES + self.cfg.item_size_bytes,
-            Message::SGrant {
-                txn,
-                item,
-                version: self.versions[item.index()],
-            },
-        );
     }
 
     /// §4: "deadlock detection is initiated when a lock cannot be
@@ -1168,7 +113,7 @@ impl S2plEngine {
                 }
             });
             let Some(cycle) = found else { break };
-            let victim = self.cfg.victim.choose(cycle, |t| {
+            let victim = self.sh.cfg.victim.choose(cycle, |t| {
                 self.locks.iter().map(|lt| lt.held_by(t).len()).sum()
             });
             self.abort_victim(now, victim);
@@ -1178,12 +123,295 @@ impl S2plEngine {
         }
         self.finder = finder;
     }
+}
+
+impl Protocol for S2plEngine {
+    fn shell(&mut self) -> &mut Shell {
+        &mut self.sh
+    }
+
+    fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize) {
+        self.sh.request_access(now, client, txn, idx);
+    }
+
+    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        try_commit(self, now, client, txn);
+    }
+
+    fn resend_pending_commits(&mut self, client: ClientId) {
+        resend_commit_slices(self, client);
+    }
+
+    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
+        let sh = &mut self.sh;
+        match msg {
+            Message::SGrant { txn, item, version } => {
+                let faults_on = sh.rec.faults_on;
+                let c = &mut sh.clients[client.index()];
+                let Some(active) = &mut c.txn else {
+                    debug_assert!(faults_on, "grant for idle client");
+                    return;
+                };
+                if active.id != txn {
+                    debug_assert!(faults_on, "grant for stale transaction");
+                    return;
+                }
+                if !matches!(active.phase, ClientPhase::WaitingGrant(_))
+                    || active.spec.access(active.granted).0 != item
+                {
+                    // Duplicate of an already-consumed grant (lossy link).
+                    debug_assert!(faults_on, "unexpected duplicate grant");
+                    return;
+                }
+                active.versions.push(version);
+                active.granted += 1;
+                active.phase = ClientPhase::Thinking;
+                let wait = now.since(active.request_sent_at);
+                if faults_on {
+                    c.retry_progress();
+                }
+                sh.collector.on_access_wait(wait);
+                let think = sh.cfg.profile.draw_think(&mut c.time_rng);
+                sh.trace.record(
+                    now,
+                    TraceKind::Granted,
+                    Some(txn),
+                    Some(item),
+                    client.into(),
+                );
+                sh.spans.granted(now, txn, item);
+                sh.cal.schedule_in(
+                    think,
+                    Ev::Timer {
+                        client,
+                        kind: TimerKind::ThinkDone(txn),
+                    },
+                );
+            }
+            Message::AbortNotice { txn } => self.finalize_abort(now, client, txn),
+            Message::PrepareAck { txn, shard } => on_prepare_ack(self, now, client, txn, shard),
+            Message::SCommitAck { txn, shard } => on_commit_ack(sh, client, txn, shard),
+            Message::ReregisterReq { shard, epoch } => {
+                // Re-report everything the client holds of the restarted
+                // shard: granted items of the live transaction homed
+                // there and that shard's slice of an unacknowledged
+                // (committed-but-unreleased) commit.
+                let c = &sh.clients[client.index()];
+                let mut held = Vec::new();
+                let mut txn = None;
+                if let Some(active) = &c.txn {
+                    txn = Some(active.id);
+                    for idx in 0..active.granted {
+                        let (item, mode) = active.spec.access(idx);
+                        if sh.cfg.shard_of(item) == shard {
+                            held.push((item, lock_mode(mode)));
+                        }
+                    }
+                }
+                let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
+                    Message::SCommit { txn, writes, reads } if *s == shard => {
+                        Some((*txn, writes.clone(), reads.clone()))
+                    }
+                    _ => None,
+                });
+                let bytes = CTRL_BYTES + 8 * held.len() as u64;
+                sh.net.send(
+                    &mut sh.cal,
+                    client.into(),
+                    SiteId::server(shard),
+                    "s2pl.reregister",
+                    bytes,
+                    Message::SReregister {
+                        client,
+                        epoch,
+                        txn,
+                        held,
+                        pending,
+                        cached: Vec::new(),
+                    },
+                );
+            }
+            other => unreachable!("s-2PL client cannot receive {other:?}"),
+        }
+    }
+
+    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
+        match msg {
+            Message::LockReq {
+                txn,
+                client,
+                item,
+                mode,
+            } => {
+                debug_assert_eq!(
+                    self.sh.cfg.shard_of(item) as usize,
+                    shard,
+                    "lock request routed to the wrong shard"
+                );
+                match self.sh.table.status(txn) {
+                    TxnStatus::Active => {}
+                    TxnStatus::Aborting | TxnStatus::Aborted if self.sh.rec.faults_on => {
+                        // A retried request from a victim whose abort
+                        // notice may have been lost: answer it again.
+                        self.sh.send_abort_notice(shard, txn);
+                        return;
+                    }
+                    _ => return, // stale request of a finished transaction
+                }
+                if self.sh.rec.faults_on {
+                    self.sh.rec.touch(now, txn, &mut self.sh.cal);
+                    if self.locks[shard].mode_of(txn, item).is_some() {
+                        // Duplicate of an already-granted request (the
+                        // grant or the original request was lost or
+                        // duplicated): re-ship the grant.
+                        send_grant(self, now, client, txn, item);
+                        return;
+                    }
+                    if self.locks[shard].queued_on(txn) == Some(item) {
+                        return; // duplicate of a still-queued request
+                    }
+                }
+                self.sh.spans.req_arrived(now, txn, item);
+                match self.locks[shard].acquire(txn, item, mode) {
+                    AcquireOutcome::Granted => send_grant(self, now, client, txn, item),
+                    AcquireOutcome::Queued => self.detect_deadlocks(now, txn),
+                }
+            }
+            Message::Prepare {
+                txn,
+                writes,
+                involved,
+            } => {
+                let sh = &mut self.sh;
+                if sh.table.status(txn) == TxnStatus::Active {
+                    sh.rec.touch(now, txn, &mut sh.cal);
+                }
+                let voted = sh.rec.on_prepare(
+                    now,
+                    shard,
+                    txn,
+                    writes,
+                    involved,
+                    &sh.table,
+                    &mut sh.net,
+                    &mut sh.cal,
+                    &mut sh.trace,
+                );
+                if !voted {
+                    // The abort won the race with the voting round:
+                    // answer the (possibly lost) notice again.
+                    sh.send_abort_notice(shard, txn);
+                }
+            }
+            Message::SCommit { txn, writes, .. } => {
+                let committer = self.sh.table.info(txn).client;
+                if self.sh.rec.faults_on {
+                    // Duplicate commit-release slice (already applied at
+                    // this shard): the ack was lost, so just acknowledge
+                    // again. Each shard's bit of the applied set is
+                    // durable — it survives crashes via log replay.
+                    if self.sh.rec.applied_at(txn, shard) {
+                        send_commit_ack(self, shard, committer, txn);
+                        return;
+                    }
+                    self.sh.rec.end_lease(txn);
+                }
+                let sh = &mut self.sh;
+                sh.rec.apply_commit(now, shard, txn, &writes, &mut sh.trace);
+                self.install(txn, writes);
+                self.sh.trace.record(
+                    now,
+                    TraceKind::ReleasedAtServer,
+                    Some(txn),
+                    None,
+                    SiteId::server(shard as u32),
+                );
+                self.sh.spans.release_arrived(now, txn, true);
+                self.release_at(now, shard, txn);
+                if self.sh.rec.faults_on {
+                    send_commit_ack(self, shard, committer, txn);
+                }
+            }
+            Message::SReregister {
+                client,
+                epoch,
+                txn,
+                held,
+                pending,
+                cached: _,
+            } => {
+                let sh = &mut self.sh;
+                if sh
+                    .rec
+                    .reregistered(now, shard, client, epoch, txn, &mut sh.trace)
+                {
+                    let pending = pending.as_ref();
+                    sh.rec
+                        .check_lock_report(shard, &sh.table, client, txn, &held, pending);
+                    if sh.rec.all_answered(shard) {
+                        self.finish_recovery(now, shard);
+                    }
+                }
+            }
+            Message::CommitQuery {
+                txn, from_shard, ..
+            } => {
+                let sh = &mut self.sh;
+                sh.rec.answer_commit_query(
+                    shard,
+                    txn,
+                    from_shard,
+                    &sh.table,
+                    &mut sh.net,
+                    &mut sh.cal,
+                );
+            }
+            Message::CommitVerdict { txn, committed } => {
+                if self.sh.rec.on_commit_verdict(shard, txn, committed) {
+                    self.resolve_indoubt_commit(now, shard, txn);
+                }
+            }
+            other => unreachable!("s-2PL server cannot receive {other:?}"),
+        }
+    }
+
+    fn on_restart(&mut self, now: SimTime, client: ClientId) {
+        restart_client(self, now, client);
+    }
+
+    /// A crash loses the shard's lock table and its items' installed
+    /// versions; a restart restores the versions from the replayed log
+    /// and opens the re-registration handshake.
+    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
+        if up {
+            self.sh.restart_shard(now, shard, |_| {});
+        } else {
+            self.sh.crash_shard(now, shard);
+            self.locks[shard] = LockTable::new();
+        }
+    }
+
+    /// Restore the shard's grants, then abort the active transactions of
+    /// clients that never answered the handshake (presumed dead).
+    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
+        let silent = reopen_lock_shard(self, now, shard);
+        self.sh.trace.record(
+            now,
+            TraceKind::ServerRecovered,
+            None,
+            None,
+            SiteId::server(shard as u32),
+        );
+        for txn in silent {
+            self.abort_victim(now, txn);
+        }
+    }
 
     // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
     fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.table.status(victim), TxnStatus::Active);
-        self.table.set_status(victim, TxnStatus::Aborting);
-        self.rec.retire_victim(victim);
+        debug_assert_eq!(self.sh.table.status(victim), TxnStatus::Active);
+        self.sh.table.set_status(victim, TxnStatus::Aborting);
+        self.sh.rec.retire_victim(victim);
         // The shards own the authoritative copies, so the victim's locks
         // are released immediately on every shard (in ascending shard
         // order); the client only learns of the abort one latency later.
@@ -1192,10 +420,187 @@ impl S2plEngine {
             woken.extend(lt.release_all(victim));
         }
         for (item, t, _) in woken {
-            let c = self.table.info(t).client;
-            self.send_grant(now, c, t, item);
+            let c = self.sh.table.info(t).client;
+            send_grant(self, now, c, t, item);
         }
-        self.send_abort_notice(0, victim);
+        self.sh.send_abort_notice(0, victim);
+    }
+
+    fn assert_drained(&self) {
+        assert!(
+            self.locks.iter().all(LockTable::is_quiescent),
+            "locks leaked after drain"
+        );
+    }
+
+    fn into_metrics(self, events: u64) -> RunMetrics {
+        self.sh.into_metrics("s-2PL", events)
+    }
+}
+
+impl LockServer for S2plEngine {
+    const LOCK_LABELS: LockLabels = LockLabels {
+        grant: "s2pl.grant",
+        prepare: "s2pl.prepare",
+        commit_release: "s2pl.commit_release",
+        commit_ack: "s2pl.commit_ack",
+    };
+
+    fn parts(&mut self) -> (&mut Shell, &mut [LockTable]) {
+        (&mut self.sh, &mut self.locks)
+    }
+
+    /// The commit decision point: every involved shard has voted yes (or
+    /// the transaction is single-home and no votes were needed). From
+    /// here the commit is irrevocable — the client's WAL `Commit` record
+    /// below is the coordinator's durable decision record, and the
+    /// commit-release slices retransmit until every shard applies.
+    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        let sh = &mut self.sh;
+        let c = &mut sh.clients[client.index()];
+        // lint:allow(L3): commit is only reachable from a client with an active txn
+        let active = c.txn.take().expect("committing client has a transaction");
+        debug_assert_eq!(active.id, txn);
+        sh.table.set_status(txn, TxnStatus::Committed);
+        let measured = sh
+            .collector
+            .on_commit_sized(now.since(active.start), active.spec.len());
+        sh.trace
+            .record(now, TraceKind::Committed, Some(txn), None, client.into());
+
+        // Group the transaction's accesses by owning shard: a multi-home
+        // commit sends one combined commit/release message per involved
+        // shard (§3.1's single message, per home), all in the same round.
+        let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
+        let mut records = Vec::new();
+        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
+            let observed = active.versions[idx];
+            let slot = by_shard.entry(sh.cfg.shard_of(item)).or_default();
+            match mode {
+                AccessMode::Write => {
+                    slot.0.push((item, observed + 1));
+                    records.push(AccessRecord {
+                        item,
+                        mode,
+                        version: observed + 1,
+                    });
+                }
+                AccessMode::Read => {
+                    slot.1.push(item);
+                    records.push(AccessRecord {
+                        item,
+                        mode,
+                        version: observed,
+                    });
+                }
+            }
+        }
+        // One commit/release round trip per involved shard, in parallel.
+        sh.spans
+            .commit_local(now, txn, by_shard.len() as u32, measured);
+        if let Some(h) = &mut sh.history {
+            h.push(CommitRecord {
+                txn,
+                at: now,
+                accesses: records,
+            });
+        }
+
+        if let Some(wal) = &mut sh.wal {
+            let log = &mut wal[client.index()];
+            for (writes, _) in by_shard.values() {
+                for &(item, new) in writes {
+                    log.append(LogRecord::Update {
+                        txn,
+                        item,
+                        old: new - 1,
+                        new,
+                    });
+                }
+            }
+            log.append(LogRecord::Commit { txn });
+        }
+
+        if sh.rec.faults_on {
+            // Commit durability under loss: retransmit each shard's
+            // release until that shard acknowledges; the next transaction
+            // starts only when every slice is acked (see the SCommitAck
+            // handler).
+            c.retry_progress();
+            c.pending_commits = by_shard
+                .iter()
+                .map(|(&shard, (writes, reads))| {
+                    (
+                        shard,
+                        Message::SCommit {
+                            txn,
+                            writes: writes.clone(),
+                            reads: reads.clone(),
+                        },
+                    )
+                })
+                .collect();
+        } else {
+            sh.schedule_idle(client);
+        }
+        for (shard, (writes, reads)) in by_shard {
+            let bytes = CTRL_BYTES + writes.len() as u64 * sh.cfg.item_size_bytes;
+            sh.net.send(
+                &mut sh.cal,
+                client.into(),
+                SiteId::server(shard),
+                Self::LOCK_LABELS.commit_release,
+                bytes,
+                Message::SCommit { txn, writes, reads },
+            );
+        }
+        if sh.rec.faults_on {
+            sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
+        }
+    }
+
+    /// Abort the client's transaction locally: on receipt of the server's
+    /// notice, or — under faults — when the client discovers the abort
+    /// on its own (restart after a crash, or a commit racing the notice).
+    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        let sh = &mut self.sh;
+        let c = &mut sh.clients[client.index()];
+        let Some(active) = &c.txn else { return };
+        if active.id != txn {
+            return;
+        }
+        let read_only = active.spec.is_read_only();
+        let waste = now.since(active.start);
+        let depth = active.granted;
+        c.txn = None;
+        // An abort during the voting round withdraws the outstanding
+        // prepares; shards that already voted are cleaned up by the
+        // victim's releases.
+        c.pending_commits
+            .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
+        if sh.rec.faults_on {
+            c.retry_progress();
+        }
+        sh.table.set_status(txn, TxnStatus::Aborted);
+        sh.collector.on_abort_diag(read_only, waste, depth);
+        if let Some(wal) = &mut sh.wal {
+            wal[client.index()].append(LogRecord::Abort { txn });
+        }
+        sh.trace
+            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
+        sh.spans.aborted(now, txn);
+        sh.schedule_idle(client);
+    }
+
+    /// Positive commit evidence arrived for an in-doubt prepared vote at
+    /// shard `shard`: install the prepared write slice exactly as the lost
+    /// commit-release would have, and release the transaction's locks.
+    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
+        let sh = &mut self.sh;
+        if let Some(writes) = sh.rec.commit_in_doubt(now, shard, txn, &mut sh.trace) {
+            self.install(txn, writes);
+            self.release_at(now, shard, txn);
+        }
     }
 }
 

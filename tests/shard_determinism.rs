@@ -78,8 +78,45 @@ fn multi_shard_runs_are_bit_deterministic() {
     }
 }
 
+/// Per-label message counts of every engine on a fault-free one-shard
+/// run and on a lossy four-shard run with a shard outage, as
+/// `tests/data/message_kinds.txt` pins them: one `# engine case` header
+/// per run, then one `label count` line per message label.
+fn message_kinds_table() -> String {
+    let mut out = String::new();
+    for p in protocols() {
+        let lossy = {
+            let mut cfg = sharded_cfg(p.clone(), 4, 5);
+            let mut plan = g2pl_faults::FaultPlan::shard_outage(2, 1_500);
+            plan.drop_prob = 0.02;
+            cfg.faults = Some(plan);
+            cfg
+        };
+        for (case, cfg) in [
+            ("one_shard", sharded_cfg(p.clone(), 1, 5)),
+            ("lossy_outage", lossy),
+        ] {
+            let m = run(&cfg).expect("valid config");
+            out.push_str(&format!("# {} {case}\n", m.protocol));
+            for (label, count) in m.net.kinds() {
+                out.push_str(&format!("{label} {count}\n"));
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn multi_shard_commit_splits_are_visible_in_message_kinds() {
+    // Every message must be counted under its engine's own label for
+    // its kind: the totals the CSV fixtures pin cannot see a swapped
+    // label, this table can.
+    assert_eq!(
+        message_kinds_table(),
+        include_str!("data/message_kinds.txt"),
+        "per-label message accounting diverged from its fixture"
+    );
+
     // With one shard a transaction sends exactly one commit-release; at
     // many shards a multi-home transaction sends one per involved
     // shard, so the per-committed-txn commit-message rate must rise.

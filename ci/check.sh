@@ -127,9 +127,9 @@ done
 
 echo "==> bench smoke (engine throughput vs committed baseline)"
 # The engine cells are scale-independent (fixed workload, best-of-3), so
-# a smoke run is comparable to the committed default-scale BENCH_pr7.json.
+# a smoke run is comparable to the committed default-scale BENCH_pr14.json.
 # Fails if aggregate cell throughput regresses more than 30%.
 cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke bench \
-  --bench-out target/BENCH_pr7.json --baseline BENCH_pr7.json >/dev/null
+  --bench-out target/BENCH_pr14.json --baseline BENCH_pr14.json >/dev/null
 
 echo "ci/check.sh: all gates passed"

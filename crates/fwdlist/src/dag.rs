@@ -14,14 +14,23 @@
 //! transactions whose conflicting requests land in the same collection
 //! windows.
 
-use g2pl_simcore::TxnId;
-use std::collections::{BTreeMap, BTreeSet};
+use g2pl_simcore::{Slab, TxnId};
 
 /// An acyclic precedence relation over active transactions.
+///
+/// Adjacency is indexed by the dense `TxnId` in both directions (the
+/// mirror lists hold the same edges, in no particular order). Searches
+/// mark visited transactions in an epoch-stamped buffer that is reused
+/// from one search to the next, so a window close allocates nothing here.
 #[derive(Clone, Debug, Default)]
 pub struct PrecedenceDag {
-    succ: BTreeMap<TxnId, BTreeSet<TxnId>>,
-    pred: BTreeMap<TxnId, BTreeSet<TxnId>>,
+    succ: Slab<Vec<TxnId>>,
+    pred: Slab<Vec<TxnId>>,
+    /// Visit marks: a transaction is marked when its stamp equals `epoch`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// DFS stack of [`mark_reachable`](Self::mark_reachable).
+    stack: Vec<TxnId>,
 }
 
 impl PrecedenceDag {
@@ -42,31 +51,79 @@ impl PrecedenceDag {
             !self.precedes(after, before),
             "adding {before:?} -> {after:?} would create a precedence cycle"
         );
-        self.succ.entry(before).or_default().insert(after);
-        self.pred.entry(after).or_default().insert(before);
+        let succs = self.succ.ensure(before.index());
+        if !succs.contains(&after) {
+            succs.push(after);
+            self.pred.ensure(after.index()).push(before);
+        }
     }
 
     /// True when `a` (transitively) precedes `b`.
+    ///
+    /// Allocates its own visit marks; window closes use
+    /// [`mark_reachable`](Self::mark_reachable) instead.
     pub fn precedes(&self, a: TxnId, b: TxnId) -> bool {
         if a == b {
             return false;
         }
-        // DFS from a.
+        let mut seen = vec![false; self.span()];
         let mut stack = vec![a];
-        let mut seen = BTreeSet::new();
         while let Some(t) = stack.pop() {
-            if let Some(next) = self.succ.get(&t) {
-                for &n in next {
-                    if n == b {
-                        return true;
-                    }
-                    if seen.insert(n) {
-                        stack.push(n);
-                    }
+            for &n in self.succ.get(t.index()).map_or(&[][..], Vec::as_slice) {
+                if n == b {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[n.index()], true) {
+                    stack.push(n);
                 }
             }
         }
         false
+    }
+
+    /// Mark every transaction that `from` (transitively) precedes,
+    /// clearing the previous search's marks; [`is_marked`](Self::is_marked)
+    /// then answers `precedes(from, t)` for any `t`.
+    pub(crate) fn mark_reachable(&mut self, from: TxnId) {
+        self.new_epoch();
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(t) = self.stack.pop() {
+            for &n in self.succ.get(t.index()).map_or(&[][..], Vec::as_slice) {
+                let mark = &mut self.stamp[n.index()];
+                if *mark != self.epoch {
+                    *mark = self.epoch;
+                    self.stack.push(n);
+                }
+            }
+        }
+    }
+
+    /// Invalidate every visit mark in O(1), sizing the stamps to cover
+    /// every transaction with an edge.
+    fn new_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The stamp space wrapped: old marks could alias the new
+            // epoch, so clear them once and restart from epoch 1.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let span = self.span();
+        if self.stamp.len() < span {
+            self.stamp.resize(span, 0);
+        }
+    }
+
+    /// One past the highest transaction index with an adjacency slot.
+    fn span(&self) -> usize {
+        self.succ.len().max(self.pred.len())
+    }
+
+    /// True when the last [`mark_reachable`](Self::mark_reachable) reached
+    /// `t`.
+    pub(crate) fn is_marked(&self, t: TxnId) -> bool {
+        self.stamp.get(t.index()) == Some(&self.epoch)
     }
 
     /// Remove a finished transaction, preserving transitive constraints:
@@ -77,23 +134,43 @@ impl PrecedenceDag {
     /// between the still-active `a` and `b` is already determined and
     /// future windows must not order them the other way.
     pub fn remove_txn(&mut self, txn: TxnId) {
-        let preds = self.pred.remove(&txn).unwrap_or_default();
-        let succs = self.succ.remove(&txn).unwrap_or_default();
+        let preds = self
+            .pred
+            .get_mut(txn.index())
+            .map(std::mem::take)
+            .unwrap_or_default();
+        let succs = self
+            .succ
+            .get_mut(txn.index())
+            .map(std::mem::take)
+            .unwrap_or_default();
+        let detach = |list: &mut Vec<TxnId>| {
+            if let Some(pos) = list.iter().position(|&t| t == txn) {
+                list.swap_remove(pos);
+            }
+        };
         for &p in &preds {
-            if let Some(s) = self.succ.get_mut(&p) {
-                s.remove(&txn);
+            if let Some(list) = self.succ.get_mut(p.index()) {
+                detach(list);
             }
         }
         for &s in &succs {
-            if let Some(p) = self.pred.get_mut(&s) {
-                p.remove(&txn);
+            if let Some(list) = self.pred.get_mut(s.index()) {
+                detach(list);
             }
         }
         for &p in &preds {
+            // Mark p's direct successors so each bypass edge is added once.
+            // p != s for every s: p precedes txn precedes s.
+            self.new_epoch();
+            let list = self.succ.ensure(p.index());
+            for &t in list.iter() {
+                self.stamp[t.index()] = self.epoch;
+            }
             for &s in &succs {
-                if p != s {
-                    self.succ.entry(p).or_default().insert(s);
-                    self.pred.entry(s).or_default().insert(p);
+                if self.stamp[s.index()] != self.epoch {
+                    list.push(s);
+                    self.pred.ensure(s.index()).push(p);
                 }
             }
         }
@@ -101,43 +178,32 @@ impl PrecedenceDag {
 
     /// Number of transactions with at least one constraint.
     pub fn constrained_count(&self) -> usize {
-        let mut nodes: BTreeSet<TxnId> = self.succ.keys().copied().collect();
-        nodes.extend(self.pred.keys().copied());
-        nodes.len()
+        (0..self.span())
+            .filter(|&i| {
+                let has = |s: &Slab<Vec<TxnId>>| s.get(i).is_some_and(|l| !l.is_empty());
+                has(&self.succ) || has(&self.pred)
+            })
+            .count()
     }
 
     /// Verify acyclicity by Kahn's algorithm (test/debug helper; the DAG
     /// is acyclic by construction in production use).
     pub fn is_acyclic(&self) -> bool {
-        let mut indeg: BTreeMap<TxnId, usize> = BTreeMap::new();
-        let mut nodes: BTreeSet<TxnId> = BTreeSet::new();
-        for (&n, succs) in &self.succ {
-            nodes.insert(n);
-            for &s in succs {
-                nodes.insert(s);
-                *indeg.entry(s).or_insert(0) += 1;
-            }
-        }
-        let mut ready: Vec<TxnId> = nodes
-            .iter()
-            .copied()
-            .filter(|n| indeg.get(n).copied().unwrap_or(0) == 0)
+        let mut indeg: Vec<usize> = (0..self.span())
+            .map(|i| self.pred.get(i).map_or(0, Vec::len))
             .collect();
+        let mut ready: Vec<usize> = (0..indeg.len()).filter(|&i| indeg[i] == 0).collect();
         let mut removed = 0usize;
         while let Some(n) = ready.pop() {
             removed += 1;
-            if let Some(succs) = self.succ.get(&n) {
-                for &s in succs {
-                    // lint:allow(L3): every edge target was given an indegree above
-                    let d = indeg.get_mut(&s).expect("edge target has indegree");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(s);
-                    }
+            for &s in self.succ.get(n).map_or(&[][..], Vec::as_slice) {
+                indeg[s.index()] -= 1;
+                if indeg[s.index()] == 0 {
+                    ready.push(s.index());
                 }
             }
         }
-        removed == nodes.len()
+        removed == indeg.len()
     }
 }
 

@@ -20,6 +20,8 @@
 pub mod dag;
 pub mod list;
 pub mod order;
+#[cfg(test)]
+mod reference;
 pub mod window;
 
 pub use dag::PrecedenceDag;

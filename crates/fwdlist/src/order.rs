@@ -6,7 +6,7 @@
 //! ordering rules that attempt to reduce the number of deadlocks."
 
 use crate::dag::PrecedenceDag;
-use crate::list::{FlEntry, ForwardList};
+use crate::list::ForwardList;
 use crate::window::PendingReq;
 use serde::{Deserialize, Serialize};
 
@@ -66,11 +66,14 @@ impl OrderingRule {
     /// The order produced is a linear extension of `dag` restricted to the
     /// window (when `consistent`), choosing at each step the
     /// minimum-priority request among those with no unplaced DAG
-    /// predecessor inside the window. Because the DAG is acyclic, a valid
-    /// choice always exists — this is the formal reason the §3.3 scheme
-    /// "does not require predeclaration" and cannot get stuck at window
-    /// close.
-    pub fn order(self, mut pending: Vec<PendingReq>, dag: &mut PrecedenceDag) -> ForwardList {
+    /// predecessor inside the window (ties to the earliest in `pending`).
+    /// Because the DAG is acyclic, a valid choice always exists — this is
+    /// the formal reason the §3.3 scheme "does not require predeclaration"
+    /// and cannot get stuck at window close.
+    ///
+    /// Reachability among the window's members is computed once, with one
+    /// DFS per member; picking then only counts unplaced predecessors.
+    pub fn order(self, pending: Vec<PendingReq>, dag: &mut PrecedenceDag) -> ForwardList {
         let key = |r: &PendingReq| -> (u8, i64, u64) {
             let reader_rank = if self.coalesce_readers {
                 u8::from(r.entry.mode.is_exclusive())
@@ -84,43 +87,62 @@ impl OrderingRule {
             (reader_rank, age_rank, r.arrival)
         };
 
-        let mut out: Vec<FlEntry> = Vec::with_capacity(pending.len());
-        while !pending.is_empty() {
-            // Eligible: no DAG predecessor still unplaced in the window.
-            let eligible = |i: usize, pending: &[PendingReq]| -> bool {
-                if !self.consistent {
-                    return true;
-                }
-                let me = pending[i].entry.txn;
-                pending
-                    .iter()
-                    .enumerate()
-                    .all(|(j, other)| j == i || !dag.precedes(other.entry.txn, me))
-            };
-            let pick = (0..pending.len())
-                .filter(|&i| eligible(i, &pending))
-                .min_by_key(|&i| key(&pending[i]))
-                // lint:allow(L3): the DAG is acyclic, so some pending request is unconstrained
-                .expect("acyclic DAG always leaves an eligible request");
-            let req = pending.remove(pick);
-            out.push(req.entry);
-        }
-
+        let n = pending.len();
+        // before[i * n + j]: pending[i]'s transaction precedes pending[j]'s.
+        let mut before = Vec::new();
+        // Per member: how many unplaced members precede it.
+        let mut blockers = vec![0usize; n];
         if self.consistent {
-            for w in out.windows(2) {
-                // Chain edges are enough: precedence is transitive.
-                if !dag.precedes(w[0].txn, w[1].txn) {
-                    dag.add_order(w[0].txn, w[1].txn);
+            before.resize(n * n, false);
+            for (i, req) in pending.iter().enumerate() {
+                dag.mark_reachable(req.entry.txn);
+                for (j, other) in pending.iter().enumerate() {
+                    if dag.is_marked(other.entry.txn) {
+                        before[i * n + j] = true;
+                        blockers[j] += 1;
+                    }
                 }
             }
         }
-        ForwardList::from_entries(out)
+
+        let mut placed = vec![false; n];
+        let mut picks: Vec<usize> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let pick = (0..n)
+                .filter(|&i| !placed[i] && blockers[i] == 0)
+                .min_by_key(|&i| key(&pending[i]))
+                // lint:allow(L3): the DAG is acyclic, so some pending request is unconstrained
+                .expect("acyclic DAG always leaves an eligible request");
+            placed[pick] = true;
+            picks.push(pick);
+            if self.consistent {
+                for (j, b) in blockers.iter_mut().enumerate() {
+                    if before[pick * n + j] {
+                        *b -= 1;
+                    }
+                }
+            }
+        }
+
+        if self.consistent {
+            for w in picks.windows(2) {
+                // Chain edges are enough: precedence is transitive. The
+                // earlier chain edges cannot create a path between two
+                // later neighbours (it would run against the extension),
+                // so the window's own reachability answers for the DAG.
+                if !before[w[0] * n + w[1]] {
+                    dag.add_order(pending[w[0]].entry.txn, pending[w[1]].entry.txn);
+                }
+            }
+        }
+        ForwardList::from_entries(picks.iter().map(|&i| pending[i].entry).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::FlEntry;
     use g2pl_lockmgr::LockMode::{Exclusive, Shared};
     use g2pl_simcore::{ClientId, TxnId};
 

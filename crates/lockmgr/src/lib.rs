@@ -12,7 +12,8 @@
 //! be granted"), and victims are aborted. The check itself lives with
 //! the engines: they search the waits-for relation the table exposes
 //! ([`table::LockTable::waits_for_into`]) lazily, without building a
-//! graph.
+//! graph, and skip the search when nothing waits on the blocked
+//! transaction ([`table::LockTable::is_waited_on`]).
 //!
 //! Components:
 //! * [`mode::LockMode`] — S/X modes with the standard compatibility matrix;

@@ -245,6 +245,31 @@ impl LockTable {
         out
     }
 
+    /// True when some other transaction may wait for `txn` here: one is
+    /// queued on an item `txn` holds, or queued behind `txn`.
+    ///
+    /// This is a mode-blind superset of "some [`waits_for`] list names
+    /// `txn`": a waiter queued behind `txn` in a compatible mode still
+    /// counts. A `false` is exact — no waits-for edge enters `txn` — which
+    /// is what lets the engines skip a deadlock search from a transaction
+    /// that just blocked (any cycle through it needs an edge into it).
+    ///
+    /// [`waits_for`]: Self::waits_for
+    pub fn is_waited_on(&self, txn: TxnId) -> bool {
+        let queue_of = |item: ItemId| self.items.get(item.index()).map(|l| &l.queue);
+        let behind = self.queued_on(txn).and_then(queue_of).and_then(|q| {
+            q.iter()
+                .position(|&(t, _)| t == txn)
+                .map(|p| p + 1 < q.len())
+        });
+        behind == Some(true)
+            || self
+                .held_by(txn)
+                .iter()
+                .filter_map(|&item| queue_of(item))
+                .any(|q| q.iter().any(|&(t, _)| t != txn))
+    }
+
     /// Allocation-free variant of [`waits_for`](Self::waits_for): appends
     /// the (sorted, deduplicated) blockers to `out`, leaving anything
     /// already in `out` untouched. This is the deadlock detector's hot
@@ -407,6 +432,80 @@ mod tests {
         // t3 (S) waits on the queued-ahead writer t2; t1 (S holder) is
         // compatible but t2 is between them.
         assert_eq!(lt.waits_for(t(3), x(0)), vec![t(2)]);
+    }
+
+    #[test]
+    fn exclusive_waiter_makes_its_holder_waited_on() {
+        let mut lt = LockTable::new();
+        lt.acquire(t(1), x(0), Exclusive);
+        assert!(!lt.is_waited_on(t(1)), "nothing queued yet");
+        lt.acquire(t(2), x(0), Exclusive);
+        assert!(lt.is_waited_on(t(1)));
+        assert_eq!(lt.waits_for(t(2), x(0)), vec![t(1)]);
+        assert!(
+            !lt.is_waited_on(t(2)),
+            "the last waiter has nobody behind it"
+        );
+    }
+
+    #[test]
+    fn upgrade_queued_at_the_front_is_waited_on_from_behind() {
+        let mut lt = LockTable::new();
+        lt.acquire(t(1), x(0), Shared);
+        lt.acquire(t(2), x(0), Shared);
+        lt.acquire(t(3), x(0), Exclusive); // queued behind both readers
+        assert_eq!(lt.acquire(t(1), x(0), Exclusive), AcquireOutcome::Queued);
+        // t1 holds S and waits at the front: t3 waits on it both as an
+        // incompatible holder and as a queued-ahead writer, and t1 itself
+        // waits on the other reader.
+        assert!(lt.is_waited_on(t(1)));
+        assert!(lt.waits_for(t(3), x(0)).contains(&t(1)));
+        assert_eq!(lt.waits_for(t(1), x(0)), vec![t(2)]);
+        assert!(lt.is_waited_on(t(2)));
+        assert!(!lt.is_waited_on(t(3)));
+    }
+
+    #[test]
+    fn last_queued_txn_holding_nothing_is_not_waited_on() {
+        let mut lt = LockTable::new();
+        lt.acquire(t(1), x(0), Exclusive);
+        lt.acquire(t(2), x(1), Exclusive);
+        lt.acquire(t(3), x(0), Shared);
+        lt.acquire(t(4), x(0), Exclusive);
+        assert!(lt.held_by(t(4)).is_empty());
+        assert!(!lt.is_waited_on(t(4)));
+        assert!(lt.is_waited_on(t(3)), "t4 is queued behind t3");
+        assert!(!lt.is_waited_on(t(2)), "nobody queues on x1");
+        assert!(
+            !lt.is_waited_on(t(9)),
+            "unknown transactions are not waited on"
+        );
+    }
+
+    #[test]
+    fn shared_waiters_are_counted_without_comparing_modes() {
+        // A shared holder: the reader t3 queued behind the writer t2 does
+        // not wait for t1 (S is compatible with S), but t2 does, so `true`
+        // is exact here. FIFO queues keep it so: a reader at the front of
+        // a queue whose holders are all readers would have been granted,
+        // so a shared holder with a non-empty queue always has a writer
+        // waiting on it.
+        let mut lt = LockTable::new();
+        lt.acquire(t(1), x(0), Shared);
+        lt.acquire(t(2), x(0), Exclusive);
+        lt.acquire(t(3), x(0), Shared);
+        assert!(lt.is_waited_on(t(1)));
+        assert!(lt.waits_for(t(2), x(0)).contains(&t(1)));
+        assert!(!lt.waits_for(t(3), x(0)).contains(&t(1)));
+        // Two readers queued behind a writer: the second does not wait
+        // for the first, yet the first reports `true` — the answer does
+        // not compare modes, so it over-approximates here.
+        let mut lt = LockTable::new();
+        lt.acquire(t(1), x(0), Exclusive);
+        lt.acquire(t(2), x(0), Shared);
+        lt.acquire(t(3), x(0), Shared);
+        assert_eq!(lt.waits_for(t(3), x(0)), vec![t(1)]);
+        assert!(lt.is_waited_on(t(2)), "over-approximated: t3 is compatible");
     }
 
     #[test]

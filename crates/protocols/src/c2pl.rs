@@ -34,7 +34,7 @@ use crate::runtime::{
 };
 use crate::tracelog::TraceKind;
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
-use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, TxnId, Version};
+use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
 use g2pl_wal::LogRecord;
 use g2pl_workload::AccessMode;
 use std::collections::BTreeMap;
@@ -88,7 +88,15 @@ pub struct C2plEngine {
     /// Exclusive grants waiting for callback acknowledgements, indexed
     /// by `ItemId::index()` (at most one barrier per item).
     barriers: Vec<Option<XBarrier>>,
+    /// The item whose barrier each transaction owns, indexed by
+    /// `TxnId::index()`: a barrier owner waits for its grant, so it owns
+    /// at most one.
+    barrier_of: Slab<Option<ItemId>>,
     finder: CycleFinder,
+    /// True while a deadlock search's victim loop runs: an abort there
+    /// can grant a lock behind a new barrier, whose own search must then
+    /// be a full one (the outer trigger's cycles may not all be broken).
+    searching: bool,
 }
 
 impl C2plEngine {
@@ -102,7 +110,9 @@ impl C2plEngine {
             locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
             directory: vec![Vec::new(); cfg.num_items() as usize],
             barriers: (0..cfg.num_items()).map(|_| None).collect(),
+            barrier_of: Slab::new(),
             finder: CycleFinder::default(),
+            searching: false,
             sh: Shell::new(cfg, LABELS),
         }
     }
@@ -208,6 +218,9 @@ impl C2plEngine {
                     client,
                     acks_left: remote.len(),
                 });
+                let owned = self.barrier_of.ensure(txn.index());
+                debug_assert!(owned.is_none(), "{txn} already owns a barrier");
+                *owned = Some(item);
                 if self.sh.rec.faults_on {
                     // Callbacks (or their acks) can be lost: keep
                     // re-sending to the still-registered copies until the
@@ -231,16 +244,21 @@ impl C2plEngine {
     /// pinning a cached copy of the item. Only live transactions source
     /// edges (an aborting barrier owner still holds its lock until the
     /// callbacks drain, but no longer waits — otherwise the victim loop
-    /// could pick it twice).
+    /// could pick it twice). A trigger nothing waits on closes no cycle,
+    /// so its search is skipped ([`CycleFinder::find_new_cycle`]) — except
+    /// inside another search's victim loop, where older cycles may remain.
     fn detect_deadlocks(&mut self, now: SimTime, trigger: TxnId) {
         let mut finder = std::mem::take(&mut self.finder);
+        let nested = std::mem::replace(&mut self.searching, true);
         loop {
+            let waited_on = nested || self.is_waited_on(trigger);
             let locks = &self.locks;
             let table = &self.sh.table;
             let barriers = &self.barriers;
+            let barrier_of = &self.barrier_of;
             let reading_cached = &self.reading_cached;
             let clients = &self.sh.clients;
-            let found = finder.find_cycle(trigger, |t, out| {
+            let found = finder.find_new_cycle(trigger, waited_on, |t, out| {
                 if !table.is_live(t) {
                     return;
                 }
@@ -252,17 +270,14 @@ impl C2plEngine {
                         break;
                     }
                 }
-                for (i, slot) in barriers.iter().enumerate() {
-                    let Some(barrier) = slot else { continue };
-                    if barrier.txn != t {
-                        continue;
-                    }
-                    let item = ItemId::new(i as u32);
-                    for (ci, pins) in reading_cached.iter().enumerate() {
-                        if pins.contains(&item) {
-                            if let Some(active) = &clients[ci].txn {
-                                out.push(active.id);
-                            }
+                let Some(item) = barrier_of.get(t.index()).copied().flatten() else {
+                    return;
+                };
+                debug_assert!(barriers[item.index()].as_ref().is_some_and(|b| b.txn == t));
+                for (ci, pins) in reading_cached.iter().enumerate() {
+                    if pins.contains(&item) {
+                        if let Some(active) = &clients[ci].txn {
+                            out.push(active.id);
                         }
                     }
                 }
@@ -276,7 +291,21 @@ impl C2plEngine {
                 break;
             }
         }
+        self.searching = nested;
         self.finder = finder;
+    }
+
+    /// Whether a waits-for edge may enter `txn`: a lock-table waiter (see
+    /// [`LockTable::is_waited_on`]), or a live barrier owner recalling a
+    /// copy that `txn`'s client pins.
+    fn is_waited_on(&self, txn: TxnId) -> bool {
+        let client = self.sh.table.info(txn).client;
+        self.locks.iter().any(|lt| lt.is_waited_on(txn))
+            || self.reading_cached[client.index()].iter().any(|item| {
+                self.barriers[item.index()]
+                    .as_ref()
+                    .is_some_and(|b| self.sh.table.is_live(b.txn))
+            })
     }
 
     /// Insert `client` into a sorted directory row (no-op when present).
@@ -608,6 +637,7 @@ impl Protocol for C2plEngine {
                 if barrier_open {
                     // lint:allow(L3): barrier_open checked the entry one statement ago
                     let b = self.barriers[item.index()].take().expect("just observed");
+                    *self.barrier_of.ensure(b.txn.index()) = None;
                     // Aborted owners dismantle their barriers eagerly, so
                     // a surviving barrier always has a live owner.
                     debug_assert_eq!(self.sh.table.status(b.txn), TxnStatus::Active);
@@ -671,30 +701,26 @@ impl Protocol for C2plEngine {
         let Ev::CallbackRetry { txn } = ev else {
             unreachable!("{ev:?} is not part of the c-2PL protocol")
         };
-        let mut any = false;
-        for i in 0..self.barriers.len() {
-            let Some(b) = &self.barriers[i] else { continue };
-            if b.txn != txn {
-                continue;
-            }
-            any = true;
-            let owner = b.client;
-            let item = ItemId::new(i as u32);
-            let remote: Vec<ClientId> = self.directory[i]
-                .iter()
-                .copied()
-                .filter(|&c| c != owner)
-                .collect();
-            for target in remote {
-                self.sh.rec.fsum.retries += 1;
-                self.send_callback(item, target);
-            }
+        let Some(item) = self.barrier_of.get(txn.index()).copied().flatten() else {
+            return;
+        };
+        let owner = self.barriers[item.index()]
+            .as_ref()
+            // lint:allow(L3): barrier_of only names items whose barrier txn owns
+            .expect("owned barrier")
+            .client;
+        let remote: Vec<ClientId> = self.directory[item.index()]
+            .iter()
+            .copied()
+            .filter(|&c| c != owner)
+            .collect();
+        for target in remote {
+            self.sh.rec.fsum.retries += 1;
+            self.send_callback(item, target);
         }
-        if any {
-            self.sh
-                .cal
-                .schedule_in(self.sh.rec.retry_base, Ev::CallbackRetry { txn });
-        }
+        self.sh
+            .cal
+            .schedule_in(self.sh.rec.retry_base, Ev::CallbackRetry { txn });
     }
 
     /// A crash loses the client's cache, except the copies its active
@@ -735,7 +761,9 @@ impl Protocol for C2plEngine {
             self.directory[items.clone()]
                 .iter_mut()
                 .for_each(Vec::clear);
-            self.barriers[items].fill_with(|| None);
+            for b in self.barriers[items].iter_mut().filter_map(Option::take) {
+                *self.barrier_of.ensure(b.txn.index()) = None;
+            }
         }
     }
 
@@ -769,10 +797,12 @@ impl Protocol for C2plEngine {
         // permanent deadlock (a pinning transaction may be waiting on
         // another lock the victim holds). Outstanding callbacks still
         // arrive and merely shrink the directory.
-        for slot in &mut self.barriers {
-            if slot.as_ref().is_some_and(|b| b.txn == victim) {
-                *slot = None;
-            }
+        if let Some(item) = self
+            .barrier_of
+            .get_mut(victim.index())
+            .and_then(Option::take)
+        {
+            self.barriers[item.index()] = None;
         }
         // Release across shards in ascending order for determinism.
         let mut woken = Vec::new();

@@ -94,6 +94,8 @@ impl S2plEngine {
     /// blocked transaction — successors are computed on demand from the
     /// lock table, so only the reachable part of the graph is visited —
     /// and victims are aborted until no cycle through `trigger` remains.
+    /// A trigger nothing waits on closes no cycle, so its search is
+    /// skipped ([`CycleFinder::find_new_cycle`]).
     fn detect_deadlocks(&mut self, now: SimTime, trigger: TxnId) {
         // The finder is moved out for the duration of the search so its
         // buffers can be reused while the successor closure borrows the
@@ -101,10 +103,11 @@ impl S2plEngine {
         let mut finder = std::mem::take(&mut self.finder);
         loop {
             let locks = &self.locks;
+            let waited_on = locks.iter().any(|lt| lt.is_waited_on(trigger));
             // Deadlock detection stays centralized: accesses are
             // sequential, so a transaction queues on at most one item
             // globally — the scan finds the (unique) shard it waits at.
-            let found = finder.find_cycle(trigger, |t, out| {
+            let found = finder.find_new_cycle(trigger, waited_on, |t, out| {
                 for lt in locks {
                     if let Some(item) = lt.queued_on(t) {
                         lt.waits_for_into(t, item, out);

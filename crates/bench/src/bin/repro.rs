@@ -33,15 +33,17 @@
 //!
 //! `repro bench` runs the measurement harness (engine hot-spot cells
 //! plus timed figure sweeps), prints the report, and writes it as JSON
-//! to `--bench-out FILE` (default `BENCH_pr7.json`). With
+//! to `--bench-out FILE` (default `target/BENCH.json`, so a run never
+//! overwrites a committed baseline measured on another host). With
 //! `--baseline FILE`, the run fails if aggregate engine throughput
 //! regressed more than 30% below the baseline's — the CI gate.
 //!
 //! `repro scale-bench` runs one big sharded scale-out cell on the
 //! conservative PDES (10k/100k/1M clients at smoke/default/full scale),
 //! prints the datapoint, and writes it as JSON to `--bench-out FILE`
-//! (default `results/scale_datapoint.json`). `--baseline FILE` adds the
-//! committed engine-cell throughput for comparison.
+//! (default `results/scale_datapoint.json`). It compares its rate with
+//! the engine-cell throughput of `--baseline FILE` (default
+//! `BENCH_pr14.json`, the CI gate's baseline).
 
 use g2pl_bench::harness;
 use g2pl_core::experiments::{self, FigureSpec, Scale, Sweep};
@@ -67,11 +69,11 @@ fn usage() -> ! {
          --trace-out DIR dumps replication 0 of each point as a JSONL span \
          trace for trace-explain\n\
          bench times engine cells + figure sweeps, writes --bench-out \
-         (default BENCH_pr7.json), and fails on >30% throughput regression \
+         (default target/BENCH.json), and fails on >30% throughput regression \
          vs --baseline FILE\n\
          scale-bench runs one big sharded PDES cell, writes --bench-out \
-         (default results/scale_datapoint.json); --baseline FILE adds the \
-         engine-cell throughput comparison",
+         (default results/scale_datapoint.json) and compares it with the \
+         engine cells of --baseline FILE (default BENCH_pr14.json)",
         ALL.join(" ")
     );
     std::process::exit(2);
@@ -166,10 +168,8 @@ fn bench(o: &Opts) -> bool {
     let path = o
         .bench_out
         .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_pr7.json"));
-    // lint:allow(L3): CLI fails fast when the bench report cannot be written
-    std::fs::write(&path, report.to_json()).expect("write bench report");
-    eprintln!("wrote {}", path.display());
+        .unwrap_or_else(|| PathBuf::from("target/BENCH.json"));
+    write_out(&path, &report.to_json());
     let Some(base) = &o.baseline else { return true };
     // lint:allow(L3): CLI fails fast when the --baseline file is unreadable
     let text = std::fs::read_to_string(base).expect("read bench baseline");
@@ -192,7 +192,7 @@ fn scale_bench(o: &Opts) -> bool {
     let baseline_text = o
         .baseline
         .as_deref()
-        .or(Some(std::path::Path::new("BENCH_pr7.json")))
+        .or(Some(std::path::Path::new("BENCH_pr14.json")))
         .and_then(|p| std::fs::read_to_string(p).ok());
     let (md, json) = harness::run_scale_bench(o.scale, clients, shards, baseline_text.as_deref());
     println!("{md}");
@@ -200,14 +200,19 @@ fn scale_bench(o: &Opts) -> bool {
         .bench_out
         .clone()
         .unwrap_or_else(|| PathBuf::from("results/scale_datapoint.json"));
+    write_out(&path, &json);
+    true
+}
+
+/// Write a report to `path`, creating its directory first.
+fn write_out(path: &std::path::Path, text: &str) {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         // lint:allow(L3): CLI fails fast when the output directory cannot be created
         std::fs::create_dir_all(dir).expect("create output directory");
     }
-    // lint:allow(L3): CLI fails fast when the datapoint cannot be written
-    std::fs::write(&path, json).expect("write scale datapoint");
+    // lint:allow(L3): CLI fails fast when the report cannot be written
+    std::fs::write(path, text).expect("write report");
     eprintln!("wrote {}", path.display());
-    true
 }
 
 fn main() {

@@ -228,8 +228,9 @@ fn literal_of(arg: &[&Tok]) -> Option<String> {
 pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<Diagnostic> {
     const ENUMS: [&str; 2] = ["TraceKind", "SpanKind"];
     /// Functions that *decide* protocol outcomes; each must emit.
-    const DECISION_FNS: [&str; 7] = [
+    const DECISION_FNS: [&str; 8] = [
         "commit",
+        "commit_decided",
         "abort_victim",
         "finalize_abort",
         "dispatch",
@@ -516,9 +517,16 @@ mod tests {
                  fn dispatch(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Active); self.trace.record(now, TraceKind::Granted, t); }\n\
                  }",
             ),
+            (
+                "lock.rs",
+                "impl L {\n\
+                 fn commit_decided(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Committed); finish_commit(self, t); }\n\
+                 }",
+            ),
         ]);
         let l5: Vec<_> = d.iter().filter(|d| d.lint == Lint::L5).collect();
-        assert_eq!(l5.len(), 1, "{d:?}");
+        assert_eq!(l5.len(), 2, "{d:?}");
         assert!(l5[0].message.contains("`commit`"));
+        assert!(l5[1].message.contains("`commit_decided`"), "{d:?}");
     }
 }

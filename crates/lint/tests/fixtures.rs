@@ -248,6 +248,26 @@ fn diagnostics_point_into_the_fixture() {
     }
 }
 
+/// The state machines extracted from the real workspace, pinned edge for
+/// edge: `g2pl-lint --dot` must print exactly the committed golden file.
+/// A refactor that moves a `set_status` call out of its engine file, or
+/// into a context that changes its source state, changes the output and
+/// fails here. A deliberate protocol change regenerates the file with
+/// `cargo run -q -p g2pl-lint -- --dot > crates/lint/tests/golden/engines.dot`.
+#[test]
+fn workspace_state_machines_match_the_golden_dot() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("lint crate sits two levels under the workspace root");
+    let analysis = g2pl_lint::analyze_workspace(root).expect("workspace discovery");
+    assert_eq!(
+        machine::dot(&analysis.extraction),
+        include_str!("golden/engines.dot"),
+        "extracted state machines drifted from tests/golden/engines.dot"
+    );
+}
+
 /// The self-test the CI gate leans on: the real workspace — every
 /// member crate of the root manifest, minus explicit opt-outs — must
 /// come back with zero findings, and the state-machine extractor must

@@ -714,17 +714,13 @@ impl G2plEngine {
         }
         hold.granted = true;
         let version = hold.version;
-        let c = &mut self.sh.clients[client.index()];
-        let active = c.txn_mut();
+        let active = self.sh.clients[client.index()].txn();
         debug_assert_eq!(active.id, txn, "hold grant for a foreign transaction");
         debug_assert_eq!(
             active.spec.access(active.granted).0,
             item,
             "grant out of request order"
         );
-        active.versions.push(version);
-        active.granted += 1;
-        active.phase = ClientPhase::Thinking;
         let wait = now.since(active.request_sent_at);
         self.sh.collector.on_access_wait(wait);
         self.sh.trace.record(
@@ -735,14 +731,7 @@ impl G2plEngine {
             client.into(),
         );
         self.sh.spans.granted(now, txn, item);
-        let think = self.sh.cfg.profile.draw_think(&mut c.time_rng);
-        self.sh.cal.schedule_in(
-            think,
-            Ev::Timer {
-                client,
-                kind: TimerKind::ThinkDone(txn),
-            },
-        );
+        self.sh.begin_think(client, txn, version);
     }
 
     fn on_abort_notice(&mut self, now: SimTime, client: ClientId, txn: TxnId) {

@@ -5,13 +5,14 @@
 //! the protocols have in common.
 
 use crate::config::EngineConfig;
-use crate::history::History;
+use crate::cycle::CycleFinder;
+use crate::history::{AccessRecord, CommitRecord, History};
 use crate::metrics::{Collector, RunMetrics, WalReport};
 use crate::recovery::Recovery;
 use crate::tracelog::{TraceKind, TraceLog};
 use g2pl_faults::{FaultCounts, FaultPlan};
 use g2pl_fwdlist::ForwardList;
-use g2pl_lockmgr::{LockMode, LockTable};
+use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
 use g2pl_netmodel::{LatencyModel, LossyLink, NetAccounting};
 use g2pl_obs::SpanRecorder;
 use g2pl_simcore::{Calendar, ClientId, ItemId, RngStream, SimTime, SiteId, TxnId, Version};
@@ -888,6 +889,11 @@ impl ClientCore {
         id
     }
 
+    /// Whether the client is running transaction `txn`.
+    pub fn runs(&self, txn: TxnId) -> bool {
+        self.txn.as_ref().is_some_and(|a| a.id == txn)
+    }
+
     /// The active transaction (panics if none — engine invariant).
     pub fn txn(&self) -> &ActiveTxn {
         // lint:allow(L3): documented engine invariant of this accessor
@@ -1033,6 +1039,24 @@ impl Shell {
         }
     }
 
+    /// Record `version` as the next granted access of `client`'s
+    /// transaction `txn`, and start the think time that follows it.
+    pub(crate) fn begin_think(&mut self, client: ClientId, txn: TxnId, version: Version) {
+        let c = &mut self.clients[client.index()];
+        let active = c.txn_mut();
+        active.versions.push(version);
+        active.granted += 1;
+        active.phase = ClientPhase::Thinking;
+        let think = self.cfg.profile.draw_think(&mut c.time_rng);
+        self.cal.schedule_in(
+            think,
+            Ev::Timer {
+                client,
+                kind: TimerKind::ThinkDone(txn),
+            },
+        );
+    }
+
     /// Re-send the outstanding lock request. No `RequestSent` trace or
     /// request span is recorded for a retransmission: trace consumers
     /// pair each logical request with one grant.
@@ -1061,6 +1085,23 @@ impl Shell {
                 mode: lock_mode(mode),
             },
         );
+    }
+
+    /// Install `txn`'s written versions at their home shard and mark them
+    /// permanent in the committer's WAL.
+    pub(crate) fn install(&mut self, txn: TxnId, writes: &[(ItemId, Version)]) {
+        let committer = self.table.info(txn).client;
+        for &(item, version) in writes {
+            debug_assert_eq!(
+                version,
+                self.versions[item.index()] + 1,
+                "write version chain broken for {item}"
+            );
+            self.versions[item.index()] = version;
+            if let Some(wal) = &mut self.wal {
+                wal[committer.index()].mark_permanent(txn, item);
+            }
+        }
     }
 
     /// Tell `txn`'s client, from shard `from`, that it was aborted.
@@ -1374,25 +1415,149 @@ pub(crate) struct LockLabels {
     pub(crate) commit_release: &'static str,
     /// Shard → client: [`Message::SCommitAck`].
     pub(crate) commit_ack: &'static str,
+    /// Client → recovering shard: [`Message::SReregister`].
+    pub(crate) reregister: &'static str,
+}
+
+/// Per-shard slice of a committing transaction: written `(item,
+/// version)` pairs plus read-only items, bound for one home server.
+type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
+
+/// The state of a lock-server engine besides its protocol's own: the
+/// shell, one lock table per shard, and the deadlock search.
+pub(crate) struct LockCore {
+    pub(crate) sh: Shell,
+    /// One lock table per server shard; an item's locks live at the
+    /// shard owning it ([`EngineConfig::shard_of`]).
+    pub(crate) locks: Vec<LockTable>,
+    finder: CycleFinder,
+    /// True while a deadlock search's victim loop runs: an abort there
+    /// can ship a grant whose own search (c-2PL: behind a new callback
+    /// barrier) must then be a full one, since the outer trigger's cycles
+    /// may not all be broken yet.
+    searching: bool,
+}
+
+impl LockCore {
+    /// The shared state of a lock-server engine for `cfg`.
+    pub(crate) fn new(cfg: EngineConfig, labels: Labels) -> Self {
+        LockCore {
+            locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
+            finder: CycleFinder::default(),
+            searching: false,
+            sh: Shell::new(cfg, labels),
+        }
+    }
+
+    /// A scheduled crash (`up == false`) or restart of shard `shard`. A
+    /// crash loses the shard's lock table and its items' installed
+    /// versions, and returns the item range, for the engine to drop its
+    /// own volatile state there. A restart restores the versions from the
+    /// replayed log and opens the re-registration handshake.
+    pub(crate) fn server_fault(
+        &mut self,
+        now: SimTime,
+        shard: usize,
+        up: bool,
+    ) -> Option<Range<usize>> {
+        if up {
+            self.sh.restart_shard(now, shard, |_| {});
+            return None;
+        }
+        let items = self.sh.crash_shard(now, shard);
+        self.locks[shard] = LockTable::new();
+        Some(items)
+    }
+
+    /// After a fault-free drain no lock may be left.
+    pub(crate) fn assert_drained(&self) {
+        assert!(
+            self.locks.iter().all(LockTable::is_quiescent),
+            "locks leaked after drain"
+        );
+    }
 }
 
 /// An engine whose shards grant locks and ship data from a lock table,
-/// and whose clients send their writes home at commit (s-2PL, c-2PL).
-/// The functions below are the client and recovery paths such engines
-/// share.
-pub(crate) trait LockServer: Protocol {
+/// and whose clients send their writes home at commit: s-2PL, and c-2PL,
+/// which is s-2PL plus a client cache. The functions below are the one
+/// lock server both run. The provided hooks are s-2PL's behaviour; c-2PL
+/// overrides them to put its cache, directory, callbacks and barriers in.
+/// The status writes stay with each engine: [`LockServer::commit_decided`]
+/// and [`LockServer::finalize_abort`] here, and [`Protocol::abort_victim`]
+/// and [`Protocol::finish_recovery`].
+pub(crate) trait LockServer: Protocol + Sized {
     /// Labels of the lock-server messages.
     const LOCK_LABELS: LockLabels;
-    /// The shell and the per-shard lock tables, borrowed together.
-    fn parts(&mut self) -> (&mut Shell, &mut [LockTable]);
-    /// Abort `client`'s transaction `txn` locally.
+
+    /// The shared state.
+    fn core(&self) -> &LockCore;
+    /// The shared state, mutably.
+    fn core_mut(&mut self) -> &mut LockCore;
+    /// Abort `client`'s transaction `txn` locally: set its status and
+    /// record the abort, then [`finish_abort`].
     fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId);
     /// The commit decision point: every involved shard voted yes, or no
-    /// votes were needed. Commit `client`'s transaction `txn`.
+    /// votes were needed. Set `txn`'s status and record the commit, then
+    /// [`finish_commit`].
     fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId);
-    /// Positive commit evidence arrived for `txn`'s in-doubt vote at
-    /// shard `shard`.
-    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId);
+
+    /// A lock on `item` was granted to `client`'s `txn` in `mode`: ship it.
+    /// c-2PL first recalls the remote cached copies of an exclusive grant.
+    fn ship_grant(
+        &mut self,
+        now: SimTime,
+        client: ClientId,
+        txn: TxnId,
+        item: ItemId,
+        _mode: LockMode,
+    ) {
+        send_grant(self, now, client, txn, item);
+    }
+    /// Whether `txn`'s granted lock on `item` is still held back from
+    /// shipping by something that drives its own progress (c-2PL: a
+    /// callback barrier and its retry timer), so a duplicate request must
+    /// not re-ship it.
+    fn grant_gated(&self, _txn: TxnId, _item: ItemId) -> bool {
+        false
+    }
+    /// Fit `client`'s re-registration report to shard `shard`: drop from
+    /// `held` what the client holds without a server lock (c-2PL: cache
+    /// pins), and return the items there it caches.
+    fn cache_report(
+        &self,
+        _client: ClientId,
+        _shard: u32,
+        _held: &mut Vec<(ItemId, LockMode)>,
+    ) -> Vec<ItemId> {
+        Vec::new()
+    }
+    /// A re-registration report of `client` listed the cached `items`.
+    fn on_cached_report(&mut self, _client: ClientId, _items: &[ItemId]) {}
+    /// `committer`'s commit-release slice installed `writes` and released
+    /// `reads` at their shard, before the released locks move on.
+    fn on_commit_slice(
+        &mut self,
+        _committer: ClientId,
+        _writes: &[(ItemId, Version)],
+        _reads: &[ItemId],
+    ) {
+    }
+    /// `client`'s transaction ended: committed with `accesses` (each with
+    /// the version it read or installed), after its commit releases went
+    /// out, or aborted (no accesses).
+    fn on_txn_end(&mut self, _client: ClientId, _accesses: &[AccessRecord]) {}
+    /// `victim` was chosen to abort; its locks are released next.
+    fn on_victim(&mut self, _victim: TxnId) {}
+    /// Append the waits-for successors of the live `txn` beyond its
+    /// lock-table wait (c-2PL: a barrier owner waits on the transactions
+    /// pinning a recalled copy).
+    fn extra_waits_for(&self, _txn: TxnId, _out: &mut Vec<TxnId>) {}
+    /// Whether one of [`LockServer::extra_waits_for`]'s edges may enter
+    /// `txn` (an over-approximation is fine).
+    fn extra_waited_on(&self, _txn: TxnId) -> bool {
+        false
+    }
 }
 
 /// Ship `item` to `client` for `txn`, durably logging the grant first
@@ -1404,7 +1569,7 @@ pub(crate) fn send_grant<E: LockServer>(
     txn: TxnId,
     item: ItemId,
 ) {
-    let (sh, locks) = eng.parts();
+    let LockCore { sh, locks, .. } = eng.core_mut();
     let shard = sh.cfg.shard_of(item) as usize;
     if let Some(slog) = sh.rec.slog.get_mut(shard) {
         // Write-ahead: the grant is durable before it leaves.
@@ -1438,25 +1603,469 @@ pub(crate) fn send_grant<E: LockServer>(
     );
 }
 
-/// Acknowledge a processed commit-release slice (faults only).
-pub(crate) fn send_commit_ack<E: LockServer>(
+/// A message reached a lock-server client.
+pub(crate) fn on_client_msg<E: LockServer>(
     eng: &mut E,
-    shard: usize,
+    now: SimTime,
+    client: ClientId,
+    msg: Message,
+) {
+    match msg {
+        Message::SGrant { txn, item, version } => {
+            let sh = eng.shell();
+            let faults_on = sh.rec.faults_on;
+            let c = &mut sh.clients[client.index()];
+            let Some(active) = &mut c.txn else {
+                debug_assert!(faults_on, "grant for idle client");
+                return;
+            };
+            if active.id != txn {
+                debug_assert!(faults_on, "grant for stale transaction");
+                return;
+            }
+            if !matches!(active.phase, ClientPhase::WaitingGrant(_))
+                || active.spec.access(active.granted).0 != item
+            {
+                // Duplicate of an already-consumed grant (lossy link).
+                debug_assert!(faults_on, "unexpected duplicate grant");
+                return;
+            }
+            let wait = now.since(active.request_sent_at);
+            if faults_on {
+                c.retry_progress();
+            }
+            sh.collector.on_access_wait(wait);
+            sh.trace.record(
+                now,
+                TraceKind::Granted,
+                Some(txn),
+                Some(item),
+                client.into(),
+            );
+            sh.spans.granted(now, txn, item);
+            sh.begin_think(client, txn, version);
+        }
+        Message::AbortNotice { txn } => eng.finalize_abort(now, client, txn),
+        Message::PrepareAck { txn, shard } => on_prepare_ack(eng, now, client, txn, shard),
+        Message::SCommitAck { txn, shard } => on_commit_ack(eng.shell(), client, txn, shard),
+        Message::ReregisterReq { shard, epoch } => {
+            // Re-report everything the client holds of the restarted
+            // shard: server-granted accesses of the live transaction homed
+            // there, that shard's slice of an unacknowledged
+            // (committed-but-unreleased) commit, and the cached copies the
+            // rebuilt directory must know about.
+            let sh = &eng.core().sh;
+            let c = &sh.clients[client.index()];
+            let mut held = Vec::new();
+            let mut txn = None;
+            if let Some(active) = &c.txn {
+                txn = Some(active.id);
+                for idx in 0..active.granted {
+                    let (item, mode) = active.spec.access(idx);
+                    if sh.cfg.shard_of(item) == shard {
+                        held.push((item, lock_mode(mode)));
+                    }
+                }
+            }
+            let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
+                Message::SCommit { txn, writes, reads } if *s == shard => {
+                    Some((*txn, writes.clone(), reads.clone()))
+                }
+                _ => None,
+            });
+            let cached = eng.cache_report(client, shard, &mut held);
+            let sh = eng.shell();
+            let bytes = CTRL_BYTES + 8 * (held.len() + cached.len()) as u64;
+            sh.net.send(
+                &mut sh.cal,
+                client.into(),
+                SiteId::server(shard),
+                E::LOCK_LABELS.reregister,
+                bytes,
+                Message::SReregister {
+                    client,
+                    epoch,
+                    txn,
+                    held,
+                    pending,
+                    cached,
+                },
+            );
+        }
+        other => unreachable!("a lock-server client cannot receive {other:?}"),
+    }
+}
+
+/// A lock-server shard admitted a message.
+pub(crate) fn on_server_msg<E: LockServer>(eng: &mut E, now: SimTime, shard: usize, msg: Message) {
+    match msg {
+        Message::LockReq {
+            txn,
+            client,
+            item,
+            mode,
+        } => {
+            let LockCore { sh, locks, .. } = eng.core_mut();
+            debug_assert_eq!(
+                sh.cfg.shard_of(item) as usize,
+                shard,
+                "lock request routed to the wrong shard"
+            );
+            match sh.table.status(txn) {
+                TxnStatus::Active => {}
+                TxnStatus::Aborting | TxnStatus::Aborted if sh.rec.faults_on => {
+                    // A retried request from a victim whose abort notice may have
+                    // been lost: answer it again.
+                    sh.send_abort_notice(shard, txn);
+                    return;
+                }
+                _ => return, // stale request of a finished transaction
+            }
+            if sh.rec.faults_on {
+                sh.rec.touch(now, txn, &mut sh.cal);
+                if locks[shard].mode_of(txn, item).is_some() {
+                    // Duplicate of an already-granted request (the grant or the
+                    // original request was lost or duplicated): re-ship the
+                    // grant, unless it is still gated.
+                    if !eng.grant_gated(txn, item) {
+                        send_grant(eng, now, client, txn, item);
+                    }
+                    return;
+                }
+                if locks[shard].queued_on(txn) == Some(item) {
+                    return; // duplicate of a still-queued request
+                }
+            }
+            sh.spans.req_arrived(now, txn, item);
+            match locks[shard].acquire(txn, item, mode) {
+                AcquireOutcome::Granted => eng.ship_grant(now, client, txn, item, mode),
+                AcquireOutcome::Queued => detect_deadlocks(eng, now, txn),
+            }
+        }
+        Message::Prepare {
+            txn,
+            writes,
+            involved,
+        } => {
+            let sh = eng.shell();
+            if sh.table.status(txn) == TxnStatus::Active {
+                sh.rec.touch(now, txn, &mut sh.cal);
+            }
+            let voted = sh.rec.on_prepare(
+                now,
+                shard,
+                txn,
+                writes,
+                involved,
+                &sh.table,
+                &mut sh.net,
+                &mut sh.cal,
+                &mut sh.trace,
+            );
+            if !voted {
+                // The abort won the race with the voting round: answer
+                // the (possibly lost) notice again.
+                sh.send_abort_notice(shard, txn);
+            }
+        }
+        Message::SCommit { txn, writes, reads } => {
+            let sh = eng.shell();
+            let committer = sh.table.info(txn).client;
+            // Under faults a duplicate slice (already applied at this
+            // shard) means the ack was lost: just acknowledge again. Each
+            // shard's bit of the applied set is durable — it survives
+            // crashes via log replay.
+            if !(sh.rec.faults_on && sh.rec.applied_at(txn, shard)) {
+                if sh.rec.faults_on {
+                    sh.rec.end_lease(txn);
+                }
+                sh.rec.apply_commit(now, shard, txn, &writes, &mut sh.trace);
+                sh.install(txn, &writes);
+                eng.on_commit_slice(committer, &writes, &reads);
+                let sh = eng.shell();
+                sh.trace.record(
+                    now,
+                    TraceKind::ReleasedAtServer,
+                    Some(txn),
+                    None,
+                    SiteId::server(shard as u32),
+                );
+                sh.spans.release_arrived(now, txn, true);
+                release_at(eng, now, shard, txn);
+            }
+            let sh = eng.shell();
+            if sh.rec.faults_on {
+                sh.net.send(
+                    &mut sh.cal,
+                    SiteId::server(shard as u32),
+                    committer.into(),
+                    E::LOCK_LABELS.commit_ack,
+                    CTRL_BYTES,
+                    Message::SCommitAck {
+                        txn,
+                        shard: shard as u32,
+                    },
+                );
+            }
+        }
+        Message::SReregister {
+            client,
+            epoch,
+            txn,
+            held,
+            pending,
+            cached,
+        } => {
+            let sh = eng.shell();
+            if sh
+                .rec
+                .reregistered(now, shard, client, epoch, txn, &mut sh.trace)
+            {
+                eng.on_cached_report(client, &cached);
+                let sh = eng.shell();
+                let pending = pending.as_ref();
+                sh.rec
+                    .check_lock_report(shard, &sh.table, client, txn, &held, pending);
+                if sh.rec.all_answered(shard) {
+                    eng.finish_recovery(now, shard);
+                }
+            }
+        }
+        Message::CommitQuery {
+            txn, from_shard, ..
+        } => {
+            let sh = eng.shell();
+            sh.rec
+                .answer_commit_query(shard, txn, from_shard, &sh.table, &mut sh.net, &mut sh.cal);
+        }
+        Message::CommitVerdict { txn, committed } => {
+            if eng.shell().rec.on_commit_verdict(shard, txn, committed) {
+                resolve_indoubt_commit(eng, now, shard, txn);
+            }
+        }
+        other => unreachable!("a lock-server shard cannot receive {other:?}"),
+    }
+}
+
+/// Release every lock `txn` holds at shard `shard`, shipping the grants
+/// it wakes.
+fn release_at<E: LockServer>(eng: &mut E, now: SimTime, shard: usize, txn: TxnId) {
+    for (item, t, mode) in eng.core_mut().locks[shard].release_all(txn) {
+        let c = eng.core().sh.table.info(t).client;
+        eng.ship_grant(now, c, t, item, mode);
+    }
+}
+
+/// Positive commit evidence arrived for an in-doubt prepared vote at
+/// shard `shard`: install the prepared write slice exactly as the lost
+/// commit-release would have, and release the transaction's locks. A
+/// cache directory is deliberately left alone: after a crash its truth
+/// comes from the re-registration reports only, and a client that never
+/// re-registered has lost its cache, so inventing entries here would
+/// resurrect dead copies.
+fn resolve_indoubt_commit<E: LockServer>(eng: &mut E, now: SimTime, shard: usize, txn: TxnId) {
+    let sh = eng.shell();
+    if let Some(writes) = sh.rec.commit_in_doubt(now, shard, txn, &mut sh.trace) {
+        sh.install(txn, &writes);
+        release_at(eng, now, shard, txn);
+    }
+}
+
+/// §4: "deadlock detection is initiated when a lock cannot be granted"
+/// (and, under c-2PL, when an exclusive grant waits behind a callback
+/// barrier). The waits-for relation is explored lazily from the blocked
+/// transaction: successors are computed on demand from the lock table
+/// and [`LockServer::extra_waits_for`], so only the reachable part of the
+/// graph is visited, and victims are aborted until no cycle through
+/// `trigger` remains. Only live transactions source edges (an aborting
+/// c-2PL barrier owner still holds its lock but no longer waits, so the
+/// victim loop cannot pick it twice). A trigger nothing waits on closes
+/// no cycle, so its search is skipped ([`CycleFinder::find_new_cycle`]),
+/// except inside another search's victim loop, where older cycles may
+/// remain.
+pub(crate) fn detect_deadlocks<E: LockServer>(eng: &mut E, now: SimTime, trigger: TxnId) {
+    // The finder is moved out for the duration of the search so its
+    // buffers can be reused while the successor closure borrows the
+    // engine.
+    let lc = eng.core_mut();
+    let mut finder = std::mem::take(&mut lc.finder);
+    let nested = std::mem::replace(&mut lc.searching, true);
+    loop {
+        let e = &*eng;
+        let LockCore { sh, locks, .. } = e.core();
+        let waited_on =
+            nested || locks.iter().any(|lt| lt.is_waited_on(trigger)) || e.extra_waited_on(trigger);
+        let found = finder.find_new_cycle(trigger, waited_on, |t, out| {
+            if !sh.table.is_live(t) {
+                return;
+            }
+            // Accesses are sequential, so a transaction queues on at most
+            // one item globally: the scan finds the shard it waits at.
+            for lt in locks {
+                if let Some(item) = lt.queued_on(t) {
+                    lt.waits_for_into(t, item, out);
+                    break;
+                }
+            }
+            e.extra_waits_for(t, out);
+        });
+        let Some(cycle) = found else { break };
+        let victim = sh
+            .cfg
+            .victim
+            .choose(cycle, |t| locks.iter().map(|lt| lt.held_by(t).len()).sum());
+        eng.abort_victim(now, victim);
+        if victim == trigger {
+            break;
+        }
+    }
+    let lc = eng.core_mut();
+    lc.searching = nested;
+    lc.finder = finder;
+}
+
+/// The shared part of aborting `victim` once its engine set its status:
+/// retire its fault-domain state, release its locks on every shard (in
+/// ascending shard order) and ship the grants that wakes, then notify its
+/// client. The shards own the authoritative copies, so the locks go at
+/// once; the client only learns of the abort one latency later.
+pub(crate) fn release_victim<E: LockServer>(eng: &mut E, now: SimTime, victim: TxnId) {
+    eng.shell().rec.retire_victim(victim);
+    eng.on_victim(victim);
+    let mut woken = Vec::new();
+    for lt in &mut eng.core_mut().locks {
+        woken.extend(lt.release_all(victim));
+    }
+    for (item, t, mode) in woken {
+        let c = eng.core().sh.table.info(t).client;
+        eng.ship_grant(now, c, t, item, mode);
+    }
+    eng.shell().send_abort_notice(0, victim);
+}
+
+/// The shared part of committing `client`'s transaction `txn` once its
+/// engine set the status and recorded the commit. From here the commit is
+/// irrevocable: the client's WAL `Commit` record below is the
+/// coordinator's durable decision record, and the commit-release slices
+/// retransmit until every shard applies.
+pub(crate) fn finish_commit<E: LockServer>(
+    eng: &mut E,
+    now: SimTime,
     client: ClientId,
     txn: TxnId,
 ) {
     let sh = eng.shell();
-    sh.net.send(
-        &mut sh.cal,
-        SiteId::server(shard as u32),
-        client.into(),
-        E::LOCK_LABELS.commit_ack,
-        CTRL_BYTES,
-        Message::SCommitAck {
+    let c = &mut sh.clients[client.index()];
+    // lint:allow(L3): commit is only reachable from a client with an active txn
+    let active = c.txn.take().expect("committing client has a transaction");
+    debug_assert_eq!(active.id, txn);
+    let measured = sh
+        .collector
+        .on_commit_sized(now.since(active.start), active.spec.len());
+
+    // Group the transaction's accesses by owning shard: a multi-home
+    // commit sends one combined commit/release message per involved
+    // shard (§3.1's single message, per home), all in the same round.
+    let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
+    let mut records = Vec::new();
+    for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
+        let observed = active.versions[idx];
+        let slot = by_shard.entry(sh.cfg.shard_of(item)).or_default();
+        let version = match mode {
+            AccessMode::Write => {
+                slot.0.push((item, observed + 1));
+                observed + 1
+            }
+            AccessMode::Read => {
+                slot.1.push(item);
+                observed
+            }
+        };
+        records.push(AccessRecord {
+            item,
+            mode,
+            version,
+        });
+    }
+    // One commit/release round trip per involved shard, in parallel.
+    sh.spans
+        .commit_local(now, txn, by_shard.len() as u32, measured);
+    if let Some(wal) = &mut sh.wal {
+        let log = &mut wal[client.index()];
+        for (writes, _) in by_shard.values() {
+            for &(item, new) in writes {
+                log.append(LogRecord::Update {
+                    txn,
+                    item,
+                    old: new - 1,
+                    new,
+                });
+            }
+        }
+        log.append(LogRecord::Commit { txn });
+    }
+
+    let slices: Vec<(u32, Message)> = by_shard
+        .into_iter()
+        .map(|(shard, (writes, reads))| (shard, Message::SCommit { txn, writes, reads }))
+        .collect();
+    if sh.rec.faults_on {
+        // Commit durability under loss: retransmit each shard's release
+        // until that shard acknowledges; the next transaction starts only
+        // when every slice is acked (see the SCommitAck handler).
+        let c = &mut sh.clients[client.index()];
+        c.retry_progress();
+        c.pending_commits = slices.clone();
+    }
+    send_phase::<E>(sh, client, slices);
+    // Pins release and deferred callbacks answer at transaction end
+    // regardless; only the next transaction's start is gated on the acks
+    // under faults.
+    eng.on_txn_end(client, &records);
+    let sh = eng.shell();
+    if let Some(h) = &mut sh.history {
+        h.push(CommitRecord {
             txn,
-            shard: shard as u32,
-        },
+            at: now,
+            accesses: records,
+        });
+    }
+    if sh.rec.faults_on {
+        sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
+    } else {
+        sh.schedule_idle(client);
+    }
+}
+
+/// The shared part of aborting `client`'s transaction `txn` locally once
+/// its engine set the status and recorded the abort: on receipt of the
+/// server's notice, or — under faults — when the client discovers the
+/// abort on its own (restart after a crash, or a commit racing the
+/// notice).
+pub(crate) fn finish_abort<E: LockServer>(eng: &mut E, now: SimTime, client: ClientId, txn: TxnId) {
+    let sh = eng.shell();
+    let c = &mut sh.clients[client.index()];
+    let Some(active) = c.txn.take() else { return };
+    debug_assert_eq!(active.id, txn);
+    // An abort during the voting round withdraws the outstanding
+    // prepares; shards that already voted are cleaned up by the victim's
+    // releases.
+    c.pending_commits
+        .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
+    if sh.rec.faults_on {
+        c.retry_progress();
+    }
+    sh.collector.on_abort_diag(
+        active.spec.is_read_only(),
+        now.since(active.start),
+        active.granted,
     );
+    if let Some(wal) = &mut sh.wal {
+        wal[client.index()].append(LogRecord::Abort { txn });
+    }
+    sh.spans.aborted(now, txn);
+    eng.on_txn_end(client, &[]);
+    eng.shell().schedule_idle(client);
 }
 
 /// Every access of `client`'s transaction `txn` is granted: commit it,
@@ -1475,7 +2084,8 @@ pub(crate) fn try_commit<E: LockServer>(eng: &mut E, now: SimTime, client: Clien
     // shard fault domains: run presumed-abort two-phase commitment.
     // Single-home commits keep the one-phase path (the single-participant
     // optimization), as do all commits under plans without server
-    // crashes.
+    // crashes. Cache hits count toward the involved mask too: their shard
+    // still releases the transactional footprint.
     if sh.rec.srv_faults_on {
         let involved = sh.clients[client.index()].txn().involved(&sh.cfg);
         if involved.count_ones() > 1 {
@@ -1487,7 +2097,7 @@ pub(crate) fn try_commit<E: LockServer>(eng: &mut E, now: SimTime, client: Clien
 }
 
 /// Shard `shard` voted yes on `client`'s transaction `txn`.
-pub(crate) fn on_prepare_ack<E: LockServer>(
+fn on_prepare_ack<E: LockServer>(
     eng: &mut E,
     now: SimTime,
     client: ClientId,
@@ -1516,7 +2126,7 @@ pub(crate) fn on_prepare_ack<E: LockServer>(
 }
 
 /// Shard `shard` applied `client`'s commit-release slice of `txn`.
-pub(crate) fn on_commit_ack(sh: &mut Shell, client: ClientId, txn: TxnId, shard: u32) {
+fn on_commit_ack(sh: &mut Shell, client: ClientId, txn: TxnId, shard: u32) {
     let c = &mut sh.clients[client.index()];
     match c.take_ack(
         shard,
@@ -1534,12 +2144,7 @@ pub(crate) fn on_commit_ack(sh: &mut Shell, client: ClientId, txn: TxnId, shard:
 /// (write slice + involved-shard mask) and wait for every yes vote before
 /// deciding. The prepares sit in `pending_commits` and retransmit on the
 /// usual backoff until acknowledged.
-pub(crate) fn begin_prepare<E: LockServer>(
-    eng: &mut E,
-    client: ClientId,
-    txn: TxnId,
-    involved: u64,
-) {
+fn begin_prepare<E: LockServer>(eng: &mut E, client: ClientId, txn: TxnId, involved: u64) {
     let sh = eng.shell();
     let c = &mut sh.clients[client.index()];
     let active = c.txn_mut();
@@ -1552,36 +2157,43 @@ pub(crate) fn begin_prepare<E: LockServer>(
             slot.push((item, active.versions[idx] + 1));
         }
     }
-    c.retry_progress();
-    c.pending_commits = by_shard
-        .iter()
-        .map(|(&shard, writes)| {
-            (
-                shard,
-                Message::Prepare {
-                    txn,
-                    writes: writes.clone(),
-                    involved,
-                },
-            )
-        })
-        .collect();
-    for (shard, writes) in by_shard {
-        let bytes = CTRL_BYTES + 12 * writes.len() as u64;
-        sh.net.send(
-            &mut sh.cal,
-            client.into(),
-            SiteId::server(shard),
-            E::LOCK_LABELS.prepare,
-            bytes,
-            Message::Prepare {
+    let prepares: Vec<(u32, Message)> = by_shard
+        .into_iter()
+        .map(|(shard, writes)| {
+            let msg = Message::Prepare {
                 txn,
                 writes,
                 involved,
-            },
-        );
-    }
+            };
+            (shard, msg)
+        })
+        .collect();
+    c.retry_progress();
+    c.pending_commits = prepares.clone();
+    send_phase::<E>(sh, client, prepares);
     sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
+}
+
+/// Send `client`'s commit-phase messages, one per shard: commit-releases
+/// (a header plus the written items), or prepares (a header plus 12 bytes
+/// per written `(item, version)`).
+fn send_phase<E: LockServer>(sh: &mut Shell, client: ClientId, msgs: Vec<(u32, Message)>) {
+    for (shard, msg) in msgs {
+        let (kind, bytes) = match &msg {
+            Message::SCommit { writes, .. } => (
+                E::LOCK_LABELS.commit_release,
+                CTRL_BYTES + writes.len() as u64 * sh.cfg.item_size_bytes,
+            ),
+            Message::Prepare { writes, .. } => (
+                E::LOCK_LABELS.prepare,
+                CTRL_BYTES + 12 * writes.len() as u64,
+            ),
+            other => unreachable!("{other:?} is not a commit-phase message"),
+        };
+        let to = SiteId::server(shard);
+        sh.net
+            .send(&mut sh.cal, client.into(), to, kind, bytes, msg);
+    }
 }
 
 /// Re-send every unacknowledged commit-phase slice (the client's WAL
@@ -1595,28 +2207,8 @@ pub(crate) fn resend_commit_slices<E: LockServer>(eng: &mut E, client: ClientId)
         return;
     }
     c.retry_attempts = c.retry_attempts.saturating_add(1);
-    for (shard, msg) in pending {
-        let (kind, bytes) = match &msg {
-            Message::SCommit { writes, .. } => (
-                E::LOCK_LABELS.commit_release,
-                CTRL_BYTES + writes.len() as u64 * sh.cfg.item_size_bytes,
-            ),
-            Message::Prepare { writes, .. } => (
-                E::LOCK_LABELS.prepare,
-                CTRL_BYTES + 12 * writes.len() as u64,
-            ),
-            _ => continue,
-        };
-        sh.rec.fsum.retries += 1;
-        sh.net.send(
-            &mut sh.cal,
-            client.into(),
-            SiteId::server(shard),
-            kind,
-            bytes,
-            msg,
-        );
-    }
+    sh.rec.fsum.retries += pending.len() as u64;
+    send_phase::<E>(sh, client, pending);
     sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
 }
 
@@ -1670,9 +2262,9 @@ pub(crate) fn reopen_lock_shard<E: LockServer>(
 ) -> Vec<TxnId> {
     let sh = eng.shell();
     for txn in sh.rec.settle_in_doubt(shard, &sh.table) {
-        eng.resolve_indoubt_commit(now, shard, txn);
+        resolve_indoubt_commit(eng, now, shard, txn);
     }
-    let (sh, locks) = eng.parts();
+    let LockCore { sh, locks, .. } = eng.core_mut();
     let silent = sh
         .rec
         .restore_grants(now, shard, &sh.table, &mut locks[shard], &mut sh.cal);
@@ -1798,6 +2390,53 @@ mod tests {
         assert_eq!(c.txn().start, SimTime::new(5));
         assert_eq!(c.txn().granted, 0);
         assert!(matches!(c.txn().phase, ClientPhase::WaitingGrant(0)));
+    }
+
+    /// Deliver the same grant twice to a lock-server client under a fault
+    /// plan (a lossy link may duplicate it): the access advances once, and
+    /// one think timer is scheduled.
+    fn duplicate_grant_is_consumed_once<E: LockServer>(mut eng: E) {
+        let client = ClientId::new(0);
+        let sh = eng.shell();
+        assert!(sh.rec.faults_on);
+        let txn = sh.clients[0].begin_txn(&sh.generator, &mut sh.table, SimTime::ZERO);
+        let item = sh.clients[0].txn().spec.access(0).0;
+        let grant = Message::SGrant {
+            txn,
+            item,
+            version: 7,
+        };
+        eng.on_client_msg(SimTime::new(10), client, grant.clone());
+        eng.on_client_msg(SimTime::new(12), client, grant);
+        let sh = eng.shell();
+        let active = sh.clients[0].txn();
+        assert_eq!(active.granted, 1);
+        assert_eq!(active.versions, [7]);
+        let mut think_timers = 0;
+        while let Some((_, ev)) = sh.cal.pop() {
+            if matches!(ev, Ev::Timer { kind: TimerKind::ThinkDone(t), .. } if t == txn) {
+                think_timers += 1;
+            }
+        }
+        assert_eq!(think_timers, 1);
+    }
+
+    fn lossy(kind: crate::config::ProtocolKind) -> EngineConfig {
+        let mut cfg = EngineConfig::table1(kind, 4, 50, 0.5);
+        cfg.faults = Some(FaultPlan::message_loss(0.05));
+        cfg
+    }
+
+    #[test]
+    fn s2pl_duplicate_grant_is_consumed_once() {
+        let cfg = lossy(crate::config::ProtocolKind::S2pl);
+        duplicate_grant_is_consumed_once(crate::s2pl::S2plEngine::new(cfg));
+    }
+
+    #[test]
+    fn c2pl_duplicate_grant_is_consumed_once() {
+        let cfg = lossy(crate::config::ProtocolKind::C2pl);
+        duplicate_grant_is_consumed_once(crate::c2pl::C2plEngine::new(cfg));
     }
 
     #[test]

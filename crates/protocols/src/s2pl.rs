@@ -7,26 +7,20 @@
 //! Deadlocks are detected with a wait-for graph, rebuilt from the lock
 //! table whenever a request cannot be granted (§4), and resolved by
 //! aborting a victim chosen by the configured policy.
+//!
+//! The lock server itself is shared with c-2PL (`runtime::LockServer`);
+//! s-2PL is that server with every hook at its default. This file keeps
+//! the engine's status writes and the trace records that go with them.
 
 use crate::config::EngineConfig;
-use crate::cycle::CycleFinder;
-use crate::history::{AccessRecord, CommitRecord};
 use crate::metrics::RunMetrics;
 use crate::runtime::{
-    lock_mode, on_commit_ack, on_prepare_ack, reopen_lock_shard, resend_commit_slices,
-    restart_client, run, send_commit_ack, send_grant, try_commit, ClientPhase, Ev, Labels,
-    LockLabels, LockServer, Message, Protocol, Shell, TimerKind, TxnStatus, CTRL_BYTES,
+    finish_abort, finish_commit, on_client_msg, on_server_msg, release_victim, reopen_lock_shard,
+    resend_commit_slices, restart_client, run, try_commit, Labels, LockCore, LockLabels,
+    LockServer, Message, Protocol, Shell, TxnStatus,
 };
 use crate::tracelog::TraceKind;
-use g2pl_lockmgr::{AcquireOutcome, LockTable};
-use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, TxnId, Version};
-use g2pl_wal::LogRecord;
-use g2pl_workload::AccessMode;
-use std::collections::BTreeMap;
-
-/// Per-shard slice of a committing transaction: written `(item,
-/// version)` pairs plus read-only items, bound for one home server.
-type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
+use g2pl_simcore::{ClientId, SimTime, SiteId, TxnId};
 
 /// Accounting labels of the messages the shared code sends.
 const LABELS: Labels = Labels {
@@ -40,20 +34,14 @@ const LABELS: Labels = Labels {
 
 /// The s-2PL simulation engine.
 pub struct S2plEngine {
-    sh: Shell,
-    /// One lock table per server shard; an item's locks live at the
-    /// shard owning it ([`EngineConfig::shard_of`]).
-    locks: Vec<LockTable>,
-    finder: CycleFinder,
+    core: LockCore,
 }
 
 impl S2plEngine {
     /// Build an engine for `cfg`.
     pub fn new(cfg: EngineConfig) -> Self {
         S2plEngine {
-            locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
-            finder: CycleFinder::default(),
-            sh: Shell::new(cfg, LABELS),
+            core: LockCore::new(cfg, LABELS),
         }
     }
 
@@ -61,80 +49,15 @@ impl S2plEngine {
     pub fn run(self) -> RunMetrics {
         run(self)
     }
-
-    /// Install `txn`'s written versions at their home shard and mark them
-    /// permanent in the committer's WAL.
-    fn install(&mut self, txn: TxnId, writes: Vec<(ItemId, Version)>) {
-        let sh = &mut self.sh;
-        let committer = sh.table.info(txn).client;
-        for (item, version) in writes {
-            debug_assert_eq!(
-                version,
-                sh.versions[item.index()] + 1,
-                "write version chain broken for {item}"
-            );
-            sh.versions[item.index()] = version;
-            if let Some(wal) = &mut sh.wal {
-                wal[committer.index()].mark_permanent(txn, item);
-            }
-        }
-    }
-
-    /// Release every lock `txn` holds at shard `shard`, shipping the
-    /// grants it wakes.
-    fn release_at(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        for (item, t, _) in self.locks[shard].release_all(txn) {
-            let c = self.sh.table.info(t).client;
-            send_grant(self, now, c, t, item);
-        }
-    }
-
-    /// §4: "deadlock detection is initiated when a lock cannot be
-    /// granted." The waits-for relation is explored lazily from the
-    /// blocked transaction — successors are computed on demand from the
-    /// lock table, so only the reachable part of the graph is visited —
-    /// and victims are aborted until no cycle through `trigger` remains.
-    /// A trigger nothing waits on closes no cycle, so its search is
-    /// skipped ([`CycleFinder::find_new_cycle`]).
-    fn detect_deadlocks(&mut self, now: SimTime, trigger: TxnId) {
-        // The finder is moved out for the duration of the search so its
-        // buffers can be reused while the successor closure borrows the
-        // lock table.
-        let mut finder = std::mem::take(&mut self.finder);
-        loop {
-            let locks = &self.locks;
-            let waited_on = locks.iter().any(|lt| lt.is_waited_on(trigger));
-            // Deadlock detection stays centralized: accesses are
-            // sequential, so a transaction queues on at most one item
-            // globally — the scan finds the (unique) shard it waits at.
-            let found = finder.find_new_cycle(trigger, waited_on, |t, out| {
-                for lt in locks {
-                    if let Some(item) = lt.queued_on(t) {
-                        lt.waits_for_into(t, item, out);
-                        break;
-                    }
-                }
-            });
-            let Some(cycle) = found else { break };
-            let victim = self.sh.cfg.victim.choose(cycle, |t| {
-                self.locks.iter().map(|lt| lt.held_by(t).len()).sum()
-            });
-            self.abort_victim(now, victim);
-            if victim == trigger {
-                break;
-            }
-        }
-        self.finder = finder;
-    }
 }
 
 impl Protocol for S2plEngine {
     fn shell(&mut self) -> &mut Shell {
-        &mut self.sh
+        &mut self.core.sh
     }
 
     fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize) {
-        self.sh.request_access(now, client, txn, idx);
+        self.core.sh.request_access(now, client, txn, idx);
     }
 
     fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
@@ -146,259 +69,26 @@ impl Protocol for S2plEngine {
     }
 
     fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
-        let sh = &mut self.sh;
-        match msg {
-            Message::SGrant { txn, item, version } => {
-                let faults_on = sh.rec.faults_on;
-                let c = &mut sh.clients[client.index()];
-                let Some(active) = &mut c.txn else {
-                    debug_assert!(faults_on, "grant for idle client");
-                    return;
-                };
-                if active.id != txn {
-                    debug_assert!(faults_on, "grant for stale transaction");
-                    return;
-                }
-                if !matches!(active.phase, ClientPhase::WaitingGrant(_))
-                    || active.spec.access(active.granted).0 != item
-                {
-                    // Duplicate of an already-consumed grant (lossy link).
-                    debug_assert!(faults_on, "unexpected duplicate grant");
-                    return;
-                }
-                active.versions.push(version);
-                active.granted += 1;
-                active.phase = ClientPhase::Thinking;
-                let wait = now.since(active.request_sent_at);
-                if faults_on {
-                    c.retry_progress();
-                }
-                sh.collector.on_access_wait(wait);
-                let think = sh.cfg.profile.draw_think(&mut c.time_rng);
-                sh.trace.record(
-                    now,
-                    TraceKind::Granted,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                sh.spans.granted(now, txn, item);
-                sh.cal.schedule_in(
-                    think,
-                    Ev::Timer {
-                        client,
-                        kind: TimerKind::ThinkDone(txn),
-                    },
-                );
-            }
-            Message::AbortNotice { txn } => self.finalize_abort(now, client, txn),
-            Message::PrepareAck { txn, shard } => on_prepare_ack(self, now, client, txn, shard),
-            Message::SCommitAck { txn, shard } => on_commit_ack(sh, client, txn, shard),
-            Message::ReregisterReq { shard, epoch } => {
-                // Re-report everything the client holds of the restarted
-                // shard: granted items of the live transaction homed
-                // there and that shard's slice of an unacknowledged
-                // (committed-but-unreleased) commit.
-                let c = &sh.clients[client.index()];
-                let mut held = Vec::new();
-                let mut txn = None;
-                if let Some(active) = &c.txn {
-                    txn = Some(active.id);
-                    for idx in 0..active.granted {
-                        let (item, mode) = active.spec.access(idx);
-                        if sh.cfg.shard_of(item) == shard {
-                            held.push((item, lock_mode(mode)));
-                        }
-                    }
-                }
-                let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
-                    Message::SCommit { txn, writes, reads } if *s == shard => {
-                        Some((*txn, writes.clone(), reads.clone()))
-                    }
-                    _ => None,
-                });
-                let bytes = CTRL_BYTES + 8 * held.len() as u64;
-                sh.net.send(
-                    &mut sh.cal,
-                    client.into(),
-                    SiteId::server(shard),
-                    "s2pl.reregister",
-                    bytes,
-                    Message::SReregister {
-                        client,
-                        epoch,
-                        txn,
-                        held,
-                        pending,
-                        cached: Vec::new(),
-                    },
-                );
-            }
-            other => unreachable!("s-2PL client cannot receive {other:?}"),
-        }
+        on_client_msg(self, now, client, msg);
     }
 
     fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
-        match msg {
-            Message::LockReq {
-                txn,
-                client,
-                item,
-                mode,
-            } => {
-                debug_assert_eq!(
-                    self.sh.cfg.shard_of(item) as usize,
-                    shard,
-                    "lock request routed to the wrong shard"
-                );
-                match self.sh.table.status(txn) {
-                    TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.sh.rec.faults_on => {
-                        // A retried request from a victim whose abort
-                        // notice may have been lost: answer it again.
-                        self.sh.send_abort_notice(shard, txn);
-                        return;
-                    }
-                    _ => return, // stale request of a finished transaction
-                }
-                if self.sh.rec.faults_on {
-                    self.sh.rec.touch(now, txn, &mut self.sh.cal);
-                    if self.locks[shard].mode_of(txn, item).is_some() {
-                        // Duplicate of an already-granted request (the
-                        // grant or the original request was lost or
-                        // duplicated): re-ship the grant.
-                        send_grant(self, now, client, txn, item);
-                        return;
-                    }
-                    if self.locks[shard].queued_on(txn) == Some(item) {
-                        return; // duplicate of a still-queued request
-                    }
-                }
-                self.sh.spans.req_arrived(now, txn, item);
-                match self.locks[shard].acquire(txn, item, mode) {
-                    AcquireOutcome::Granted => send_grant(self, now, client, txn, item),
-                    AcquireOutcome::Queued => self.detect_deadlocks(now, txn),
-                }
-            }
-            Message::Prepare {
-                txn,
-                writes,
-                involved,
-            } => {
-                let sh = &mut self.sh;
-                if sh.table.status(txn) == TxnStatus::Active {
-                    sh.rec.touch(now, txn, &mut sh.cal);
-                }
-                let voted = sh.rec.on_prepare(
-                    now,
-                    shard,
-                    txn,
-                    writes,
-                    involved,
-                    &sh.table,
-                    &mut sh.net,
-                    &mut sh.cal,
-                    &mut sh.trace,
-                );
-                if !voted {
-                    // The abort won the race with the voting round:
-                    // answer the (possibly lost) notice again.
-                    sh.send_abort_notice(shard, txn);
-                }
-            }
-            Message::SCommit { txn, writes, .. } => {
-                let committer = self.sh.table.info(txn).client;
-                if self.sh.rec.faults_on {
-                    // Duplicate commit-release slice (already applied at
-                    // this shard): the ack was lost, so just acknowledge
-                    // again. Each shard's bit of the applied set is
-                    // durable — it survives crashes via log replay.
-                    if self.sh.rec.applied_at(txn, shard) {
-                        send_commit_ack(self, shard, committer, txn);
-                        return;
-                    }
-                    self.sh.rec.end_lease(txn);
-                }
-                let sh = &mut self.sh;
-                sh.rec.apply_commit(now, shard, txn, &writes, &mut sh.trace);
-                self.install(txn, writes);
-                self.sh.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    Some(txn),
-                    None,
-                    SiteId::server(shard as u32),
-                );
-                self.sh.spans.release_arrived(now, txn, true);
-                self.release_at(now, shard, txn);
-                if self.sh.rec.faults_on {
-                    send_commit_ack(self, shard, committer, txn);
-                }
-            }
-            Message::SReregister {
-                client,
-                epoch,
-                txn,
-                held,
-                pending,
-                cached: _,
-            } => {
-                let sh = &mut self.sh;
-                if sh
-                    .rec
-                    .reregistered(now, shard, client, epoch, txn, &mut sh.trace)
-                {
-                    let pending = pending.as_ref();
-                    sh.rec
-                        .check_lock_report(shard, &sh.table, client, txn, &held, pending);
-                    if sh.rec.all_answered(shard) {
-                        self.finish_recovery(now, shard);
-                    }
-                }
-            }
-            Message::CommitQuery {
-                txn, from_shard, ..
-            } => {
-                let sh = &mut self.sh;
-                sh.rec.answer_commit_query(
-                    shard,
-                    txn,
-                    from_shard,
-                    &sh.table,
-                    &mut sh.net,
-                    &mut sh.cal,
-                );
-            }
-            Message::CommitVerdict { txn, committed } => {
-                if self.sh.rec.on_commit_verdict(shard, txn, committed) {
-                    self.resolve_indoubt_commit(now, shard, txn);
-                }
-            }
-            other => unreachable!("s-2PL server cannot receive {other:?}"),
-        }
+        on_server_msg(self, now, shard, msg);
     }
 
     fn on_restart(&mut self, now: SimTime, client: ClientId) {
         restart_client(self, now, client);
     }
 
-    /// A crash loses the shard's lock table and its items' installed
-    /// versions; a restart restores the versions from the replayed log
-    /// and opens the re-registration handshake.
     fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
-        if up {
-            self.sh.restart_shard(now, shard, |_| {});
-        } else {
-            self.sh.crash_shard(now, shard);
-            self.locks[shard] = LockTable::new();
-        }
+        self.core.server_fault(now, shard, up);
     }
 
     /// Restore the shard's grants, then abort the active transactions of
     /// clients that never answered the handshake (presumed dead).
     fn finish_recovery(&mut self, now: SimTime, shard: usize) {
         let silent = reopen_lock_shard(self, now, shard);
-        self.sh.trace.record(
+        self.core.sh.trace.record(
             now,
             TraceKind::ServerRecovered,
             None,
@@ -412,32 +102,17 @@ impl Protocol for S2plEngine {
 
     // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
     fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.sh.table.status(victim), TxnStatus::Active);
-        self.sh.table.set_status(victim, TxnStatus::Aborting);
-        self.sh.rec.retire_victim(victim);
-        // The shards own the authoritative copies, so the victim's locks
-        // are released immediately on every shard (in ascending shard
-        // order); the client only learns of the abort one latency later.
-        let mut woken = Vec::new();
-        for lt in &mut self.locks {
-            woken.extend(lt.release_all(victim));
-        }
-        for (item, t, _) in woken {
-            let c = self.sh.table.info(t).client;
-            send_grant(self, now, c, t, item);
-        }
-        self.sh.send_abort_notice(0, victim);
+        debug_assert_eq!(self.core.sh.table.status(victim), TxnStatus::Active);
+        self.core.sh.table.set_status(victim, TxnStatus::Aborting);
+        release_victim(self, now, victim);
     }
 
     fn assert_drained(&self) {
-        assert!(
-            self.locks.iter().all(LockTable::is_quiescent),
-            "locks leaked after drain"
-        );
+        self.core.assert_drained();
     }
 
     fn into_metrics(self, events: u64) -> RunMetrics {
-        self.sh.into_metrics("s-2PL", events)
+        self.core.sh.into_metrics("s-2PL", events)
     }
 }
 
@@ -447,163 +122,34 @@ impl LockServer for S2plEngine {
         prepare: "s2pl.prepare",
         commit_release: "s2pl.commit_release",
         commit_ack: "s2pl.commit_ack",
+        reregister: "s2pl.reregister",
     };
 
-    fn parts(&mut self) -> (&mut Shell, &mut [LockTable]) {
-        (&mut self.sh, &mut self.locks)
+    fn core(&self) -> &LockCore {
+        &self.core
     }
 
-    /// The commit decision point: every involved shard has voted yes (or
-    /// the transaction is single-home and no votes were needed). From
-    /// here the commit is irrevocable — the client's WAL `Commit` record
-    /// below is the coordinator's durable decision record, and the
-    /// commit-release slices retransmit until every shard applies.
+    fn core_mut(&mut self) -> &mut LockCore {
+        &mut self.core
+    }
+
     fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let sh = &mut self.sh;
-        let c = &mut sh.clients[client.index()];
-        // lint:allow(L3): commit is only reachable from a client with an active txn
-        let active = c.txn.take().expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
+        let sh = &mut self.core.sh;
         sh.table.set_status(txn, TxnStatus::Committed);
-        let measured = sh
-            .collector
-            .on_commit_sized(now.since(active.start), active.spec.len());
         sh.trace
             .record(now, TraceKind::Committed, Some(txn), None, client.into());
-
-        // Group the transaction's accesses by owning shard: a multi-home
-        // commit sends one combined commit/release message per involved
-        // shard (§3.1's single message, per home), all in the same round.
-        let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
-        let mut records = Vec::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let observed = active.versions[idx];
-            let slot = by_shard.entry(sh.cfg.shard_of(item)).or_default();
-            match mode {
-                AccessMode::Write => {
-                    slot.0.push((item, observed + 1));
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: observed + 1,
-                    });
-                }
-                AccessMode::Read => {
-                    slot.1.push(item);
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: observed,
-                    });
-                }
-            }
-        }
-        // One commit/release round trip per involved shard, in parallel.
-        sh.spans
-            .commit_local(now, txn, by_shard.len() as u32, measured);
-        if let Some(h) = &mut sh.history {
-            h.push(CommitRecord {
-                txn,
-                at: now,
-                accesses: records,
-            });
-        }
-
-        if let Some(wal) = &mut sh.wal {
-            let log = &mut wal[client.index()];
-            for (writes, _) in by_shard.values() {
-                for &(item, new) in writes {
-                    log.append(LogRecord::Update {
-                        txn,
-                        item,
-                        old: new - 1,
-                        new,
-                    });
-                }
-            }
-            log.append(LogRecord::Commit { txn });
-        }
-
-        if sh.rec.faults_on {
-            // Commit durability under loss: retransmit each shard's
-            // release until that shard acknowledges; the next transaction
-            // starts only when every slice is acked (see the SCommitAck
-            // handler).
-            c.retry_progress();
-            c.pending_commits = by_shard
-                .iter()
-                .map(|(&shard, (writes, reads))| {
-                    (
-                        shard,
-                        Message::SCommit {
-                            txn,
-                            writes: writes.clone(),
-                            reads: reads.clone(),
-                        },
-                    )
-                })
-                .collect();
-        } else {
-            sh.schedule_idle(client);
-        }
-        for (shard, (writes, reads)) in by_shard {
-            let bytes = CTRL_BYTES + writes.len() as u64 * sh.cfg.item_size_bytes;
-            sh.net.send(
-                &mut sh.cal,
-                client.into(),
-                SiteId::server(shard),
-                Self::LOCK_LABELS.commit_release,
-                bytes,
-                Message::SCommit { txn, writes, reads },
-            );
-        }
-        if sh.rec.faults_on {
-            sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
-        }
+        finish_commit(self, now, client, txn);
     }
 
-    /// Abort the client's transaction locally: on receipt of the server's
-    /// notice, or — under faults — when the client discovers the abort
-    /// on its own (restart after a crash, or a commit racing the notice).
     fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let sh = &mut self.sh;
-        let c = &mut sh.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        if active.id != txn {
+        let sh = &mut self.core.sh;
+        if !sh.clients[client.index()].runs(txn) {
             return;
         }
-        let read_only = active.spec.is_read_only();
-        let waste = now.since(active.start);
-        let depth = active.granted;
-        c.txn = None;
-        // An abort during the voting round withdraws the outstanding
-        // prepares; shards that already voted are cleaned up by the
-        // victim's releases.
-        c.pending_commits
-            .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if sh.rec.faults_on {
-            c.retry_progress();
-        }
         sh.table.set_status(txn, TxnStatus::Aborted);
-        sh.collector.on_abort_diag(read_only, waste, depth);
-        if let Some(wal) = &mut sh.wal {
-            wal[client.index()].append(LogRecord::Abort { txn });
-        }
         sh.trace
             .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        sh.spans.aborted(now, txn);
-        sh.schedule_idle(client);
-    }
-
-    /// Positive commit evidence arrived for an in-doubt prepared vote at
-    /// shard `shard`: install the prepared write slice exactly as the lost
-    /// commit-release would have, and release the transaction's locks.
-    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        let sh = &mut self.sh;
-        if let Some(writes) = sh.rec.commit_in_doubt(now, shard, txn, &mut sh.trace) {
-            self.install(txn, writes);
-            self.release_at(now, shard, txn);
-        }
+        finish_abort(self, now, client, txn);
     }
 }
 

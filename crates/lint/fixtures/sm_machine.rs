@@ -2,6 +2,7 @@
 //! `Wedged` is only ever entered from itself, so it is unreachable from
 //! the initial `Active` — both the state and its self-transition must
 //! be flagged. The `Active -> Committed` path is live and stays clean.
+//! `sm_shared.rs` adds the transitions shared by every `Engine`.
 
 pub enum TxnStatus {
     Active,
@@ -15,6 +16,8 @@ pub fn open(txn_id: u64) -> Txn {
         status: TxnStatus::Active,
     }
 }
+
+impl Engine for Txn {}
 
 impl Txn {
     pub fn seal(&mut self) {

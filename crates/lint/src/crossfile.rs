@@ -224,7 +224,9 @@ fn literal_of(arg: &[&Tok]) -> Option<String> {
 /// consumers). It also requires the engines' protocol decision
 /// functions (commit/abort/dispatch/recovery) to emit at least one
 /// trace or span event, so a new decision path cannot silently bypass
-/// observability.
+/// observability. That rule covers the engine files, the files beside
+/// them, and the shared code the state-machine attribution maps to them
+/// (a fn generic over an engine trait, or a trait's provided method).
 pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<Diagnostic> {
     const ENUMS: [&str; 2] = ["TraceKind", "SpanKind"];
     /// Functions that *decide* protocol outcomes; each must emit.
@@ -330,26 +332,17 @@ pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<D
         }
     }
 
-    // Decision functions must emit. Scoped to files that drive the
-    // transaction state machine (contain a `set_status` call).
+    // Decision functions must emit. Scoped to the engines: their files,
+    // the files beside them, and the shared code attributed to them
+    // (see `machine::decision_scope`). A fn that only forwards to the
+    // free fn of its own name is checked at that fn instead.
+    let scope = crate::machine::decision_scope(files);
     for (file, _) in files {
-        let mut drives_machine = false;
-        non_test_fns(file, &mut |func| {
-            for fs in flatten(&func.body) {
-                if fs
-                    .tokens
-                    .windows(2)
-                    .any(|w| w[0].is_punct('.') && w[1].is_ident("set_status"))
-                {
-                    drives_machine = true;
-                }
-            }
-        });
-        if !drives_machine {
+        if !scope.contains(&file.path) {
             continue;
         }
         non_test_fns(file, &mut |func| {
-            if !DECISION_FNS.contains(&func.name.as_str()) {
+            if !func.has_body || !DECISION_FNS.contains(&func.name.as_str()) {
                 return;
             }
             let mut emits = false;
@@ -363,6 +356,13 @@ pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<D
                     {
                         emits = true;
                     }
+                    let forward = toks[i].is_ident(&func.name)
+                        && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+                        && !(i > 0 && toks[i - 1].is_punct('.'))
+                        && !(i > 1
+                            && toks[i - 1].kind == TokKind::PathSep
+                            && (toks[i - 2].is_ident("Self") || toks[i - 2].is_ident("self")));
+                    emits |= forward;
                 }
             }
             if !emits {
@@ -521,12 +521,62 @@ mod tests {
                 "lock.rs",
                 "impl L {\n\
                  fn commit_decided(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Committed); finish_commit(self, t); }\n\
+                 }\n\
+                 impl LockServer for L {\n\
+                 fn finalize_abort(&mut self, t: TxnId) { finalize_abort(self, t) }\n\
                  }",
+            ),
+            (
+                "core/shared.rs",
+                "fn commit_decided<E: LockServer>(eng: &mut E, t: TxnId) {\n\
+                 eng.table.set_status(t, TxnStatus::Committed);\n\
+                 finish_commit(eng, t);\n}\n\
+                 fn finalize_abort<E: LockServer>(eng: &mut E, t: TxnId) {\n\
+                 eng.table.set_status(t, TxnStatus::Aborted);\n\
+                 eng.trace.record(now, TraceKind::Granted, t);\n}",
             ),
         ]);
         let l5: Vec<_> = d.iter().filter(|d| d.lint == Lint::L5).collect();
-        assert_eq!(l5.len(), 2, "{d:?}");
+        assert_eq!(l5.len(), 3, "{d:?}");
+        // The generic decision fn is checked at the shared file; the
+        // engine's one-line forward to a checked fn is not a finding.
         assert!(l5[0].message.contains("`commit`"));
         assert!(l5[1].message.contains("`commit_decided`"), "{d:?}");
+        assert_eq!(l5[1].file, "lock.rs");
+        assert_eq!((l5[2].file.as_str(), l5[2].line), ("core/shared.rs", 1));
+        assert!(l5[2].message.contains("`commit_decided`"), "{d:?}");
+    }
+
+    #[test]
+    fn l5_decision_fn_beside_an_engine_is_checked() {
+        // `crash_server` is a shared helper with no status write of its
+        // own: it is checked because it sits in an engine's crate, while
+        // the same fn in an unrelated crate is not.
+        let d = analyze(&[
+            ("def.rs", "pub enum TraceKind { Granted }"),
+            (
+                "protocols/src/eng.rs",
+                "impl Protocol for E {\n\
+                 fn abort_victim(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Aborting); self.trace.record(now, TraceKind::Granted, t); }\n\
+                 }",
+            ),
+            (
+                "protocols/src/recovery.rs",
+                "impl Recovery {\n\
+                 pub fn crash_server(&mut self, shard: usize) { self.down[shard] = true; }\n\
+                 }",
+            ),
+            (
+                "other/src/recovery.rs",
+                "impl Recovery { pub fn crash_server(&mut self) { self.down = true; } }",
+            ),
+        ]);
+        let l5: Vec<_> = d.iter().filter(|d| d.lint == Lint::L5).collect();
+        assert_eq!(l5.len(), 1, "{d:?}");
+        assert_eq!(
+            (l5[0].file.as_str(), l5[0].line),
+            ("protocols/src/recovery.rs", 2)
+        );
+        assert!(l5[0].message.contains("`crash_server`"), "{d:?}");
     }
 }

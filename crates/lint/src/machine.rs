@@ -11,12 +11,18 @@
 //! cannot reach the call). A call with no recoverable source is an
 //! *implicit* edge from the initial state.
 //!
+//! Each edge belongs to the engines whose code runs it ([`Attribution`]):
+//! a call in an engine's own code belongs to its file, while a call in
+//! shared code — a fn generic over an engine trait, or a trait's
+//! provided method — belongs to every engine file implementing that
+//! trait. A machine is named after its engine file's stem.
+//!
 //! Reachability over the union graph then makes dead protocol paths a
 //! lint finding: a state no edge reaches is dead, and a transition out
 //! of a dead state can never fire.
 
 use crate::lex::Tok;
-use crate::parse::{walk_enums, Arm, Block, ParsedFile, Stmt};
+use crate::parse::{walk_enums, walk_scoped_fns, Arm, Block, FnItem, FnScope, ParsedFile, Stmt};
 use crate::passes::non_test_fns;
 use crate::{Diagnostic, Lint};
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,20 +37,102 @@ const SETTER: &str = "set_status";
 pub struct Edge {
     pub from: String,
     pub to: String,
-    /// Line of the `set_status` call.
+    /// File and line of the `set_status` call (shared code sits outside
+    /// the engine file whose machine holds the edge).
+    pub file: String,
     pub line: usize,
     /// No source-state context was recoverable; `from` is the initial
     /// state by assumption, not by proof.
     pub implicit: bool,
 }
 
-/// The machine extracted from one engine file.
+/// The machine extracted for one engine file.
 #[derive(Debug)]
 pub struct Machine {
     /// Engine label: the file stem (`g2pl`, `s2pl`, `c2pl`).
     pub name: String,
+    /// The engine file.
     pub file: String,
     pub edges: Vec<Edge>,
+}
+
+/// Which engine files run a function's code.
+///
+/// A fn generic over a trait (`fn f<E: LockServer>`, or any fn inside
+/// `impl<E: LockServer> …`) runs for every type implementing that
+/// trait, so it belongs to every file with a non-test `impl LockServer
+/// for …`. A trait's provided method belongs to every file implementing
+/// the trait without overriding the method. Any other fn — and a
+/// generic one no impl matches — belongs to its own file.
+pub struct Attribution {
+    /// Trait name -> `(file index, methods defined)` per non-test impl.
+    impls: BTreeMap<String, Vec<(usize, BTreeSet<String>)>>,
+}
+
+impl Attribution {
+    /// Index every non-test trait impl of the workspace.
+    pub fn new(files: &[(ParsedFile, crate::FileConfig)]) -> Self {
+        fn go(
+            items: &[crate::parse::Item],
+            fi: usize,
+            impls: &mut BTreeMap<String, Vec<(usize, BTreeSet<String>)>>,
+        ) {
+            for item in items {
+                match item {
+                    crate::parse::Item::Impl(imp) if !imp.in_test => {
+                        if let Some(tr) = &imp.trait_name {
+                            let methods = imp
+                                .items
+                                .iter()
+                                .filter_map(|i| match i {
+                                    crate::parse::Item::Fn(f) => Some(f.name.clone()),
+                                    _ => None,
+                                })
+                                .collect();
+                            impls.entry(tr.clone()).or_default().push((fi, methods));
+                        }
+                    }
+                    crate::parse::Item::Mod(m) if !m.in_test => go(&m.items, fi, impls),
+                    _ => {}
+                }
+            }
+        }
+        let mut impls = BTreeMap::new();
+        for (fi, (file, _)) in files.iter().enumerate() {
+            go(&file.items, fi, &mut impls);
+        }
+        Attribution { impls }
+    }
+
+    /// The indices of the files whose engines run `func`, found in file
+    /// `file` at `scope`.
+    pub fn owners(&self, file: usize, func: &FnItem, scope: FnScope) -> Vec<usize> {
+        if let Some(tr) = scope.trait_def {
+            if let Some(impls) = self.impls.get(&tr.name) {
+                let mut out: Vec<usize> = impls
+                    .iter()
+                    .filter(|(_, methods)| !methods.contains(&func.name))
+                    .map(|(fi, _)| *fi)
+                    .collect();
+                out.dedup();
+                return out;
+            }
+        }
+        let mut out: Vec<usize> = func
+            .bounds
+            .iter()
+            .chain(scope.imp.into_iter().flat_map(|i| i.bounds.iter()))
+            .filter_map(|b| self.impls.get(b))
+            .flatten()
+            .map(|(fi, _)| *fi)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        if out.is_empty() {
+            out.push(file);
+        }
+        out
+    }
 }
 
 /// The full extraction result.
@@ -92,30 +180,86 @@ pub fn extract(files: &[(ParsedFile, crate::FileConfig)]) -> Extraction {
         });
     }
 
-    for (file, _) in files {
-        let mut edges: Vec<Edge> = Vec::new();
-        non_test_fns(file, &mut |func| {
-            walk_block(&func.body, &[], &ext, &mut edges);
+    let attribution = Attribution::new(files);
+    let mut by_owner: BTreeMap<usize, Vec<Edge>> = BTreeMap::new();
+    for (fi, (file, _)) in files.iter().enumerate() {
+        walk_scoped_fns(&file.items, &mut |func, scope| {
+            if func.in_test || !func.has_body {
+                return;
+            }
+            let mut edges: Vec<Edge> = Vec::new();
+            walk_block(&func.body, &[], &ext, &file.path, &mut edges);
+            if edges.is_empty() {
+                return;
+            }
+            for owner in attribution.owners(fi, func, scope) {
+                by_owner
+                    .entry(owner)
+                    .or_default()
+                    .extend(edges.iter().cloned());
+            }
         });
-        if !edges.is_empty() {
-            edges.sort();
-            edges.dedup();
-            let name = file
-                .path
-                .rsplit('/')
-                .next()
-                .unwrap_or(&file.path)
-                .trim_end_matches(".rs")
-                .to_string();
-            ext.machines.push(Machine {
-                name,
-                file: file.path.clone(),
-                edges,
-            });
-        }
+    }
+    for (owner, mut edges) in by_owner {
+        edges.sort();
+        edges.dedup();
+        let path = &files[owner].0.path;
+        ext.machines.push(Machine {
+            name: stem(path).to_string(),
+            file: path.clone(),
+            edges,
+        });
     }
     ext.machines.sort_by(|a, b| a.name.cmp(&b.name));
     ext
+}
+
+/// The files L5's decision-fn rule covers: every engine file (one whose
+/// engine runs a `set_status` call), every file beside one (its crate's
+/// shared helpers), and every file holding shared code attributed to an
+/// engine file.
+pub fn decision_scope(files: &[(ParsedFile, crate::FileConfig)]) -> BTreeSet<String> {
+    let attribution = Attribution::new(files);
+    let mut engines: BTreeSet<usize> = BTreeSet::new();
+    for (fi, (file, _)) in files.iter().enumerate() {
+        walk_scoped_fns(&file.items, &mut |func, scope| {
+            let drives = crate::passes::flatten(&func.body).iter().any(|fs| {
+                fs.tokens
+                    .windows(2)
+                    .any(|w| w[0].is_punct('.') && w[1].is_ident(SETTER))
+            });
+            if !func.in_test && drives {
+                engines.extend(attribution.owners(fi, func, scope));
+            }
+        });
+    }
+    let dirs: BTreeSet<&str> = engines.iter().map(|&e| dir(&files[e].0.path)).collect();
+    let mut scope = BTreeSet::new();
+    for (fi, (file, _)) in files.iter().enumerate() {
+        let mut shared = false;
+        walk_scoped_fns(&file.items, &mut |func, fscope| {
+            shared |= !func.in_test
+                && attribution
+                    .owners(fi, func, fscope)
+                    .iter()
+                    .any(|o| *o != fi && engines.contains(o));
+        });
+        if shared || dirs.contains(dir(&file.path)) {
+            scope.insert(file.path.clone());
+        }
+    }
+    scope
+}
+
+fn stem(path: &str) -> &str {
+    path.rsplit('/')
+        .next()
+        .unwrap_or(path)
+        .trim_end_matches(".rs")
+}
+
+fn dir(path: &str) -> &str {
+    path.rsplit_once('/').map_or("", |(d, _)| d)
 }
 
 fn stmt_tokens(stmt: &Stmt) -> Vec<Tok> {
@@ -165,7 +309,7 @@ fn arm_escapes(arm: &Arm) -> bool {
 
 /// Walk one block with `ctx` = the set of states the status variable is
 /// known to hold here (empty = unknown). Appends discovered edges.
-fn walk_block(block: &Block, ctx: &[String], ext: &Extraction, edges: &mut Vec<Edge>) {
+fn walk_block(block: &Block, ctx: &[String], ext: &Extraction, file: &str, edges: &mut Vec<Edge>) {
     let mut ctx: Vec<String> = ctx.to_vec();
     for stmt in &block.stmts {
         match stmt {
@@ -176,7 +320,7 @@ fn walk_block(block: &Block, ctx: &[String], ext: &Extraction, edges: &mut Vec<E
                 let mut fallthrough: Vec<String> = Vec::new();
                 for arm in arms {
                     let states = variants_in(&arm.pattern);
-                    walk_block(&arm.body, &states, ext, edges);
+                    walk_block(&arm.body, &states, ext, file, edges);
                     if !arm_escapes(arm) {
                         fallthrough.extend(states);
                     }
@@ -193,7 +337,7 @@ fn walk_block(block: &Block, ctx: &[String], ext: &Extraction, edges: &mut Vec<E
             }
             Stmt::Match { arms, .. } => {
                 for arm in arms {
-                    walk_block(&arm.body, &ctx, ext, edges);
+                    walk_block(&arm.body, &ctx, ext, file, edges);
                 }
             }
             Stmt::Plain {
@@ -223,6 +367,7 @@ fn walk_block(block: &Block, ctx: &[String], ext: &Extraction, edges: &mut Vec<E
                                     edges.push(Edge {
                                         from: init.clone(),
                                         to: to.clone(),
+                                        file: file.to_string(),
                                         line: tokens[i + 1].line,
                                         implicit: true,
                                     });
@@ -232,6 +377,7 @@ fn walk_block(block: &Block, ctx: &[String], ext: &Extraction, edges: &mut Vec<E
                                     edges.push(Edge {
                                         from: from.clone(),
                                         to: to.clone(),
+                                        file: file.to_string(),
                                         line: tokens[i + 1].line,
                                         implicit: false,
                                     });
@@ -261,9 +407,9 @@ fn walk_block(block: &Block, ctx: &[String], ext: &Extraction, edges: &mut Vec<E
                 };
                 for (ci, child) in children.iter().enumerate() {
                     if ci == 0 && guard.len() == 1 {
-                        walk_block(child, &guard, ext, edges);
+                        walk_block(child, &guard, ext, file, edges);
                     } else {
-                        walk_block(child, &ctx, ext, edges);
+                        walk_block(child, &ctx, ext, file, edges);
                     }
                 }
                 // A child block may have changed the state unpredictably.
@@ -326,7 +472,7 @@ pub fn findings(ext: &Extraction) -> Vec<Diagnostic> {
         for e in &m.edges {
             if !reach.contains(e.from.as_str()) {
                 diags.push(Diagnostic {
-                    file: m.file.clone(),
+                    file: e.file.clone(),
                     line: e.line,
                     lint: Lint::SM,
                     message: format!(
@@ -338,6 +484,9 @@ pub fn findings(ext: &Extraction) -> Vec<Diagnostic> {
             }
         }
     }
+    // A shared edge sits in several machines but is one finding.
+    diags.sort();
+    diags.dedup();
     diags
 }
 
@@ -505,5 +654,114 @@ mod tests {
             "{d}"
         );
         assert!(d.contains("\"Aborting\" -> \"Aborted\";"), "{d}");
+    }
+
+    fn machine_names(ext: &Extraction) -> Vec<&str> {
+        ext.machines.iter().map(|m| m.name.as_str()).collect()
+    }
+
+    #[test]
+    fn generic_fn_edges_land_in_every_impl_file() {
+        let ext = extract_src(&[
+            ("def.rs", DEF),
+            (
+                "core/shared.rs",
+                "fn commit_decided<E: LockServer>(eng: &mut E, t: TxnId) {\n\
+                 eng.table.set_status(t, TxnStatus::Committed);\n}",
+            ),
+            (
+                "s2pl.rs",
+                "impl LockServer for S {}\nimpl Protocol for S {}",
+            ),
+            ("c2pl.rs", "impl runtime::LockServer for C {}"),
+            ("g2pl.rs", "impl Protocol for G {}"),
+        ]);
+        assert_eq!(machine_names(&ext), ["c2pl", "s2pl"], "{ext:?}");
+        for m in &ext.machines {
+            let e = &m.edges[0];
+            assert_eq!(
+                (e.from.as_str(), e.to.as_str(), e.file.as_str(), e.line),
+                ("Active", "Committed", "core/shared.rs", 2)
+            );
+        }
+    }
+
+    #[test]
+    fn where_clause_and_impl_bounds_attribute_too() {
+        let ext = extract_src(&[
+            ("def.rs", DEF),
+            (
+                "shared.rs",
+                "fn a<E>(eng: &mut E, t: TxnId) where E: Engine + Sized {\n\
+                 eng.table.set_status(t, TxnStatus::Committed);\n}\n\
+                 impl<E: Engine> Driver<E> {\n\
+                 fn b(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Aborted); }\n}",
+            ),
+            ("x.rs", "impl Engine for X {}"),
+        ]);
+        assert_eq!(machine_names(&ext), ["x"], "{ext:?}");
+        let tos: Vec<&str> = ext.machines[0]
+            .edges
+            .iter()
+            .map(|e| e.to.as_str())
+            .collect();
+        assert_eq!(tos, ["Aborted", "Committed"]);
+    }
+
+    #[test]
+    fn provided_trait_method_lands_where_not_overridden() {
+        let ext = extract_src(&[
+            ("def.rs", DEF),
+            (
+                "rt.rs",
+                "pub trait Protocol {\n\
+                 fn abort(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Aborted); }\n\
+                 fn required(&mut self);\n}",
+            ),
+            ("a.rs", "impl Protocol for A { fn required(&mut self) {} }"),
+            (
+                "b.rs",
+                "impl Protocol for B { fn abort(&mut self, t: TxnId) {} fn required(&mut self) {} }",
+            ),
+        ]);
+        assert_eq!(machine_names(&ext), ["a"], "{ext:?}");
+        assert_eq!(ext.machines[0].edges[0].file, "rt.rs");
+    }
+
+    #[test]
+    fn unmatched_generic_stays_with_its_file() {
+        let ext = extract_src(&[
+            ("def.rs", DEF),
+            (
+                "eng.rs",
+                "fn f<T: Clone>(t: TxnId) { TABLE.set_status(t, TxnStatus::Committed); }",
+            ),
+        ]);
+        assert_eq!(machine_names(&ext), ["eng"]);
+    }
+
+    #[test]
+    fn dead_shared_edge_is_one_finding_at_the_shared_file() {
+        let ext = extract_src(&[
+            (
+                "def.rs",
+                "pub enum TxnStatus { Active, Frozen, Committed }\n\
+                 fn create() -> Txn { Txn { status: TxnStatus::Active } }",
+            ),
+            (
+                "shared.rs",
+                "fn thaw<E: Engine>(e: &mut E, t: TxnId) {\n\
+                 if e.status(t) == TxnStatus::Frozen { e.set_status(t, TxnStatus::Committed); }\n}",
+            ),
+            ("a.rs", "impl Engine for A {}"),
+            ("b.rs", "impl Engine for B {}"),
+        ]);
+        assert_eq!(machine_names(&ext), ["a", "b"]);
+        let fire: Vec<_> = findings(&ext)
+            .into_iter()
+            .filter(|d| d.message.contains("can never fire"))
+            .collect();
+        assert_eq!(fire.len(), 1, "{fire:?}");
+        assert_eq!((fire[0].file.as_str(), fire[0].line), ("shared.rs", 2));
     }
 }

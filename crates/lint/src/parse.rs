@@ -3,8 +3,10 @@
 //! This is not a Rust grammar. It recovers exactly the structure the
 //! lint passes need and nothing else:
 //!
-//! * the **item tree** — functions (with names and `#[cfg(test)]`/
-//!   `#[test]` status), `impl` blocks, modules, enums (with variant
+//! * the **item tree** — functions (with names, `#[cfg(test)]`/
+//!   `#[test]` status and generic trait bounds), `impl` blocks (with
+//!   the implemented trait and their own bounds), trait definitions
+//!   (with their provided methods), modules, enums (with variant
 //!   names), and `use` paths;
 //! * per-function **statement blocks** — a nested tree where every
 //!   braced region becomes a child block, so passes can reason about
@@ -38,9 +40,10 @@ pub enum Item {
     Fn(FnItem),
     Enum(EnumItem),
     Impl(ImplItem),
+    Trait(TraitItem),
     Mod(ModItem),
     Use(UseItem),
-    /// Anything else (struct, const, static, trait, type, macro): kept
+    /// Anything else (struct, const, static, type, macro): kept
     /// as its flat token run so per-file token passes still see it.
     Other(OtherItem),
 }
@@ -55,6 +58,11 @@ pub struct FnItem {
     pub in_test: bool,
     /// Signature tokens (between `fn` and the body `{`).
     pub signature: Vec<Tok>,
+    /// Traits bounding the fn's generic parameters, from its `<…>` list
+    /// and `where` clause (`fn f<E: LockServer>` yields `LockServer`).
+    pub bounds: Vec<String>,
+    /// False for a bodiless declaration (a required trait method).
+    pub has_body: bool,
     pub body: Block,
 }
 
@@ -73,6 +81,20 @@ pub struct EnumItem {
 pub struct ImplItem {
     /// The implemented type's last path segment (e.g. `G2plEngine`).
     pub type_name: String,
+    /// The implemented trait's last path segment, for `impl Trait for
+    /// Type` (e.g. `LockServer`).
+    pub trait_name: Option<String>,
+    /// Traits bounding the impl's generic parameters.
+    pub bounds: Vec<String>,
+    pub line: usize,
+    pub in_test: bool,
+    pub items: Vec<Item>,
+}
+
+/// A trait definition and the methods it declares or provides.
+#[derive(Debug)]
+pub struct TraitItem {
+    pub name: String,
     pub line: usize,
     pub in_test: bool,
     pub items: Vec<Item>,
@@ -251,6 +273,11 @@ impl Parser {
                         pending_test = false;
                         continue;
                     }
+                    "trait" => {
+                        items.push(Item::Trait(self.trait_item(item_test)));
+                        pending_test = false;
+                        continue;
+                    }
                     "mod" => {
                         if let Some(m) = self.mod_item(item_test) {
                             items.push(m);
@@ -326,6 +353,7 @@ impl Parser {
         // (trait method declarations / extern fns have no body).
         let mut signature = Vec::new();
         let mut body = Block::default();
+        let mut has_body = false;
         while let Some(t) = self.peek() {
             if t.is_punct(';') {
                 self.next();
@@ -334,6 +362,7 @@ impl Parser {
             if t.is_punct('{') {
                 self.next(); // consume '{'
                 body = self.block();
+                has_body = true;
                 break;
             }
             // Balanced skips keep `where T: Fn() -> …` braces from
@@ -349,7 +378,9 @@ impl Parser {
             name,
             line,
             in_test,
+            bounds: bounds_in(&signature),
             signature,
+            has_body,
             body,
         }
     }
@@ -435,44 +466,46 @@ impl Parser {
     /// Cursor on `impl`.
     fn impl_item(&mut self, in_test: bool) -> ImplItem {
         let kw_line = self.next().map_or(0, |t| t.line);
-        // Type name: last ident before `{` that is not part of generics
-        // or the `for` keyword's left side (for trait impls we want the
-        // implemented-on type, i.e. the segment after `for`).
-        let mut last_ident = String::new();
+        // Header: `impl<generics> (Trait for)? Type (where …)?`. Names are
+        // the last path segment outside angle brackets, so `Bar<E>` is
+        // `Bar`; with `for`, the left side is the trait and the right
+        // side the implemented type.
+        let mut header = Vec::new();
+        let mut depth = 0i32;
+        let mut left = String::new();
+        let mut right = String::new();
         let mut after_for = false;
-        let mut for_ident = String::new();
+        let mut in_where = false;
         while let Some(t) = self.peek() {
-            if t.is_punct('{') {
+            if t.is_punct('{') || t.is_punct(';') {
                 break;
             }
-            if t.is_punct(';') {
-                // `impl Trait for Type;` is not real Rust; bail politely.
-                self.next();
-                break;
-            }
-            if t.is_ident("for") {
+            let Some(t) = self.next() else { break };
+            if t.is_punct('<') {
+                depth += 1;
+            } else if t.is_punct('>') {
+                depth -= 1;
+            } else if depth == 0 && t.is_ident("for") {
                 after_for = true;
-                self.next();
-                continue;
-            }
-            if t.is_ident("where") {
-                // Type name is settled; skip the clause.
-                self.next();
-                continue;
-            }
-            if t.kind == TokKind::Ident {
+            } else if depth == 0 && t.is_ident("where") {
+                in_where = true;
+            } else if depth == 0 && !in_where && t.kind == TokKind::Ident {
                 if after_for {
-                    for_ident = t.text.clone();
+                    right = t.text.clone();
                 } else {
-                    last_ident = t.text.clone();
+                    left = t.text.clone();
                 }
             }
+            header.push(t);
+        }
+        if self.peek().is_some_and(|t| t.is_punct(';')) {
+            // `impl Trait for Type;` is not real Rust; bail politely.
             self.next();
         }
-        let type_name = if !for_ident.is_empty() {
-            for_ident
+        let (type_name, trait_name) = if after_for {
+            (right, Some(left))
         } else {
-            last_ident
+            (left, None)
         };
         if self.peek().is_some_and(|t| t.is_punct('{')) {
             self.next();
@@ -484,6 +517,45 @@ impl Parser {
         }
         ImplItem {
             type_name,
+            trait_name,
+            bounds: bounds_in(&header),
+            line: kw_line,
+            in_test,
+            items,
+        }
+    }
+
+    /// Cursor on `trait`.
+    fn trait_item(&mut self, in_test: bool) -> TraitItem {
+        let kw_line = self.next().map_or(0, |t| t.line);
+        let name = match self.peek() {
+            Some(t) if t.kind == TokKind::Ident => {
+                let n = t.text.clone();
+                self.next();
+                n
+            }
+            _ => String::new(),
+        };
+        // Skip generics, supertraits and the where clause to the `{`.
+        while let Some(t) = self.peek() {
+            if t.is_punct('{') || t.is_punct(';') {
+                break;
+            }
+            self.next();
+        }
+        let mut items = Vec::new();
+        if self.peek().is_some_and(|t| t.is_punct('{')) {
+            self.next();
+            let end = self.matching_brace_end();
+            items = self.items(in_test, end);
+            if self.peek().is_some_and(|t| t.is_punct('}')) {
+                self.next();
+            }
+        } else {
+            self.next(); // `;`
+        }
+        TraitItem {
+            name,
             line: kw_line,
             in_test,
             items,
@@ -830,24 +902,125 @@ impl Parser {
     }
 }
 
+/// The traits bounding the generic parameters of a fn signature or an
+/// impl header: the bounds in a leading `<…>` list and in a `where`
+/// clause, each path by its last segment. `<E: a::LockServer + Sized, F>`
+/// yields `LockServer` and `Sized`; lifetimes, `?Sized` and the argument
+/// types of a bound (`Fn(u32) -> u32`) yield nothing.
+pub fn bounds_in(toks: &[Tok]) -> Vec<String> {
+    let generics_end = if toks.first().is_some_and(|t| t.is_punct('<')) {
+        let mut depth = 0i32;
+        toks.iter()
+            .position(|t| {
+                if t.is_punct('<') {
+                    depth += 1;
+                } else if t.is_punct('>') {
+                    depth -= 1;
+                }
+                depth == 0
+            })
+            .unwrap_or(toks.len())
+    } else {
+        0
+    };
+    let mut out = Vec::new();
+    let mut scan = |run: &[Tok]| {
+        // `run` holds comma-separated `param: Bound + Bound` predicates.
+        let mut depth = 0i32;
+        let mut in_bound = false;
+        let mut skip = false; // inside a bound's `-> Ret`
+        for (i, t) in run.iter().enumerate() {
+            if t.is_punct('<') || t.is_punct('(') {
+                depth += 1;
+            } else if t.is_punct('>') || t.is_punct(')') {
+                depth -= 1;
+            } else if depth > 0 {
+                // A bound's own generic or argument types.
+            } else if t.is_punct(',') {
+                in_bound = false;
+                skip = false;
+            } else if t.is_punct(':') {
+                in_bound = true;
+            } else if t.is_punct('+') {
+                skip = false;
+            } else if t.kind == TokKind::ThinArrow {
+                skip = true;
+            } else if in_bound
+                && !skip
+                && t.kind == TokKind::Ident
+                && run.get(i + 1).map(|n| n.kind) != Some(TokKind::PathSep)
+                && !(i > 0 && run[i - 1].is_punct('?'))
+            {
+                out.push(t.text.clone());
+            }
+        }
+    };
+    if generics_end > 0 {
+        scan(&toks[1..generics_end]);
+    }
+    let mut depth = 0i32;
+    let rest = if generics_end > 0 {
+        generics_end + 1
+    } else {
+        0
+    };
+    for (i, t) in toks.iter().enumerate().skip(rest) {
+        if t.is_punct('<') || t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct('>') || t.is_punct(')') {
+            depth -= 1;
+        } else if depth == 0 && t.is_ident("where") {
+            scan(&toks[i + 1..]);
+            break;
+        }
+    }
+    out
+}
+
 /// Depth-first visit of every function in the item tree (top-level,
-/// inside impls, inside mods), with the enclosing-impl type name.
+/// inside impls, traits and mods), with the enclosing-impl type name.
 pub fn walk_fns<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a FnItem, Option<&'a str>)) {
-    fn go<'a>(
-        items: &'a [Item],
-        impl_ty: Option<&'a str>,
-        f: &mut dyn FnMut(&'a FnItem, Option<&'a str>),
-    ) {
+    walk_scoped_fns(items, &mut |func, scope| {
+        f(func, scope.imp.map(|i| i.type_name.as_str()));
+    });
+}
+
+/// Where a function sits: its enclosing impl or trait definition.
+#[derive(Clone, Copy, Default)]
+pub struct FnScope<'a> {
+    pub imp: Option<&'a ImplItem>,
+    /// Set for a method declared or provided by a trait definition.
+    pub trait_def: Option<&'a TraitItem>,
+}
+
+/// Depth-first visit of every function in the item tree, with its scope.
+pub fn walk_scoped_fns<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a FnItem, FnScope<'a>)) {
+    fn go<'a>(items: &'a [Item], scope: FnScope<'a>, f: &mut dyn FnMut(&'a FnItem, FnScope<'a>)) {
         for item in items {
             match item {
-                Item::Fn(func) => f(func, impl_ty),
-                Item::Impl(imp) => go(&imp.items, Some(&imp.type_name), f),
-                Item::Mod(m) => go(&m.items, impl_ty, f),
+                Item::Fn(func) => f(func, scope),
+                Item::Impl(imp) => go(
+                    &imp.items,
+                    FnScope {
+                        imp: Some(imp),
+                        trait_def: None,
+                    },
+                    f,
+                ),
+                Item::Trait(tr) => go(
+                    &tr.items,
+                    FnScope {
+                        imp: None,
+                        trait_def: Some(tr),
+                    },
+                    f,
+                ),
+                Item::Mod(m) => go(&m.items, scope, f),
                 _ => {}
             }
         }
     }
-    go(items, None, f);
+    go(items, FnScope::default(), f);
 }
 
 /// Depth-first visit of every enum in the item tree.
@@ -856,6 +1029,7 @@ pub fn walk_enums<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a EnumItem)) {
         match item {
             Item::Enum(e) => f(e),
             Item::Impl(imp) => walk_enums(&imp.items, f),
+            Item::Trait(tr) => walk_enums(&tr.items, f),
             Item::Mod(m) => walk_enums(&m.items, f),
             _ => {}
         }
@@ -996,5 +1170,46 @@ mod tests {
                 assert!(pat.contains(&"if") && pat.contains(&"on"));
             }
         });
+    }
+
+    #[test]
+    fn impl_records_trait_and_bounds() {
+        let src = "impl<E: a::LockServer + Sized, F> Protocol for Wrap<E, F> where F: Fn(u32) -> Out { fn f(&self) {} }";
+        let file = parse("t.rs", src);
+        let Some(Item::Impl(imp)) = file.items.first() else {
+            panic!("expected an impl: {:?}", file.items);
+        };
+        assert_eq!(imp.type_name, "Wrap");
+        assert_eq!(imp.trait_name.as_deref(), Some("Protocol"));
+        assert_eq!(imp.bounds, ["LockServer", "Sized", "Fn"]);
+    }
+
+    #[test]
+    fn fn_bounds_and_trait_methods() {
+        let src = "trait T { fn req(&mut self); fn provided<P: Protocol>(&self, p: Vec<P>) where P: ?Sized + 'static {} }\n\
+                   fn g<'a, E: LockServer>(e: &'a mut E) -> Option<Vec<u8>> { None }";
+        let file = parse("t.rs", src);
+        let mut got = Vec::new();
+        walk_scoped_fns(&file.items, &mut |f, scope| {
+            got.push((
+                f.name.clone(),
+                f.bounds.clone(),
+                f.has_body,
+                scope.trait_def.map(|t| t.name.clone()),
+            ));
+        });
+        assert_eq!(
+            got,
+            vec![
+                ("req".to_string(), vec![], false, Some("T".to_string())),
+                (
+                    "provided".to_string(),
+                    vec!["Protocol".to_string()],
+                    true,
+                    Some("T".to_string())
+                ),
+                ("g".to_string(), vec!["LockServer".to_string()], true, None),
+            ]
+        );
     }
 }

@@ -132,6 +132,14 @@ fn item_tokens<'a>(item: &'a Item, out: &mut Vec<&'a Tok>) {
                 item_tokens(i, out);
             }
         }
+        Item::Trait(tr) => {
+            if tr.in_test {
+                return;
+            }
+            for i in &tr.items {
+                item_tokens(i, out);
+            }
+        }
         Item::Mod(m) => {
             if m.in_test {
                 return;

@@ -199,9 +199,13 @@ fn l7_fixture_golden() {
 #[test]
 fn sm_fixture_golden() {
     let src = include_str!("../fixtures/sm_machine.rs");
-    let analysis = analyze_sources(&[source("fixtures/sm_machine.rs", src)]);
+    let shared = include_str!("../fixtures/sm_shared.rs");
+    let analysis = analyze_sources(&[
+        source("fixtures/sm_machine.rs", src),
+        source("fixtures/sm_shared.rs", shared),
+    ]);
     let diags = &analysis.diagnostics;
-    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert_eq!(diags.len(), 3, "{diags:?}");
     assert_eq!(
         (diags[0].lint, diags[0].line),
         (Lint::SM, line_of(src, "Wedged, //")),
@@ -214,18 +218,88 @@ fn sm_fixture_golden() {
         "{diags:?}"
     );
     assert!(diags[1].message.contains("can never fire"), "{}", diags[1]);
+    // The shared dead transition is reported once, at the shared file.
+    assert_eq!(
+        (diags[2].file.as_str(), diags[2].lint, diags[2].line),
+        (
+            "fixtures/sm_shared.rs",
+            Lint::SM,
+            line_of(shared, "shared transition out of a dead state")
+        ),
+        "{diags:?}"
+    );
 
     // The DOT render carries the same structure: Active is initial
     // (double circle), the untracked-context write shows as a dashed
-    // implicit edge, the guarded self-loop as a solid one.
+    // implicit edge, the guarded self-loop as a solid one. The shared
+    // edges sit in the implementing file's machine; the shared file has
+    // none of its own.
     let dot = machine::dot(&analysis.extraction);
     assert!(dot.contains("digraph sm_machine {"), "{dot}");
+    assert!(!dot.contains("digraph sm_shared"), "{dot}");
     assert!(dot.contains("\"Active\" [shape=doublecircle];"), "{dot}");
     assert!(
         dot.contains("\"Active\" -> \"Committed\" [style=dashed];"),
         "{dot}"
     );
     assert!(dot.contains("\"Wedged\" -> \"Wedged\";"), "{dot}");
+    assert!(dot.contains("\"Wedged\" -> \"Active\";"), "{dot}");
+}
+
+/// Shared engine code is attributed by trait: a transition in a fn
+/// generic over `E: LockServer` belongs to every file with `impl
+/// LockServer for …`, not to a file that only implements `Protocol`,
+/// and not to the shared file itself; a generic decision fn that writes
+/// a status without recording it is an L5 finding at the shared file.
+#[test]
+fn shared_generic_code_is_attributed_to_its_engines() {
+    let def = "pub enum TxnStatus { Active, Committed }\n\
+               pub enum TraceKind { Committed }\n\
+               fn open(c: ClientId) -> TxnInfo { TxnInfo { client: c, status: TxnStatus::Active } }\n";
+    let shared = "pub(crate) fn commit_decided<E: LockServer>(eng: &mut E, txn: TxnId) {\n\
+                  eng.table.set_status(txn, TxnStatus::Committed);\n\
+                  finish_commit(eng, txn);\n\
+                  }\n\
+                  fn note(log: &mut TraceLog) { log.record(TraceKind::Committed); }\n";
+    let analysis = analyze_sources(&[
+        source("proto/src/def.rs", def),
+        source("core/src/shared.rs", shared),
+        source(
+            "proto/src/s2pl.rs",
+            "impl LockServer for S2pl {}\nimpl Protocol for S2pl {}\n",
+        ),
+        source(
+            "proto/src/c2pl.rs",
+            "impl LockServer for C2pl {}\nimpl Protocol for C2pl {}\n",
+        ),
+        source("proto/src/g2pl.rs", "impl Protocol for G2pl {}\n"),
+    ]);
+    let names: Vec<&str> = analysis
+        .extraction
+        .machines
+        .iter()
+        .map(|m| m.name.as_str())
+        .collect();
+    assert_eq!(names, ["c2pl", "s2pl"]);
+    for m in &analysis.extraction.machines {
+        assert_eq!(m.edges.len(), 1, "{m:?}");
+        assert_eq!(m.edges[0].file, "core/src/shared.rs");
+        assert_eq!(
+            (m.edges[0].from.as_str(), m.edges[0].to.as_str()),
+            ("Active", "Committed")
+        );
+    }
+    let diags = &analysis.diagnostics;
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(
+        (diags[0].file.as_str(), diags[0].line, diags[0].lint),
+        ("core/src/shared.rs", 1, Lint::L5)
+    );
+    assert!(
+        diags[0].message.contains("`commit_decided`"),
+        "{}",
+        diags[0]
+    );
 }
 
 #[test]

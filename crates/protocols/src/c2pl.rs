@@ -30,13 +30,13 @@ use crate::config::EngineConfig;
 use crate::history::AccessRecord;
 use crate::metrics::RunMetrics;
 use crate::runtime::{
-    detect_deadlocks, finish_abort, finish_commit, on_client_msg, on_server_msg, release_victim,
-    reopen_lock_shard, resend_commit_slices, restart_client, run, send_grant, try_commit, Ev,
-    Labels, LockCore, LockLabels, LockServer, Message, Protocol, Shell, TxnStatus, CTRL_BYTES,
+    abort_victim, detect_deadlocks, finish_recovery, on_client_msg, on_server_msg,
+    resend_commit_slices, restart_client, run, send_grant, try_commit, Ev, Labels, LockCore,
+    LockLabels, LockServer, Message, Protocol, Shell, TxnStatus, CTRL_BYTES,
 };
 use crate::tracelog::TraceKind;
 use g2pl_lockmgr::LockMode;
-use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
+use g2pl_simcore::{ClientId, ItemId, SimTime, Slab, TxnId, Version};
 use g2pl_workload::AccessMode;
 
 /// Accounting labels of the messages the shared code sends.
@@ -306,31 +306,18 @@ impl Protocol for C2plEngine {
         }
     }
 
-    /// Close the handshake (see the s-2PL engine). A client that stayed
+    /// Close the handshake (`runtime::finish_recovery`). A client that stayed
     /// silent is presumed crashed, and its directory entries are not
     /// rebuilt. That is exact for the copies a crash drops, but not for
     /// the copies a live-but-silent client, or a crashed client's active
     /// transaction, still holds: a later writer is granted without
     /// recalling them (a known gap).
     fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        let silent = reopen_lock_shard(self, now, shard);
-        self.core.sh.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        for txn in silent {
-            self.abort_victim(now, txn);
-        }
+        finish_recovery(self, now, shard);
     }
 
-    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
     fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.core.sh.table.status(victim), TxnStatus::Active);
-        self.core.sh.table.set_status(victim, TxnStatus::Aborting);
-        release_victim(self, now, victim);
+        abort_victim(self, now, victim);
     }
 
     fn assert_drained(&self) {
@@ -361,25 +348,6 @@ impl LockServer for C2plEngine {
 
     fn core_mut(&mut self) -> &mut LockCore {
         &mut self.core
-    }
-
-    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let sh = &mut self.core.sh;
-        sh.table.set_status(txn, TxnStatus::Committed);
-        sh.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
-        finish_commit(self, now, client, txn);
-    }
-
-    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let sh = &mut self.core.sh;
-        if !sh.clients[client.index()].runs(txn) {
-            return;
-        }
-        sh.table.set_status(txn, TxnStatus::Aborted);
-        sh.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        finish_abort(self, now, client, txn);
     }
 
     /// An exclusive grant recalls the remote cached copies first: it

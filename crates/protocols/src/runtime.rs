@@ -1481,11 +1481,9 @@ impl LockCore {
 /// An engine whose shards grant locks and ship data from a lock table,
 /// and whose clients send their writes home at commit: s-2PL, and c-2PL,
 /// which is s-2PL plus a client cache. The functions below are the one
-/// lock server both run. The provided hooks are s-2PL's behaviour; c-2PL
-/// overrides them to put its cache, directory, callbacks and barriers in.
-/// The status writes stay with each engine: [`LockServer::commit_decided`]
-/// and [`LockServer::finalize_abort`] here, and [`Protocol::abort_victim`]
-/// and [`Protocol::finish_recovery`].
+/// lock server both run, status writes and their trace records included.
+/// The provided hooks are s-2PL's behaviour; c-2PL overrides them to put
+/// its cache, directory, callbacks and barriers in.
 pub(crate) trait LockServer: Protocol + Sized {
     /// Labels of the lock-server messages.
     const LOCK_LABELS: LockLabels;
@@ -1494,13 +1492,6 @@ pub(crate) trait LockServer: Protocol + Sized {
     fn core(&self) -> &LockCore;
     /// The shared state, mutably.
     fn core_mut(&mut self) -> &mut LockCore;
-    /// Abort `client`'s transaction `txn` locally: set its status and
-    /// record the abort, then [`finish_abort`].
-    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId);
-    /// The commit decision point: every involved shard voted yes, or no
-    /// votes were needed. Set `txn`'s status and record the commit, then
-    /// [`finish_commit`].
-    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId);
 
     /// A lock on `item` was granted to `client`'s `txn` in `mode`: ship it.
     /// c-2PL first recalls the remote cached copies of an exclusive grant.
@@ -1645,7 +1636,7 @@ pub(crate) fn on_client_msg<E: LockServer>(
             sh.spans.granted(now, txn, item);
             sh.begin_think(client, txn, version);
         }
-        Message::AbortNotice { txn } => eng.finalize_abort(now, client, txn),
+        Message::AbortNotice { txn } => finalize_abort(eng, now, client, txn),
         Message::PrepareAck { txn, shard } => on_prepare_ack(eng, now, client, txn, shard),
         Message::SCommitAck { txn, shard } => on_commit_ack(eng.shell(), client, txn, shard),
         Message::ReregisterReq { shard, epoch } => {
@@ -1924,13 +1915,18 @@ pub(crate) fn detect_deadlocks<E: LockServer>(eng: &mut E, now: SimTime, trigger
     lc.finder = finder;
 }
 
-/// The shared part of aborting `victim` once its engine set its status:
-/// retire its fault-domain state, release its locks on every shard (in
-/// ascending shard order) and ship the grants that wakes, then notify its
-/// client. The shards own the authoritative copies, so the locks go at
-/// once; the client only learns of the abort one latency later.
-pub(crate) fn release_victim<E: LockServer>(eng: &mut E, now: SimTime, victim: TxnId) {
-    eng.shell().rec.retire_victim(victim);
+/// Abort `victim` (of a deadlock, a lease expiry or a silent client at
+/// recovery): retire its fault-domain state, release its locks on every
+/// shard (in ascending shard order) and ship the grants that wakes, then
+/// notify its client. The shards own the authoritative copies, so the
+/// locks go at once; the client only learns of the abort one latency
+/// later.
+// lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
+pub(crate) fn abort_victim<E: LockServer>(eng: &mut E, now: SimTime, victim: TxnId) {
+    let sh = eng.shell();
+    debug_assert_eq!(sh.table.status(victim), TxnStatus::Active);
+    sh.table.set_status(victim, TxnStatus::Aborting);
+    sh.rec.retire_victim(victim);
     eng.on_victim(victim);
     let mut woken = Vec::new();
     for lt in &mut eng.core_mut().locks {
@@ -1943,11 +1939,26 @@ pub(crate) fn release_victim<E: LockServer>(eng: &mut E, now: SimTime, victim: T
     eng.shell().send_abort_notice(0, victim);
 }
 
-/// The shared part of committing `client`'s transaction `txn` once its
-/// engine set the status and recorded the commit. From here the commit is
-/// irrevocable: the client's WAL `Commit` record below is the
-/// coordinator's durable decision record, and the commit-release slices
-/// retransmit until every shard applies.
+/// The commit decision point: every involved shard voted yes, or no
+/// votes were needed. Set `txn`'s status and record the commit, then
+/// [`finish_commit`].
+pub(crate) fn commit_decided<E: LockServer>(
+    eng: &mut E,
+    now: SimTime,
+    client: ClientId,
+    txn: TxnId,
+) {
+    let sh = eng.shell();
+    sh.table.set_status(txn, TxnStatus::Committed);
+    sh.trace
+        .record(now, TraceKind::Committed, Some(txn), None, client.into());
+    finish_commit(eng, now, client, txn);
+}
+
+/// Commit `client`'s transaction `txn` once its status is set and the
+/// commit recorded. From here the commit is irrevocable: the client's WAL
+/// `Commit` record below is the coordinator's durable decision record,
+/// and the commit-release slices retransmit until every shard applies.
 pub(crate) fn finish_commit<E: LockServer>(
     eng: &mut E,
     now: SimTime,
@@ -2037,12 +2048,29 @@ pub(crate) fn finish_commit<E: LockServer>(
     }
 }
 
-/// The shared part of aborting `client`'s transaction `txn` locally once
-/// its engine set the status and recorded the abort: on receipt of the
+/// Abort `client`'s transaction `txn` locally, once: on receipt of the
 /// server's notice, or — under faults — when the client discovers the
 /// abort on its own (restart after a crash, or a commit racing the
-/// notice).
-pub(crate) fn finish_abort<E: LockServer>(eng: &mut E, now: SimTime, client: ClientId, txn: TxnId) {
+/// notice). Sets its status and records the abort, then
+/// [`finish_abort`].
+pub(crate) fn finalize_abort<E: LockServer>(
+    eng: &mut E,
+    now: SimTime,
+    client: ClientId,
+    txn: TxnId,
+) {
+    let sh = eng.shell();
+    if !sh.clients[client.index()].runs(txn) {
+        return;
+    }
+    sh.table.set_status(txn, TxnStatus::Aborted);
+    sh.trace
+        .record(now, TraceKind::Aborted, Some(txn), None, client.into());
+    finish_abort(eng, now, client, txn);
+}
+
+/// The client side of an abort, once its status is set and recorded.
+fn finish_abort<E: LockServer>(eng: &mut E, now: SimTime, client: ClientId, txn: TxnId) {
     let sh = eng.shell();
     let c = &mut sh.clients[client.index()];
     let Some(active) = c.txn.take() else { return };
@@ -2077,7 +2105,7 @@ pub(crate) fn try_commit<E: LockServer>(eng: &mut E, now: SimTime, client: Clien
     // flight; the oracle status resolves the race in favour of the abort,
     // exactly as the server already decided it.
     if sh.rec.faults_on && sh.table.status(txn) != TxnStatus::Active {
-        eng.finalize_abort(now, client, txn);
+        finalize_abort(eng, now, client, txn);
         return;
     }
     // Under a server-crash plan a multi-home commit must be atomic across
@@ -2093,7 +2121,7 @@ pub(crate) fn try_commit<E: LockServer>(eng: &mut E, now: SimTime, client: Clien
             return;
         }
     }
-    eng.commit_decided(now, client, txn);
+    commit_decided(eng, now, client, txn);
 }
 
 /// Shard `shard` voted yes on `client`'s transaction `txn`.
@@ -2119,9 +2147,9 @@ fn on_prepare_ack<E: LockServer>(
         // it in the abort's favour — the shards' prepared votes are
         // retired by the victim's releases.
         Some(true) if sh.table.status(txn) != TxnStatus::Active => {
-            eng.finalize_abort(now, client, txn);
+            finalize_abort(eng, now, client, txn);
         }
-        Some(true) => eng.commit_decided(now, client, txn),
+        Some(true) => commit_decided(eng, now, client, txn),
     }
 }
 
@@ -2230,7 +2258,7 @@ pub(crate) fn restart_client<E: LockServer>(eng: &mut E, now: SimTime, client: C
     };
     let (txn, phase) = (active.id, active.phase);
     match sh.table.status(txn) {
-        TxnStatus::Aborting | TxnStatus::Aborted => eng.finalize_abort(now, client, txn),
+        TxnStatus::Aborting | TxnStatus::Aborted => finalize_abort(eng, now, client, txn),
         TxnStatus::Active => match phase {
             ClientPhase::WaitingGrant(_) => sh.resend_request(client),
             ClientPhase::Thinking => {
@@ -2249,17 +2277,12 @@ pub(crate) fn restart_client<E: LockServer>(eng: &mut E, now: SimTime, client: C
     }
 }
 
-/// The shared part of closing shard `shard`'s re-registration handshake:
-/// settle the in-doubt votes from the commit oracle, restore every
-/// outstanding durable grant whose owner still needs it, and resume
-/// normal service. Returns the active transactions of the clients that
-/// never answered (presumed dead), for the engine to abort once it has
-/// recorded the recovery.
-pub(crate) fn reopen_lock_shard<E: LockServer>(
-    eng: &mut E,
-    now: SimTime,
-    shard: usize,
-) -> Vec<TxnId> {
+/// Close shard `shard`'s re-registration handshake: settle the in-doubt
+/// votes from the commit oracle, restore every outstanding durable grant
+/// whose owner still needs it, and resume normal service. Then abort the
+/// active transactions of the clients that never answered (presumed
+/// dead).
+pub(crate) fn finish_recovery<E: LockServer>(eng: &mut E, now: SimTime, shard: usize) {
     let sh = eng.shell();
     for txn in sh.rec.settle_in_doubt(shard, &sh.table) {
         resolve_indoubt_commit(eng, now, shard, txn);
@@ -2269,7 +2292,16 @@ pub(crate) fn reopen_lock_shard<E: LockServer>(
         .rec
         .restore_grants(now, shard, &sh.table, &mut locks[shard], &mut sh.cal);
     sh.rec.reopen(shard);
-    silent
+    sh.trace.record(
+        now,
+        TraceKind::ServerRecovered,
+        None,
+        None,
+        SiteId::server(shard as u32),
+    );
+    for txn in silent {
+        abort_victim(eng, now, txn);
+    }
 }
 
 #[cfg(test)]

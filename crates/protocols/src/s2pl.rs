@@ -9,18 +9,16 @@
 //! aborting a victim chosen by the configured policy.
 //!
 //! The lock server itself is shared with c-2PL (`runtime::LockServer`);
-//! s-2PL is that server with every hook at its default. This file keeps
-//! the engine's status writes and the trace records that go with them.
+//! s-2PL is that server with every hook at its default.
 
 use crate::config::EngineConfig;
 use crate::metrics::RunMetrics;
 use crate::runtime::{
-    finish_abort, finish_commit, on_client_msg, on_server_msg, release_victim, reopen_lock_shard,
-    resend_commit_slices, restart_client, run, try_commit, Labels, LockCore, LockLabels,
-    LockServer, Message, Protocol, Shell, TxnStatus,
+    abort_victim, finish_recovery, on_client_msg, on_server_msg, resend_commit_slices,
+    restart_client, run, try_commit, Labels, LockCore, LockLabels, LockServer, Message, Protocol,
+    Shell,
 };
-use crate::tracelog::TraceKind;
-use g2pl_simcore::{ClientId, SimTime, SiteId, TxnId};
+use g2pl_simcore::{ClientId, SimTime, TxnId};
 
 /// Accounting labels of the messages the shared code sends.
 const LABELS: Labels = Labels {
@@ -84,27 +82,12 @@ impl Protocol for S2plEngine {
         self.core.server_fault(now, shard, up);
     }
 
-    /// Restore the shard's grants, then abort the active transactions of
-    /// clients that never answered the handshake (presumed dead).
     fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        let silent = reopen_lock_shard(self, now, shard);
-        self.core.sh.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        for txn in silent {
-            self.abort_victim(now, txn);
-        }
+        finish_recovery(self, now, shard);
     }
 
-    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
     fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.core.sh.table.status(victim), TxnStatus::Active);
-        self.core.sh.table.set_status(victim, TxnStatus::Aborting);
-        release_victim(self, now, victim);
+        abort_victim(self, now, victim);
     }
 
     fn assert_drained(&self) {
@@ -131,25 +114,6 @@ impl LockServer for S2plEngine {
 
     fn core_mut(&mut self) -> &mut LockCore {
         &mut self.core
-    }
-
-    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let sh = &mut self.core.sh;
-        sh.table.set_status(txn, TxnStatus::Committed);
-        sh.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
-        finish_commit(self, now, client, txn);
-    }
-
-    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let sh = &mut self.core.sh;
-        if !sh.clients[client.index()].runs(txn) {
-            return;
-        }
-        sh.table.set_status(txn, TxnStatus::Aborted);
-        sh.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        finish_abort(self, now, client, txn);
     }
 }
 

@@ -30,9 +30,9 @@ use crate::config::EngineConfig;
 use crate::history::AccessRecord;
 use crate::metrics::RunMetrics;
 use crate::runtime::{
-    abort_victim, detect_deadlocks, finish_recovery, on_client_msg, on_server_msg,
-    resend_commit_slices, restart_client, run, send_grant, try_commit, Ev, Labels, LockCore,
-    LockLabels, LockServer, Message, Protocol, Shell, TxnStatus, CTRL_BYTES,
+    abort_victim, detect_deadlocks, finalize_abort, finish_commit, finish_recovery, on_client_msg,
+    on_server_msg, run, send_grant, Ev, Labels, LockCore, LockLabels, LockServer, Message,
+    Protocol, Shell, TxnStatus, CTRL_BYTES,
 };
 use crate::tracelog::TraceKind;
 use g2pl_lockmgr::LockMode;
@@ -47,6 +47,8 @@ const LABELS: Labels = Labels {
     commit_verdict: "c2pl.commit_verdict",
     reregister_req: "c2pl.reregister_req",
     prepare_ack: "c2pl.prepare_ack",
+    prepare: "c2pl.prepare",
+    commit: "c2pl.commit_release",
 };
 
 /// A granted-but-callback-blocked exclusive request.
@@ -186,14 +188,14 @@ impl Protocol for C2plEngine {
         sh.request_access(now, client, txn, idx);
     }
 
-    /// Cache state is untouched until the decision: an abort may still
-    /// win the race.
-    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        try_commit(self, now, client, txn);
+    /// The cache fills at the end of the commit (`on_txn_end`), not
+    /// before the decision: an abort may still win the race.
+    fn finish_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        finish_commit(self, now, client, txn);
     }
 
-    fn resend_pending_commits(&mut self, client: ClientId) {
-        resend_commit_slices(self, client);
+    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        finalize_abort(self, now, client, txn);
     }
 
     fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
@@ -284,10 +286,6 @@ impl Protocol for C2plEngine {
         }
     }
 
-    fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        restart_client(self, now, client);
-    }
-
     /// On top of the s-2PL volatile state, a crash loses the shard's slice
     /// of the cache directory and every callback barrier there: the
     /// directory is rebuilt from re-registration reports, and barrier
@@ -336,8 +334,6 @@ impl Protocol for C2plEngine {
 impl LockServer for C2plEngine {
     const LOCK_LABELS: LockLabels = LockLabels {
         grant: "c2pl.grant",
-        prepare: "c2pl.prepare",
-        commit_release: "c2pl.commit_release",
         commit_ack: "c2pl.commit_ack",
         reregister: "c2pl.reregister",
     };

@@ -44,8 +44,8 @@ use crate::cycle::CycleFinder;
 use crate::history::{AccessRecord, CommitRecord};
 use crate::metrics::RunMetrics;
 use crate::runtime::{
-    run, ClientPhase, Ev, HoldReport, Labels, Message, Protocol, Shell, TimerKind, TxnStatus,
-    CTRL_BYTES,
+    on_prepare_ack, restart_client, run, try_commit, ClientPhase, Ev, HoldReport, Labels, Message,
+    Protocol, Shell, TimerKind, TxnStatus, CTRL_BYTES,
 };
 use crate::tracelog::TraceKind;
 use g2pl_fwdlist::window::PendingReq;
@@ -64,6 +64,8 @@ const LABELS: Labels = Labels {
     commit_verdict: "g2pl.commit_verdict",
     reregister_req: "g2pl.reregister_req",
     prepare_ack: "g2pl.prepare_ack",
+    prepare: "g2pl.prepare",
+    commit: "g2pl.decide",
 };
 
 /// Per-entry size of a forward list inside a message, in bytes.
@@ -302,60 +304,17 @@ impl G2plEngine {
 
     // ---- client side ----
 
-    /// Open the voting round of a multi-home commitment: ask every
-    /// involved shard to force a prepared record for `txn`. g-2PL
-    /// versions migrate client-to-client, so the vote carries no write
-    /// slice — it only pins the shard's promise that the decision will
-    /// be applied (durably recorded) once the coordinator decides.
-    fn begin_prepare(&mut self, client: ClientId, txn: TxnId, involved: u64) {
-        let c = &mut self.sh.clients[client.index()];
-        c.txn_mut().phase = ClientPhase::CommitWait;
-        c.retry_progress();
-        debug_assert!(c.pending_commits.is_empty());
-        for shard in 0..self.sh.cfg.num_shards() {
-            if involved & (1u64 << shard) == 0 {
-                continue;
-            }
-            let msg = Message::Prepare {
-                txn,
-                writes: Vec::new(),
-                involved,
-            };
-            self.sh.clients[client.index()]
-                .pending_commits
-                .push((shard, msg.clone()));
-            self.sh.net.send(
-                &mut self.sh.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.prepare",
-                CTRL_BYTES,
-                msg,
-            );
-        }
-        self.sh.clients[client.index()].arm_retry(&mut self.sh.cal, self.sh.rec.retry_base);
-    }
-
-    /// Ship the commit decision to every involved shard and keep
-    /// retransmitting until each has durably applied it. The decision is
+    /// Send the commit decision of `client`'s transaction `txn` to every
+    /// shard in `mask`, and arm its retransmission timer. The decision is
     /// already durable at the coordinator (commit oracle + client WAL),
     /// so phase 2 runs detached from the transaction slot — the client
     /// moves on to its next transaction meanwhile.
-    fn send_decides(&mut self, client: ClientId, txn: TxnId, involved: u64) {
-        self.pending_decides.insert(txn, involved);
-        for shard in 0..self.sh.cfg.num_shards() {
-            if involved & (1u64 << shard) == 0 {
-                continue;
-            }
-            self.sh.net.send(
-                &mut self.sh.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.decide",
-                CTRL_BYTES,
-                Message::Decide { txn },
-            );
-        }
+    fn send_decides(&mut self, client: ClientId, txn: TxnId, mask: u64) {
+        let decides = (0..self.sh.cfg.num_shards())
+            .filter(|&shard| mask & (1u64 << shard) != 0)
+            .map(|shard| (shard, Message::Decide { txn }))
+            .collect();
+        self.sh.send_phase(client, decides);
         self.sh.cal.schedule_in(
             self.sh.rec.retry_base,
             Ev::Timer {
@@ -363,84 +322,6 @@ impl G2plEngine {
                 kind: TimerKind::DecideRetry(txn),
             },
         );
-    }
-
-    fn commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let active = self.sh.clients[client.index()]
-            .txn
-            .take()
-            // lint:allow(L3): commit is only reachable from a client with an active txn
-            .expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        if self.sh.rec.faults_on {
-            self.sh.clients[client.index()].retry_progress();
-        }
-        self.sh.table.set_status(txn, TxnStatus::Committed);
-        let measured = self
-            .sh
-            .collector
-            .on_commit_sized(now.since(active.start), active.spec.len());
-        // Every hold forwards exactly once, so exactly one release arrival
-        // (client- or server-bound) is expected per accessed item.
-        self.sh
-            .spans
-            .commit_local(now, txn, active.spec.len() as u32, measured);
-        self.sh
-            .trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
-
-        if let Some(h) = &mut self.sh.history {
-            let accesses = active
-                .spec
-                .accesses
-                .iter()
-                .zip(&active.versions)
-                .map(|(&(item, mode), &observed)| AccessRecord {
-                    item,
-                    mode,
-                    version: if mode.is_write() {
-                        observed + 1
-                    } else {
-                        observed
-                    },
-                })
-                .collect();
-            h.push(CommitRecord {
-                txn,
-                at: now,
-                accesses,
-            });
-        }
-
-        if let Some(wal) = &mut self.sh.wal {
-            let log = &mut wal[client.index()];
-            for (&(item, mode), &observed) in active.spec.accesses.iter().zip(&active.versions) {
-                if mode.is_write() {
-                    log.append(LogRecord::Update {
-                        txn,
-                        item,
-                        old: observed,
-                        new: observed + 1,
-                    });
-                    // The new version is only on this site until the item
-                    // migrates home.
-                    self.items[item.index()].unpermanent_writers.push(txn);
-                }
-            }
-            log.append(LogRecord::Commit { txn });
-        }
-
-        // Forward (or arm the gated forward of) every held item. §3.2:
-        // "When a transaction commits, the client sends the new version of
-        // the committed data items to the clients next on the respective
-        // forward lists."
-        for &(item, _) in &active.spec.accesses {
-            self.try_forward(now, item, txn);
-        }
-        // The committed transaction no longer constrains future windows.
-        self.dag.remove_txn(txn);
-
-        self.sh.schedule_idle(client);
     }
 
     /// Forward the hold of `(item, txn)` if all gates have passed and the
@@ -705,7 +586,7 @@ impl G2plEngine {
                 .as_ref()
                 .is_some_and(|a| a.id == txn && a.phase == ClientPhase::CommitWait)
             {
-                self.try_commit(now, client, txn);
+                try_commit(self, now, client, txn);
             }
             return;
         }
@@ -733,47 +614,6 @@ impl G2plEngine {
         self.sh.spans.granted(now, txn, item);
         self.sh.begin_think(client, txn, version);
     }
-
-    fn on_abort_notice(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        match self.sh.table.status(txn) {
-            TxnStatus::Committed => return, // the commit won the race
-            TxnStatus::Aborted => return,
-            TxnStatus::Active | TxnStatus::Aborting => {}
-        }
-        self.sh.table.set_status(txn, TxnStatus::Aborted);
-        if let Some(wal) = &mut self.sh.wal {
-            wal[client.index()].append(LogRecord::Abort { txn });
-        }
-        self.sh
-            .trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        self.sh.spans.aborted(now, txn);
-
-        let c = &mut self.sh.clients[client.index()];
-        if c.txn.as_ref().is_some_and(|a| a.id == txn) {
-            let active = c.txn.take().expect("just checked"); // lint:allow(L3): is_some_and above
-            if self.sh.rec.faults_on {
-                c.retry_progress();
-            }
-            // An abort during the voting round withdraws the outstanding
-            // prepares (abort_victim retired the shards' votes).
-            c.pending_commits
-                .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-            self.sh.collector.on_abort_diag(
-                active.spec.is_read_only(),
-                now.since(active.start),
-                active.granted,
-            );
-            self.sh.schedule_idle(client);
-            // Pass every satisfied hold straight through; unsatisfied
-            // ones pass through when their gates fill.
-            for &(item, _) in &active.spec.accesses {
-                self.try_forward(now, item, txn);
-            }
-        }
-    }
-
-    // ---- server crash recovery ----
 
     // ---- server side ----
 
@@ -1282,6 +1122,14 @@ impl G2plEngine {
 }
 
 impl Protocol for G2plEngine {
+    /// Versions migrate client to client, so a vote only pins the shard's
+    /// promise to record the decision once the coordinator makes it.
+    const PREPARE_CARRIES_WRITES: bool = false;
+    const RESEND_BACKS_OFF: bool = false;
+    /// The notice (or its lease-driven re-send) drives the client-side
+    /// cleanup; the victim's abort already retired the votes.
+    const FINALIZE_LOST_VOTE: bool = false;
+
     fn shell(&mut self) -> &mut Shell {
         &mut self.sh
     }
@@ -1290,61 +1138,132 @@ impl Protocol for G2plEngine {
         self.sh.request_access(now, client, txn, idx);
     }
 
-    /// Commit if every hold's gates have passed; otherwise enter
-    /// `CommitWait` until the last MR1W reader release arrives. Without
-    /// this certification step a writer that ran concurrently with the
-    /// readers of the previous version could leak its *other* writes
-    /// before those readers finish, producing non-serializable
-    /// executions.
-    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        if self.sh.rec.faults_on && self.sh.table.status(txn) != TxnStatus::Active {
-            // A server-side lease recovery chose this transaction as its
-            // victim while the commit was pending; the server has already
-            // redispatched the surviving suffix, so the abort wins.
-            self.on_abort_notice(now, client, txn);
-            return;
+    /// Hold the commit while a voting round is open (its acks drive
+    /// progress), or until every hold's gates have passed: until then the
+    /// transaction waits in `CommitWait` for the last MR1W reader
+    /// release. Without this certification step a writer that ran
+    /// concurrently with the readers of the previous version could leak
+    /// its *other* writes before those readers finish, producing
+    /// non-serializable executions.
+    fn commit_held(&mut self, client: ClientId, txn: TxnId) -> bool {
+        let c = &self.sh.clients[client.index()];
+        if self.sh.rec.faults_on && !c.pending_commits.is_empty() {
+            return true;
         }
-        if self.sh.rec.faults_on && !self.sh.clients[client.index()].pending_commits.is_empty() {
-            return; // voting round already under way; acks drive progress
+        let ready = c
+            .txn()
+            .spec
+            .accesses
+            .iter()
+            .all(|&(item, _)| self.hold(item, txn).is_some_and(Hold::gates_passed));
+        if !ready {
+            self.sh.clients[client.index()].txn_mut().phase = ClientPhase::CommitWait;
         }
-        let (ready, involved) = {
-            let active = self.sh.clients[client.index()].txn();
-            let ready = active
+        !ready
+    }
+
+    fn finish_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        let active = self.sh.clients[client.index()]
+            .txn
+            .take()
+            // lint:allow(L3): commit is only reachable from a client with an active txn
+            .expect("committing client has a transaction");
+        debug_assert_eq!(active.id, txn);
+        if self.sh.rec.faults_on {
+            self.sh.clients[client.index()].retry_progress();
+        }
+        let measured = self
+            .sh
+            .collector
+            .on_commit_sized(now.since(active.start), active.spec.len());
+        // Every hold forwards exactly once, so exactly one release arrival
+        // (client- or server-bound) is expected per accessed item.
+        self.sh
+            .spans
+            .commit_local(now, txn, active.spec.len() as u32, measured);
+
+        if let Some(h) = &mut self.sh.history {
+            let accesses = active
                 .spec
                 .accesses
                 .iter()
-                .all(|&(item, _)| self.hold(item, txn).is_some_and(Hold::gates_passed));
-            (ready, active.involved(&self.sh.cfg))
-        };
-        if ready {
-            if self.sh.rec.srv_faults_on && involved.count_ones() > 1 {
-                // Multi-home commitment under shard crashes is two-phase:
-                // collect a durable yes vote from every involved shard
-                // before the client-local commit point.
-                self.begin_prepare(client, txn, involved);
-                return;
+                .zip(&active.versions)
+                .map(|(&(item, mode), &observed)| AccessRecord {
+                    item,
+                    mode,
+                    version: if mode.is_write() {
+                        observed + 1
+                    } else {
+                        observed
+                    },
+                })
+                .collect();
+            h.push(CommitRecord {
+                txn,
+                at: now,
+                accesses,
+            });
+        }
+
+        if let Some(wal) = &mut self.sh.wal {
+            let log = &mut wal[client.index()];
+            for (&(item, mode), &observed) in active.spec.accesses.iter().zip(&active.versions) {
+                if mode.is_write() {
+                    log.append(LogRecord::Update {
+                        txn,
+                        item,
+                        old: observed,
+                        new: observed + 1,
+                    });
+                    // The new version is only on this site until the item
+                    // migrates home.
+                    self.items[item.index()].unpermanent_writers.push(txn);
+                }
             }
-            self.commit(now, client, txn);
-        } else {
-            self.sh.clients[client.index()].txn_mut().phase = ClientPhase::CommitWait;
+            log.append(LogRecord::Commit { txn });
+        }
+
+        // Forward (or arm the gated forward of) every held item. §3.2:
+        // "When a transaction commits, the client sends the new version of
+        // the committed data items to the clients next on the respective
+        // forward lists."
+        for &(item, _) in &active.spec.accesses {
+            self.try_forward(now, item, txn);
+        }
+        // The committed transaction no longer constrains future windows.
+        self.dag.remove_txn(txn);
+
+        self.sh.schedule_idle(client);
+        let involved = active.involved(&self.sh.cfg);
+        if self.sh.rec.srv_faults_on && involved.count_ones() > 1 {
+            // The commit came out of a voting round: every involved shard
+            // voted yes, so ship the decision as phase 2.
+            self.pending_decides.insert(txn, involved);
+            self.send_decides(client, txn, involved);
         }
     }
 
-    /// Re-send every outstanding prepare of the client's voting round.
-    fn resend_pending_commits(&mut self, client: ClientId) {
-        let pending = self.sh.clients[client.index()].pending_commits.clone();
-        for (shard, msg) in pending {
-            self.sh.rec.fsum.retries += 1;
-            self.sh.net.send(
-                &mut self.sh.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.prepare",
-                CTRL_BYTES,
-                msg,
-            );
+    /// The notice (or the client itself) finds `txn` aborted: pass every
+    /// satisfied hold straight through; unsatisfied ones pass through
+    /// when their gates fill.
+    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        match self.sh.table.status(txn) {
+            TxnStatus::Committed => return, // the commit won the race
+            TxnStatus::Aborted => return,
+            TxnStatus::Active | TxnStatus::Aborting => {}
         }
-        self.sh.clients[client.index()].arm_retry(&mut self.sh.cal, self.sh.rec.retry_base);
+        self.sh.table.set_status(txn, TxnStatus::Aborted);
+        self.sh
+            .trace
+            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
+        let active = self.sh.end_aborted(now, client, txn);
+        debug_assert!(active.is_some(), "live {txn} without its client");
+        if let Some(active) = active {
+            self.sh.schedule_idle(client);
+            for &(item, _) in &active.spec.accesses {
+                self.try_forward(now, item, txn);
+            }
+        }
     }
 
     /// The phase-2 retransmission timer fired: re-send the decision to
@@ -1353,27 +1272,8 @@ impl Protocol for G2plEngine {
         let Some(&mask) = self.pending_decides.get(&txn) else {
             return; // fully acknowledged: the timer dies
         };
-        for shard in 0..self.sh.cfg.num_shards() {
-            if mask & (1u64 << shard) == 0 {
-                continue;
-            }
-            self.sh.rec.fsum.retries += 1;
-            self.sh.net.send(
-                &mut self.sh.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.decide",
-                CTRL_BYTES,
-                Message::Decide { txn },
-            );
-        }
-        self.sh.cal.schedule_in(
-            self.sh.rec.retry_base,
-            Ev::Timer {
-                client,
-                kind: TimerKind::DecideRetry(txn),
-            },
-        );
+        self.sh.rec.fsum.retries += u64::from(mask.count_ones());
+        self.send_decides(client, txn, mask);
     }
 
     fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
@@ -1456,31 +1356,8 @@ impl Protocol for G2plEngine {
                 );
                 self.after_gate_update(now, client, item, txn);
             }
-            Message::AbortNotice { txn } => self.on_abort_notice(now, client, txn),
-            Message::PrepareAck { txn, shard } => {
-                let c = &mut self.sh.clients[client.index()];
-                match c.take_ack(
-                    shard,
-                    |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
-                ) {
-                    None => {} // stale or duplicated ack
-                    Some(false) => c.arm_retry(&mut self.sh.cal, self.sh.rec.retry_base),
-                    // The abort won the voting race; the notice (or its
-                    // lease-driven re-send) drives the client-side
-                    // cleanup, and abort_victim retired the votes.
-                    Some(true) if self.sh.table.status(txn) != TxnStatus::Active => {}
-                    Some(true) => {
-                        // Every involved shard voted yes: decide commit
-                        // locally (the decision record is the client's WAL
-                        // commit) and ship the decision as phase 2.
-                        let active = c.txn();
-                        debug_assert_eq!(active.id, txn, "foreign prepare ack");
-                        let involved = active.involved(&self.sh.cfg);
-                        self.commit(now, client, txn);
-                        self.send_decides(client, txn, involved);
-                    }
-                }
-            }
+            Message::AbortNotice { txn } => self.finalize_abort(now, client, txn),
+            Message::PrepareAck { txn, shard } => on_prepare_ack(self, now, client, txn, shard),
             Message::DecideAck { txn, shard } => {
                 if let Some(mask) = self.pending_decides.get_mut(&txn) {
                     *mask &= !(1u64 << shard);
@@ -1779,15 +1656,14 @@ impl Protocol for G2plEngine {
         }
     }
 
-    /// A crashed client comes back up. Every timer it had died with the
-    /// crash, so each possible state re-establishes its own wake-up. Item
-    /// copies the site held are re-derived from its log, but any
-    /// migration hop dropped while down is recovered by the server-side
-    /// item lease, not by the client.
+    /// A crashed client comes back up. Phase-2 retransmission timers died
+    /// with the crash; the pending decisions themselves are durable
+    /// (oracle + WAL), so one timer is re-armed per still-unacknowledged
+    /// decision this client owns before the shared restart. Item copies
+    /// the site held are re-derived from its log, but any migration hop
+    /// dropped while down is recovered by the server-side item lease, not
+    /// by the client.
     fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        // Phase-2 retransmission timers died with the crash; the pending
-        // decisions themselves are durable (oracle + WAL), so re-arm one
-        // timer per still-unacknowledged decision this client owns.
         let unacked: Vec<TxnId> = self
             .pending_decides
             .keys()
@@ -1803,38 +1679,7 @@ impl Protocol for G2plEngine {
                 },
             );
         }
-        let c = &self.sh.clients[client.index()];
-        let Some(active) = &c.txn else {
-            self.sh.schedule_idle(client);
-            return;
-        };
-        let (txn, phase) = (active.id, active.phase);
-        let voting = !c.pending_commits.is_empty();
-        match self.sh.table.status(txn) {
-            TxnStatus::Aborting | TxnStatus::Aborted => self.on_abort_notice(now, client, txn),
-            TxnStatus::Active => match phase {
-                ClientPhase::WaitingGrant(_) => self.sh.resend_request(client),
-                ClientPhase::Thinking => {
-                    // The think timer died with the crash: resume now.
-                    self.sh.cal.schedule_in(
-                        SimTime::ZERO,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::ThinkDone(txn),
-                        },
-                    );
-                }
-                ClientPhase::CommitWait if voting => {
-                    // An open voting round: its retry timer died with the
-                    // crash, so restart the retransmission loop.
-                    self.resend_pending_commits(client);
-                }
-                // A commit certification waits on reader releases; any
-                // dropped while down are recovered by the item lease.
-                ClientPhase::CommitWait | ClientPhase::Idle => {}
-            },
-            TxnStatus::Committed => {}
-        }
+        restart_client(self, now, client);
     }
 
     /// A scheduled crash or restart of shard `shard` from the fault plan.

@@ -856,6 +856,8 @@ mod tests {
         commit_verdict: "t.commit_verdict",
         reregister_req: "t.reregister_req",
         prepare_ack: "t.prepare_ack",
+        prepare: "t.prepare",
+        commit: "t.commit",
     };
 
     fn crash_plan_rec(clients: u32, shards: u32) -> (Recovery, Net) {

@@ -923,6 +923,12 @@ pub(crate) struct Labels {
     pub(crate) reregister_req: &'static str,
     /// Shard → coordinating client: [`Message::PrepareAck`].
     pub(crate) prepare_ack: &'static str,
+    /// Coordinating client → involved shard: [`Message::Prepare`].
+    pub(crate) prepare: &'static str,
+    /// Client → shard: the commit decision — s/c-2PL's
+    /// [`Message::SCommit`], which also releases the locks and carries
+    /// the writes home, or g-2PL's phase-2 [`Message::Decide`].
+    pub(crate) commit: &'static str,
 }
 
 /// The state every engine shares. An engine owns one and adds only its
@@ -1117,6 +1123,62 @@ impl Shell {
         );
     }
 
+    /// Send `client`'s commit-phase messages, one per shard: prepares (a
+    /// header plus 12 bytes per written `(item, version)`),
+    /// commit-releases (a header plus the written items), or g-2PL
+    /// decisions (a header).
+    pub(crate) fn send_phase(&mut self, client: ClientId, msgs: Vec<(u32, Message)>) {
+        for (shard, msg) in msgs {
+            let (kind, bytes) = match &msg {
+                Message::Prepare { writes, .. } => (
+                    self.rec.labels.prepare,
+                    CTRL_BYTES + 12 * writes.len() as u64,
+                ),
+                Message::SCommit { writes, .. } => (
+                    self.rec.labels.commit,
+                    CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes,
+                ),
+                Message::Decide { .. } => (self.rec.labels.commit, CTRL_BYTES),
+                other => unreachable!("{other:?} is not a commit-phase message"),
+            };
+            let to = SiteId::server(shard);
+            self.net
+                .send(&mut self.cal, client.into(), to, kind, bytes, msg);
+        }
+    }
+
+    /// The client side of aborting `client`'s transaction `txn` once its
+    /// status is set and the abort recorded: take the transaction off the
+    /// client, withdraw the prepares of an open voting round (shards that
+    /// already voted are cleaned up by the victim's abort), count the
+    /// abort, and log it. Returns the transaction, or `None` when the
+    /// client no longer runs one.
+    pub(crate) fn end_aborted(
+        &mut self,
+        now: SimTime,
+        client: ClientId,
+        txn: TxnId,
+    ) -> Option<ActiveTxn> {
+        let c = &mut self.clients[client.index()];
+        let active = c.txn.take()?;
+        debug_assert_eq!(active.id, txn);
+        c.pending_commits
+            .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
+        if self.rec.faults_on {
+            c.retry_progress();
+        }
+        self.collector.on_abort_diag(
+            active.spec.is_read_only(),
+            now.since(active.start),
+            active.granted,
+        );
+        if let Some(wal) = &mut self.wal {
+            wal[client.index()].append(LogRecord::Abort { txn });
+        }
+        self.spans.aborted(now, txn);
+        Some(active)
+    }
+
     /// Crash shard `shard`: its fault domain goes down and its items lose
     /// their installed versions. Returns the shard's item index range, for
     /// the engine to drop its own volatile state there.
@@ -1194,20 +1256,38 @@ impl Shell {
     }
 }
 
-/// What makes an engine a protocol: the hooks the shared [`run`] loop
-/// calls. Each engine implements them over its own state plus its
-/// [`Shell`]; calls are static.
-pub(crate) trait Protocol {
+/// What makes an engine a protocol: the hooks the shared [`run`] loop and
+/// the shared commit, abort and restart paths call. Each engine
+/// implements them over its own state plus its [`Shell`]; calls are
+/// static. The provided consts and hooks are the lock servers' behaviour;
+/// g-2PL overrides where its voting round differs.
+pub(crate) trait Protocol: Sized {
+    /// Whether a prepare carries the shard's write slice, which a lock
+    /// server installs if it must settle the vote in doubt. g-2PL's
+    /// versions migrate client to client, so its votes carry none.
+    const PREPARE_CARRIES_WRITES: bool = true;
+    /// Whether each retransmission of the commit phase doubles the next
+    /// retry's backoff.
+    const RESEND_BACKS_OFF: bool = true;
+    /// Whether a client whose unanimous vote lost the race to an abort
+    /// finalizes the abort itself, rather than leaving it to the notice.
+    const FINALIZE_LOST_VOTE: bool = true;
+
     /// The engine's shared state.
     fn shell(&mut self) -> &mut Shell;
     /// Start access `idx` of `client`'s transaction `txn`.
     fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize);
-    /// Every access of `client`'s transaction `txn` was granted and
-    /// processed: commit it (or start its voting round, or discover
-    /// that it was aborted meanwhile).
-    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId);
-    /// A retry timer found unacknowledged commit-phase messages.
-    fn resend_pending_commits(&mut self, client: ClientId);
+    /// Whether `client`'s fully granted transaction `txn` must wait before
+    /// it commits or votes ([`try_commit`] runs again when it may).
+    fn commit_held(&mut self, _client: ClientId, _txn: TxnId) -> bool {
+        false
+    }
+    /// Commit `client`'s transaction `txn` once [`commit_decided`] set
+    /// its status and recorded the commit.
+    fn finish_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId);
+    /// Abort `client`'s transaction `txn` locally, once: on the server's
+    /// notice, or when the client learns of the abort on its own.
+    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId);
     /// A [`TimerKind::DecideRetry`] timer fired.
     fn on_decide_retry(&mut self, _now: SimTime, _client: ClientId, _txn: TxnId) {
         unreachable!("decide timer armed by a protocol without a decide phase")
@@ -1224,7 +1304,9 @@ pub(crate) trait Protocol {
     /// `client` just crashed (the shell already marked it down).
     fn on_client_crash(&mut self, _client: ClientId) {}
     /// `client` came back up; every timer it had died with the crash.
-    fn on_restart(&mut self, now: SimTime, client: ClientId);
+    fn on_restart(&mut self, now: SimTime, client: ClientId) {
+        restart_client(self, now, client);
+    }
     /// A scheduled crash (`up == false`) or restart of shard `shard`.
     fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool);
     /// Close shard `shard`'s re-registration handshake.
@@ -1258,88 +1340,8 @@ pub(crate) fn run<P: Protocol>(mut eng: P) -> RunMetrics {
     while let Some((now, ev)) = eng.shell().cal.pop() {
         events += 1;
         assert!(events < EVENT_BUDGET, "event budget exhausted: livelock?");
-        match ev {
-            Ev::Timer { client, kind } => {
-                if !eng.shell().clients[client.index()].crashed {
-                    on_timer(&mut eng, now, client, kind);
-                }
-            }
-            Ev::ServerProc { shard, msg } => {
-                if eng.shell().rec.admit_queued(shard as usize, &msg) {
-                    eng.on_server_msg(now, shard as usize, msg);
-                }
-            }
-            Ev::Deliver { to, msg } => match to {
-                SiteId::Server(shard) => match eng.shell().rec.admit(now, shard.index(), &msg) {
-                    Some(SimTime::ZERO) => eng.on_server_msg(now, shard.index(), msg),
-                    Some(d) => {
-                        eng.shell().cal.schedule_in(
-                            d,
-                            Ev::ServerProc {
-                                shard: shard.0,
-                                msg,
-                            },
-                        );
-                    }
-                    None => {}
-                },
-                SiteId::Client(c) => {
-                    if !eng.shell().clients[c.index()].crashed {
-                        eng.on_client_msg(now, c, msg);
-                    }
-                }
-            },
-            Ev::Fault { client, up } => {
-                let sh = eng.shell();
-                let c = &mut sh.clients[client.index()];
-                // Crashing a down client or restarting a live one is a
-                // no-op.
-                if c.crashed == up {
-                    c.crashed = !up;
-                    if up {
-                        c.retry_progress();
-                        eng.on_restart(now, client);
-                    } else {
-                        sh.rec.fsum.crashes += 1;
-                        sh.trace
-                            .record(now, TraceKind::FaultInjected, None, None, client.into());
-                        eng.on_client_crash(client);
-                    }
-                }
-            }
-            Ev::ServerFault { shard, up } => eng.on_server_fault(now, shard as usize, up),
-            Ev::RecoveryCheck { shard, epoch } => {
-                let s = shard as usize;
-                let sh = eng.shell();
-                if sh
-                    .rec
-                    .on_recovery_check(now, s, epoch, &mut sh.net, &mut sh.cal)
-                {
-                    eng.finish_recovery(now, s);
-                }
-            }
-            Ev::TxnLease { txn } => {
-                let sh = eng.shell();
-                if sh
-                    .rec
-                    .on_txn_lease(now, txn, &sh.table, &mut sh.cal, &mut sh.trace)
-                {
-                    eng.abort_victim(now, txn);
-                    let sh = eng.shell();
-                    sh.rec.lease_reclaimed(now, txn, &mut sh.trace);
-                }
-            }
-            ev @ (Ev::WindowTimer { .. } | Ev::LeaseCheck { .. } | Ev::CallbackRetry { .. }) => {
-                eng.on_event(now, ev);
-            }
-        }
+        step(&mut eng, now, ev);
         let sh = eng.shell();
-        if sh.rec.faults_on {
-            for (at, site) in sh.net.take_fault_marks() {
-                sh.trace
-                    .record(at, TraceKind::FaultInjected, None, None, site);
-            }
-        }
         if sh.collector.done() {
             if !sh.cfg.drain {
                 break;
@@ -1363,6 +1365,92 @@ pub(crate) fn run<P: Protocol>(mut eng: P) -> RunMetrics {
         eng.assert_drained();
     }
     eng.into_metrics(events)
+}
+
+/// Process one calendar event of `eng`'s run.
+fn step<P: Protocol>(eng: &mut P, now: SimTime, ev: Ev) {
+    match ev {
+        Ev::Timer { client, kind } => {
+            if !eng.shell().clients[client.index()].crashed {
+                on_timer(eng, now, client, kind);
+            }
+        }
+        Ev::ServerProc { shard, msg } => {
+            if eng.shell().rec.admit_queued(shard as usize, &msg) {
+                eng.on_server_msg(now, shard as usize, msg);
+            }
+        }
+        Ev::Deliver { to, msg } => match to {
+            SiteId::Server(shard) => match eng.shell().rec.admit(now, shard.index(), &msg) {
+                Some(SimTime::ZERO) => eng.on_server_msg(now, shard.index(), msg),
+                Some(d) => {
+                    eng.shell().cal.schedule_in(
+                        d,
+                        Ev::ServerProc {
+                            shard: shard.0,
+                            msg,
+                        },
+                    );
+                }
+                None => {}
+            },
+            SiteId::Client(c) => {
+                if !eng.shell().clients[c.index()].crashed {
+                    eng.on_client_msg(now, c, msg);
+                }
+            }
+        },
+        Ev::Fault { client, up } => {
+            let sh = eng.shell();
+            let c = &mut sh.clients[client.index()];
+            // Crashing a down client or restarting a live one is a
+            // no-op.
+            if c.crashed == up {
+                c.crashed = !up;
+                if up {
+                    c.retry_progress();
+                    eng.on_restart(now, client);
+                } else {
+                    sh.rec.fsum.crashes += 1;
+                    sh.trace
+                        .record(now, TraceKind::FaultInjected, None, None, client.into());
+                    eng.on_client_crash(client);
+                }
+            }
+        }
+        Ev::ServerFault { shard, up } => eng.on_server_fault(now, shard as usize, up),
+        Ev::RecoveryCheck { shard, epoch } => {
+            let s = shard as usize;
+            let sh = eng.shell();
+            if sh
+                .rec
+                .on_recovery_check(now, s, epoch, &mut sh.net, &mut sh.cal)
+            {
+                eng.finish_recovery(now, s);
+            }
+        }
+        Ev::TxnLease { txn } => {
+            let sh = eng.shell();
+            if sh
+                .rec
+                .on_txn_lease(now, txn, &sh.table, &mut sh.cal, &mut sh.trace)
+            {
+                eng.abort_victim(now, txn);
+                let sh = eng.shell();
+                sh.rec.lease_reclaimed(now, txn, &mut sh.trace);
+            }
+        }
+        ev @ (Ev::WindowTimer { .. } | Ev::LeaseCheck { .. } | Ev::CallbackRetry { .. }) => {
+            eng.on_event(now, ev);
+        }
+    }
+    let sh = eng.shell();
+    if sh.rec.faults_on {
+        for (at, site) in sh.net.take_fault_marks() {
+            sh.trace
+                .record(at, TraceKind::FaultInjected, None, None, site);
+        }
+    }
 }
 
 /// A live client's timer fired.
@@ -1390,15 +1478,183 @@ fn on_timer<P: Protocol>(eng: &mut P, now: SimTime, client: ClientId, kind: Time
             if granted < active.spec.len() {
                 eng.issue_access(now, client, txn, granted);
             } else {
-                eng.try_commit(now, client, txn);
+                try_commit(eng, now, client, txn);
             }
         }
         TimerKind::Retry { epoch } => match eng.shell().clients[client.index()].due_resend(epoch) {
-            Some(Resend::CommitPhase) => eng.resend_pending_commits(client),
+            Some(Resend::CommitPhase) => resend_commit_slices(eng, client),
             Some(Resend::Request) => eng.shell().resend_request(client),
             None => {}
         },
         TimerKind::DecideRetry(txn) => eng.on_decide_retry(now, client, txn),
+    }
+}
+
+// ---- the commit, abort and restart paths every engine shares ----
+
+/// Every access of `client`'s transaction `txn` is granted: commit it,
+/// or start its voting round, unless the engine holds the commit back.
+pub(crate) fn try_commit<P: Protocol>(eng: &mut P, now: SimTime, client: ClientId, txn: TxnId) {
+    let sh = eng.shell();
+    // Under faults a lease expiry can pick a merely-slow (crashed and
+    // restarted) transaction as victim while its abort notice is still in
+    // flight; the oracle status resolves the race in favour of the abort,
+    // exactly as the server already decided it.
+    if sh.rec.faults_on && sh.table.status(txn) != TxnStatus::Active {
+        eng.finalize_abort(now, client, txn);
+        return;
+    }
+    if eng.commit_held(client, txn) {
+        return;
+    }
+    // Under a server-crash plan a multi-home commit must be atomic across
+    // shard fault domains: run presumed-abort two-phase commitment.
+    // Single-home commits keep the one-phase path (the single-participant
+    // optimization), as do all commits under plans without server
+    // crashes. Cache hits count toward the involved mask too: their shard
+    // still releases the transactional footprint.
+    let sh = eng.shell();
+    if sh.rec.srv_faults_on {
+        let involved = sh.clients[client.index()].txn().involved(&sh.cfg);
+        if involved.count_ones() > 1 {
+            begin_prepare(eng, client, txn, involved);
+            return;
+        }
+    }
+    commit_decided(eng, now, client, txn);
+}
+
+/// The commit decision point: every involved shard voted yes, or no
+/// votes were needed. Set `txn`'s status and record the commit, then
+/// [`Protocol::finish_commit`].
+pub(crate) fn commit_decided<P: Protocol>(eng: &mut P, now: SimTime, client: ClientId, txn: TxnId) {
+    let sh = eng.shell();
+    sh.table.set_status(txn, TxnStatus::Committed);
+    sh.trace
+        .record(now, TraceKind::Committed, Some(txn), None, client.into());
+    eng.finish_commit(now, client, txn);
+}
+
+/// Phase 1 of two-phase commitment: send each involved shard its prepare
+/// (write slice + involved-shard mask) and wait for every yes vote before
+/// deciding. The prepares sit in `pending_commits` and retransmit on the
+/// usual backoff until acknowledged.
+fn begin_prepare<P: Protocol>(eng: &mut P, client: ClientId, txn: TxnId, involved: u64) {
+    let sh = eng.shell();
+    let c = &mut sh.clients[client.index()];
+    let active = c.txn_mut();
+    debug_assert_eq!(active.id, txn);
+    active.phase = ClientPhase::CommitWait;
+    let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
+    for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
+        let slot = by_shard.entry(sh.cfg.shard_of(item)).or_default();
+        if P::PREPARE_CARRIES_WRITES && mode == AccessMode::Write {
+            slot.push((item, active.versions[idx] + 1));
+        }
+    }
+    let prepares: Vec<(u32, Message)> = by_shard
+        .into_iter()
+        .map(|(shard, writes)| {
+            let msg = Message::Prepare {
+                txn,
+                writes,
+                involved,
+            };
+            (shard, msg)
+        })
+        .collect();
+    c.retry_progress();
+    c.pending_commits = prepares.clone();
+    sh.send_phase(client, prepares);
+    sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
+}
+
+/// Shard `shard` voted yes on `client`'s transaction `txn`.
+pub(crate) fn on_prepare_ack<P: Protocol>(
+    eng: &mut P,
+    now: SimTime,
+    client: ClientId,
+    txn: TxnId,
+    shard: u32,
+) {
+    let sh = eng.shell();
+    let c = &mut sh.clients[client.index()];
+    match c.take_ack(
+        shard,
+        |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
+    ) {
+        None => {} // duplicate ack of an already-counted vote
+        // Other shards still owe votes: keep retransmitting their
+        // prepares from a fresh backoff.
+        Some(false) => c.arm_retry(&mut sh.cal, sh.rec.retry_base),
+        Some(true) if sh.table.status(txn) == TxnStatus::Active => {
+            commit_decided(eng, now, client, txn);
+        }
+        // Unanimous yes, but an abort raced the voting round (a lease
+        // victim whose notice is in flight): the oracle resolves it in the
+        // abort's favour — the shards' prepared votes are retired by the
+        // victim's abort.
+        Some(true) if P::FINALIZE_LOST_VOTE => eng.finalize_abort(now, client, txn),
+        Some(true) => {}
+    }
+}
+
+/// Re-send every unacknowledged commit-phase slice (the client's WAL
+/// tail), one per still-unanswered shard: commit-releases, or — for a
+/// multi-home transaction still in its voting round — prepares.
+pub(crate) fn resend_commit_slices<P: Protocol>(eng: &mut P, client: ClientId) {
+    let sh = eng.shell();
+    let c = &mut sh.clients[client.index()];
+    let pending = c.pending_commits.clone();
+    if pending.is_empty() {
+        return;
+    }
+    if P::RESEND_BACKS_OFF {
+        c.retry_attempts = c.retry_attempts.saturating_add(1);
+    }
+    sh.rec.fsum.retries += pending.len() as u64;
+    sh.send_phase(client, pending);
+    sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
+}
+
+/// A crashed client came back up. Each possible state re-establishes its
+/// own wake-up: an unacknowledged commit or an open voting round resumes
+/// retransmission (the WAL tail), an aborted transaction finalizes
+/// locally (the notice may have been lost while down), an outstanding
+/// request is re-sent, and an idle client re-draws its idle period.
+pub(crate) fn restart_client<P: Protocol>(eng: &mut P, now: SimTime, client: ClientId) {
+    let sh = eng.shell();
+    let c = &sh.clients[client.index()];
+    let voting = !c.pending_commits.is_empty();
+    let Some(active) = &c.txn else {
+        if voting {
+            resend_commit_slices(eng, client);
+        } else {
+            sh.schedule_idle(client);
+        }
+        return;
+    };
+    let (txn, phase) = (active.id, active.phase);
+    match sh.table.status(txn) {
+        TxnStatus::Aborting | TxnStatus::Aborted => eng.finalize_abort(now, client, txn),
+        TxnStatus::Active => match phase {
+            ClientPhase::WaitingGrant(_) => sh.resend_request(client),
+            ClientPhase::Thinking => {
+                // The think timer died with the crash: resume now.
+                sh.cal.schedule_in(
+                    SimTime::ZERO,
+                    Ev::Timer {
+                        client,
+                        kind: TimerKind::ThinkDone(txn),
+                    },
+                );
+            }
+            ClientPhase::CommitWait if voting => resend_commit_slices(eng, client),
+            // A g-2PL commit certification waits on reader releases; any
+            // dropped while down are recovered by the item lease.
+            ClientPhase::CommitWait | ClientPhase::Idle => {}
+        },
+        TxnStatus::Committed => {}
     }
 }
 
@@ -1409,10 +1665,6 @@ fn on_timer<P: Protocol>(eng: &mut P, now: SimTime, client: ClientId, kind: Time
 pub(crate) struct LockLabels {
     /// Shard → client: [`Message::SGrant`].
     pub(crate) grant: &'static str,
-    /// Client → shard: [`Message::Prepare`].
-    pub(crate) prepare: &'static str,
-    /// Client → shard: [`Message::SCommit`].
-    pub(crate) commit_release: &'static str,
     /// Shard → client: [`Message::SCommitAck`].
     pub(crate) commit_ack: &'static str,
     /// Client → recovering shard: [`Message::SReregister`].
@@ -1484,7 +1736,7 @@ impl LockCore {
 /// lock server both run, status writes and their trace records included.
 /// The provided hooks are s-2PL's behaviour; c-2PL overrides them to put
 /// its cache, directory, callbacks and barriers in.
-pub(crate) trait LockServer: Protocol + Sized {
+pub(crate) trait LockServer: Protocol {
     /// Labels of the lock-server messages.
     const LOCK_LABELS: LockLabels;
 
@@ -1939,22 +2191,6 @@ pub(crate) fn abort_victim<E: LockServer>(eng: &mut E, now: SimTime, victim: Txn
     eng.shell().send_abort_notice(0, victim);
 }
 
-/// The commit decision point: every involved shard voted yes, or no
-/// votes were needed. Set `txn`'s status and record the commit, then
-/// [`finish_commit`].
-pub(crate) fn commit_decided<E: LockServer>(
-    eng: &mut E,
-    now: SimTime,
-    client: ClientId,
-    txn: TxnId,
-) {
-    let sh = eng.shell();
-    sh.table.set_status(txn, TxnStatus::Committed);
-    sh.trace
-        .record(now, TraceKind::Committed, Some(txn), None, client.into());
-    finish_commit(eng, now, client, txn);
-}
-
 /// Commit `client`'s transaction `txn` once its status is set and the
 /// commit recorded. From here the commit is irrevocable: the client's WAL
 /// `Commit` record below is the coordinator's durable decision record,
@@ -2028,7 +2264,7 @@ pub(crate) fn finish_commit<E: LockServer>(
         c.retry_progress();
         c.pending_commits = slices.clone();
     }
-    send_phase::<E>(sh, client, slices);
+    sh.send_phase(client, slices);
     // Pins release and deferred callbacks answer at transaction end
     // regardless; only the next transaction's start is gated on the acks
     // under faults.
@@ -2051,8 +2287,7 @@ pub(crate) fn finish_commit<E: LockServer>(
 /// Abort `client`'s transaction `txn` locally, once: on receipt of the
 /// server's notice, or — under faults — when the client discovers the
 /// abort on its own (restart after a crash, or a commit racing the
-/// notice). Sets its status and records the abort, then
-/// [`finish_abort`].
+/// notice).
 pub(crate) fn finalize_abort<E: LockServer>(
     eng: &mut E,
     now: SimTime,
@@ -2066,91 +2301,9 @@ pub(crate) fn finalize_abort<E: LockServer>(
     sh.table.set_status(txn, TxnStatus::Aborted);
     sh.trace
         .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-    finish_abort(eng, now, client, txn);
-}
-
-/// The client side of an abort, once its status is set and recorded.
-fn finish_abort<E: LockServer>(eng: &mut E, now: SimTime, client: ClientId, txn: TxnId) {
-    let sh = eng.shell();
-    let c = &mut sh.clients[client.index()];
-    let Some(active) = c.txn.take() else { return };
-    debug_assert_eq!(active.id, txn);
-    // An abort during the voting round withdraws the outstanding
-    // prepares; shards that already voted are cleaned up by the victim's
-    // releases.
-    c.pending_commits
-        .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-    if sh.rec.faults_on {
-        c.retry_progress();
-    }
-    sh.collector.on_abort_diag(
-        active.spec.is_read_only(),
-        now.since(active.start),
-        active.granted,
-    );
-    if let Some(wal) = &mut sh.wal {
-        wal[client.index()].append(LogRecord::Abort { txn });
-    }
-    sh.spans.aborted(now, txn);
+    sh.end_aborted(now, client, txn);
     eng.on_txn_end(client, &[]);
     eng.shell().schedule_idle(client);
-}
-
-/// Every access of `client`'s transaction `txn` is granted: commit it,
-/// or start its voting round.
-pub(crate) fn try_commit<E: LockServer>(eng: &mut E, now: SimTime, client: ClientId, txn: TxnId) {
-    let sh = eng.shell();
-    // Under faults a lease expiry can pick a merely-slow (crashed and
-    // restarted) transaction as victim while its abort notice is still in
-    // flight; the oracle status resolves the race in favour of the abort,
-    // exactly as the server already decided it.
-    if sh.rec.faults_on && sh.table.status(txn) != TxnStatus::Active {
-        finalize_abort(eng, now, client, txn);
-        return;
-    }
-    // Under a server-crash plan a multi-home commit must be atomic across
-    // shard fault domains: run presumed-abort two-phase commitment.
-    // Single-home commits keep the one-phase path (the single-participant
-    // optimization), as do all commits under plans without server
-    // crashes. Cache hits count toward the involved mask too: their shard
-    // still releases the transactional footprint.
-    if sh.rec.srv_faults_on {
-        let involved = sh.clients[client.index()].txn().involved(&sh.cfg);
-        if involved.count_ones() > 1 {
-            begin_prepare(eng, client, txn, involved);
-            return;
-        }
-    }
-    commit_decided(eng, now, client, txn);
-}
-
-/// Shard `shard` voted yes on `client`'s transaction `txn`.
-fn on_prepare_ack<E: LockServer>(
-    eng: &mut E,
-    now: SimTime,
-    client: ClientId,
-    txn: TxnId,
-    shard: u32,
-) {
-    let sh = eng.shell();
-    let c = &mut sh.clients[client.index()];
-    match c.take_ack(
-        shard,
-        |m| matches!(m, Message::Prepare { txn: t, .. } if *t == txn),
-    ) {
-        None => {} // duplicate ack of an already-counted vote
-        // Other shards still owe votes: keep retransmitting their
-        // prepares from a fresh backoff.
-        Some(false) => c.arm_retry(&mut sh.cal, sh.rec.retry_base),
-        // Unanimous yes. An abort may still have raced the voting round
-        // (a lease victim whose notice is in flight); the oracle resolves
-        // it in the abort's favour — the shards' prepared votes are
-        // retired by the victim's releases.
-        Some(true) if sh.table.status(txn) != TxnStatus::Active => {
-            finalize_abort(eng, now, client, txn);
-        }
-        Some(true) => commit_decided(eng, now, client, txn),
-    }
 }
 
 /// Shard `shard` applied `client`'s commit-release slice of `txn`.
@@ -2165,115 +2318,6 @@ fn on_commit_ack(sh: &mut Shell, client: ClientId, txn: TxnId, shard: u32) {
         // from a fresh backoff.
         Some(false) => c.arm_retry(&mut sh.cal, sh.rec.retry_base),
         Some(true) => sh.schedule_idle(client),
-    }
-}
-
-/// Phase 1 of two-phase commitment: send each involved shard its prepare
-/// (write slice + involved-shard mask) and wait for every yes vote before
-/// deciding. The prepares sit in `pending_commits` and retransmit on the
-/// usual backoff until acknowledged.
-fn begin_prepare<E: LockServer>(eng: &mut E, client: ClientId, txn: TxnId, involved: u64) {
-    let sh = eng.shell();
-    let c = &mut sh.clients[client.index()];
-    let active = c.txn_mut();
-    debug_assert_eq!(active.id, txn);
-    active.phase = ClientPhase::CommitWait;
-    let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
-    for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-        let slot = by_shard.entry(sh.cfg.shard_of(item)).or_default();
-        if mode == AccessMode::Write {
-            slot.push((item, active.versions[idx] + 1));
-        }
-    }
-    let prepares: Vec<(u32, Message)> = by_shard
-        .into_iter()
-        .map(|(shard, writes)| {
-            let msg = Message::Prepare {
-                txn,
-                writes,
-                involved,
-            };
-            (shard, msg)
-        })
-        .collect();
-    c.retry_progress();
-    c.pending_commits = prepares.clone();
-    send_phase::<E>(sh, client, prepares);
-    sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
-}
-
-/// Send `client`'s commit-phase messages, one per shard: commit-releases
-/// (a header plus the written items), or prepares (a header plus 12 bytes
-/// per written `(item, version)`).
-fn send_phase<E: LockServer>(sh: &mut Shell, client: ClientId, msgs: Vec<(u32, Message)>) {
-    for (shard, msg) in msgs {
-        let (kind, bytes) = match &msg {
-            Message::SCommit { writes, .. } => (
-                E::LOCK_LABELS.commit_release,
-                CTRL_BYTES + writes.len() as u64 * sh.cfg.item_size_bytes,
-            ),
-            Message::Prepare { writes, .. } => (
-                E::LOCK_LABELS.prepare,
-                CTRL_BYTES + 12 * writes.len() as u64,
-            ),
-            other => unreachable!("{other:?} is not a commit-phase message"),
-        };
-        let to = SiteId::server(shard);
-        sh.net
-            .send(&mut sh.cal, client.into(), to, kind, bytes, msg);
-    }
-}
-
-/// Re-send every unacknowledged commit-phase slice (the client's WAL
-/// tail), one per still-unanswered shard: commit-releases, or — for a
-/// multi-home transaction still in its voting round — prepares.
-pub(crate) fn resend_commit_slices<E: LockServer>(eng: &mut E, client: ClientId) {
-    let sh = eng.shell();
-    let c = &mut sh.clients[client.index()];
-    let pending = c.pending_commits.clone();
-    if pending.is_empty() {
-        return;
-    }
-    c.retry_attempts = c.retry_attempts.saturating_add(1);
-    sh.rec.fsum.retries += pending.len() as u64;
-    send_phase::<E>(sh, client, pending);
-    sh.clients[client.index()].arm_retry(&mut sh.cal, sh.rec.retry_base);
-}
-
-/// A crashed client came back up. Each possible state re-establishes its
-/// own wake-up: an unacknowledged commit resumes retransmission (the WAL
-/// tail), an aborted transaction finalizes locally (the notice may have
-/// been lost while down), an outstanding request is re-sent, and an idle
-/// client re-draws its idle period.
-pub(crate) fn restart_client<E: LockServer>(eng: &mut E, now: SimTime, client: ClientId) {
-    let sh = eng.shell();
-    let c = &sh.clients[client.index()];
-    if !c.pending_commits.is_empty() {
-        resend_commit_slices(eng, client);
-        return;
-    }
-    let Some(active) = &c.txn else {
-        sh.schedule_idle(client);
-        return;
-    };
-    let (txn, phase) = (active.id, active.phase);
-    match sh.table.status(txn) {
-        TxnStatus::Aborting | TxnStatus::Aborted => finalize_abort(eng, now, client, txn),
-        TxnStatus::Active => match phase {
-            ClientPhase::WaitingGrant(_) => sh.resend_request(client),
-            ClientPhase::Thinking => {
-                // The think timer died with the crash: resume now.
-                sh.cal.schedule_in(
-                    SimTime::ZERO,
-                    Ev::Timer {
-                        client,
-                        kind: TimerKind::ThinkDone(txn),
-                    },
-                );
-            }
-            ClientPhase::CommitWait | ClientPhase::Idle => {}
-        },
-        TxnStatus::Committed => {}
     }
 }
 
@@ -2469,6 +2513,161 @@ mod tests {
     fn c2pl_duplicate_grant_is_consumed_once() {
         let cfg = lossy(crate::config::ProtocolKind::C2pl);
         duplicate_grant_is_consumed_once(crate::c2pl::C2plEngine::new(cfg));
+    }
+
+    /// One client on two shards under a server-crash plan (no crash
+    /// fires: only [`run`] schedules the plan), with the trace on.
+    fn two_shard_votes(kind: crate::config::ProtocolKind) -> EngineConfig {
+        let mut cfg = EngineConfig::table1(kind, 1, 10, 0.5);
+        cfg.items = crate::config::ItemSpace::sharded(2, 4);
+        cfg.faults = Some(FaultPlan {
+            server_crashes: vec![g2pl_faults::ServerCrashWindow::fixed(1_000_000, 10)],
+            ..Default::default()
+        });
+        cfg.trace_events = true;
+        cfg
+    }
+
+    /// Process `eng`'s events until `done` holds or the calendar empties.
+    fn pump_until<P: Protocol>(eng: &mut P, mut done: impl FnMut(&mut Shell) -> bool) {
+        while !done(eng.shell()) {
+            let Some((now, ev)) = eng.shell().cal.pop() else {
+                return;
+            };
+            step(eng, now, ev);
+        }
+    }
+
+    /// Process `eng`'s events up to time `until`.
+    fn pump_to<P: Protocol>(eng: &mut P, until: SimTime) {
+        pump_until(eng, |sh| sh.cal.next_time().is_none_or(|t| t > until));
+    }
+
+    /// Crash (`up == false`) or restart client 0 now.
+    fn fault<P: Protocol>(eng: &mut P, up: bool) {
+        let now = eng.shell().cal.now();
+        let client = ClientId::new(0);
+        step(eng, now, Ev::Fault { client, up });
+    }
+
+    /// How often `kind` was recorded for `txn`.
+    fn recorded(sh: &Shell, kind: TraceKind, txn: TxnId) -> usize {
+        let events = sh.trace.events().iter();
+        events
+            .filter(|e| e.kind == kind && e.txn == Some(txn))
+            .count()
+    }
+
+    /// Start client 0 on a transaction writing one item on each shard, and
+    /// run it until both its prepares are out.
+    fn open_voting_round<P: Protocol>(eng: &mut P) -> TxnId {
+        let client = ClientId::new(0);
+        let sh = eng.shell();
+        assert!(sh.rec.srv_faults_on);
+        let txn = sh.table.create(client, false);
+        let spec = TxnSpec {
+            accesses: vec![
+                (ItemId::new(0), AccessMode::Write),
+                (ItemId::new(4), AccessMode::Write),
+            ],
+        };
+        sh.clients[0].txn = Some(ActiveTxn {
+            id: txn,
+            spec,
+            granted: 0,
+            start: SimTime::ZERO,
+            versions: Vec::new(),
+            phase: ClientPhase::WaitingGrant(0),
+            request_sent_at: SimTime::ZERO,
+        });
+        eng.issue_access(SimTime::ZERO, client, txn, 0);
+        pump_until(eng, |sh| sh.clients[0].pending_commits.len() == 2);
+        txn
+    }
+
+    /// A client that crashes while one of its two votes is still owed
+    /// re-sends exactly that prepare when it restarts, then commits once.
+    fn restart_resends_the_owed_prepare<P: Protocol>(mut eng: P) {
+        let txn = open_voting_round(&mut eng);
+        pump_until(&mut eng, |sh| sh.clients[0].pending_commits.len() == 1);
+        fault(&mut eng, false);
+        // The other vote reaches the crashed client and is lost.
+        let now = eng.shell().cal.now();
+        pump_to(&mut eng, now);
+        let sh = eng.shell();
+        let prepare = sh.rec.labels.prepare;
+        let sent = sh.net.acct.of_kind(prepare);
+        assert_eq!(sh.clients[0].pending_commits.len(), 1);
+        fault(&mut eng, true);
+        assert_eq!(eng.shell().net.acct.of_kind(prepare), sent + 1);
+        pump_until(&mut eng, |sh| sh.clients[0].txn.is_none());
+        let sh = eng.shell();
+        assert_eq!(sh.table.status(txn), TxnStatus::Committed);
+        assert_eq!(recorded(sh, TraceKind::Committed, txn), 1);
+        let votes = sh.clients[0].pending_commits.iter();
+        assert!(
+            votes
+                .filter(|(_, m)| matches!(m, Message::Prepare { .. }))
+                .count()
+                == 0
+        );
+    }
+
+    /// A client that crashes during its vote, and whose transaction is
+    /// then aborted as a (lease) victim, finalizes the abort once: when it
+    /// restarts, not again on a late notice.
+    fn restart_finalizes_a_vote_victim_once<P: Protocol>(mut eng: P) {
+        let txn = open_voting_round(&mut eng);
+        fault(&mut eng, false);
+        let now = eng.shell().cal.now();
+        eng.abort_victim(now, txn);
+        // The prepares meet the abort at the shards; the notices die at
+        // the crashed client.
+        pump_to(&mut eng, now + SimTime::new(40));
+        fault(&mut eng, true);
+        let sh = eng.shell();
+        assert_eq!(sh.table.status(txn), TxnStatus::Aborted);
+        assert!(sh.clients[0].txn.is_none());
+        assert!(sh.clients[0].pending_commits.is_empty());
+        let now = sh.cal.now();
+        pump_to(&mut eng, now + SimTime::new(100));
+        assert_eq!(recorded(eng.shell(), TraceKind::Aborted, txn), 1);
+    }
+
+    #[test]
+    fn s2pl_restart_resends_the_owed_prepare() {
+        let cfg = two_shard_votes(crate::config::ProtocolKind::S2pl);
+        restart_resends_the_owed_prepare(crate::s2pl::S2plEngine::new(cfg));
+    }
+
+    #[test]
+    fn c2pl_restart_resends_the_owed_prepare() {
+        let cfg = two_shard_votes(crate::config::ProtocolKind::C2pl);
+        restart_resends_the_owed_prepare(crate::c2pl::C2plEngine::new(cfg));
+    }
+
+    #[test]
+    fn g2pl_restart_resends_the_owed_prepare() {
+        let cfg = two_shard_votes(crate::config::ProtocolKind::g2pl_paper());
+        restart_resends_the_owed_prepare(crate::g2pl::G2plEngine::new(cfg));
+    }
+
+    #[test]
+    fn s2pl_restart_finalizes_a_vote_victim_once() {
+        let cfg = two_shard_votes(crate::config::ProtocolKind::S2pl);
+        restart_finalizes_a_vote_victim_once(crate::s2pl::S2plEngine::new(cfg));
+    }
+
+    #[test]
+    fn c2pl_restart_finalizes_a_vote_victim_once() {
+        let cfg = two_shard_votes(crate::config::ProtocolKind::C2pl);
+        restart_finalizes_a_vote_victim_once(crate::c2pl::C2plEngine::new(cfg));
+    }
+
+    #[test]
+    fn g2pl_restart_finalizes_a_vote_victim_once() {
+        let cfg = two_shard_votes(crate::config::ProtocolKind::g2pl_paper());
+        restart_finalizes_a_vote_victim_once(crate::g2pl::G2plEngine::new(cfg));
     }
 
     #[test]

@@ -14,9 +14,8 @@
 use crate::config::EngineConfig;
 use crate::metrics::RunMetrics;
 use crate::runtime::{
-    abort_victim, finish_recovery, on_client_msg, on_server_msg, resend_commit_slices,
-    restart_client, run, try_commit, Labels, LockCore, LockLabels, LockServer, Message, Protocol,
-    Shell,
+    abort_victim, finalize_abort, finish_commit, finish_recovery, on_client_msg, on_server_msg,
+    run, Labels, LockCore, LockLabels, LockServer, Message, Protocol, Shell,
 };
 use g2pl_simcore::{ClientId, SimTime, TxnId};
 
@@ -28,6 +27,8 @@ const LABELS: Labels = Labels {
     commit_verdict: "s2pl.commit_verdict",
     reregister_req: "s2pl.reregister_req",
     prepare_ack: "s2pl.prepare_ack",
+    prepare: "s2pl.prepare",
+    commit: "s2pl.commit_release",
 };
 
 /// The s-2PL simulation engine.
@@ -58,12 +59,12 @@ impl Protocol for S2plEngine {
         self.core.sh.request_access(now, client, txn, idx);
     }
 
-    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        try_commit(self, now, client, txn);
+    fn finish_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        finish_commit(self, now, client, txn);
     }
 
-    fn resend_pending_commits(&mut self, client: ClientId) {
-        resend_commit_slices(self, client);
+    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
+        finalize_abort(self, now, client, txn);
     }
 
     fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
@@ -72,10 +73,6 @@ impl Protocol for S2plEngine {
 
     fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
         on_server_msg(self, now, shard, msg);
-    }
-
-    fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        restart_client(self, now, client);
     }
 
     fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
@@ -102,8 +99,6 @@ impl Protocol for S2plEngine {
 impl LockServer for S2plEngine {
     const LOCK_LABELS: LockLabels = LockLabels {
         grant: "s2pl.grant",
-        prepare: "s2pl.prepare",
-        commit_release: "s2pl.commit_release",
         commit_ack: "s2pl.commit_ack",
         reregister: "s2pl.reregister",
     };

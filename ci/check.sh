@@ -31,6 +31,23 @@ done
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench (the benchmark's own --offline --locked build, tests and pinned digests)"
+# The benchmark pipeline builds perfbench/ with --offline --locked against
+# perfbench/Cargo.lock, and a seed-1 pass must reproduce the digests
+# pinned in perfbench/src/workload.rs. A workspace change that breaks that
+# build or moves a digest fails here instead of first in a benchmark run.
+# perfbench gets its own target dir, as in the pipeline: its lock file
+# resolves the workspace crates on its own.
+perfbench_target="target/perfbench"
+CARGO_TARGET_DIR="$perfbench_target" \
+  cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+for workload in hotspot_write hotspot_read recovery; do
+  CARGO_TARGET_DIR="$perfbench_target" \
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null \
+    | tail -n 1 | grep -q '^{"correct": true,' \
+    || { echo "perfbench $workload: a seed-1 pass missed its pinned digest or failed"; exit 1; }
+done
+
 echo "==> trace-explain smoke (span export + round accounting)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT

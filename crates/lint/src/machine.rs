@@ -326,7 +326,7 @@ fn walk_block(block: &Block, ctx: &[String], ext: &Extraction, file: &str, edges
                     }
                 }
                 // After a filtering match, only fall-through arms' states
-                // survive (g2pl `on_abort_notice` shape). If any arm had
+                // survive (g2pl `finalize_abort` shape). If any arm had
                 // no recognisable state (wildcard), knowledge is lost.
                 let complete = arms
                     .iter()

@@ -22,7 +22,9 @@
 //! of a dead state can never fire.
 
 use crate::lex::Tok;
-use crate::parse::{walk_enums, walk_scoped_fns, Arm, Block, FnItem, FnScope, ParsedFile, Stmt};
+use crate::parse::{
+    walk_enums, walk_scoped_fns, Arm, Block, FnItem, FnScope, Item, ParsedFile, Stmt,
+};
 use crate::passes::non_test_fns;
 use crate::{Diagnostic, Lint};
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,26 +75,26 @@ impl Attribution {
     /// Index every non-test trait impl of the workspace.
     pub fn new(files: &[(ParsedFile, crate::FileConfig)]) -> Self {
         fn go(
-            items: &[crate::parse::Item],
+            items: &[Item],
             fi: usize,
             impls: &mut BTreeMap<String, Vec<(usize, BTreeSet<String>)>>,
         ) {
             for item in items {
                 match item {
-                    crate::parse::Item::Impl(imp) if !imp.in_test => {
+                    Item::Impl(imp) if !imp.in_test => {
                         if let Some(tr) = &imp.trait_name {
                             let methods = imp
                                 .items
                                 .iter()
                                 .filter_map(|i| match i {
-                                    crate::parse::Item::Fn(f) => Some(f.name.clone()),
+                                    Item::Fn(f) => Some(f.name.clone()),
                                     _ => None,
                                 })
                                 .collect();
                             impls.entry(tr.clone()).or_default().push((fi, methods));
                         }
                     }
-                    crate::parse::Item::Mod(m) if !m.in_test => go(&m.items, fi, impls),
+                    Item::Mod(m) if !m.in_test => go(&m.items, fi, impls),
                     _ => {}
                 }
             }
